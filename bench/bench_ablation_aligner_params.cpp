@@ -77,8 +77,8 @@ int main() {
     config.params = row.params;
     AlignmentEngine e108(w.index108, &w.synthesizer->annotation(), config);
     AlignmentEngine e111(w.index111, &w.synthesizer->annotation(), config);
-    const AlignmentRun run108 = e108.run(reads);
-    const AlignmentRun run111 = e111.run(reads);
+    const AlignmentRun run108 = e108.execute({.reads = &reads});
+    const AlignmentRun run111 = e111.execute({.reads = &reads});
     table.add_row(
         {row.label, strf("%.3f", run108.wall_seconds),
          strf("%.3f", run111.wall_seconds),

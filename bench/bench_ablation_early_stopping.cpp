@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/early_stopping.h"
+#include "align/early_stopping.h"
 #include "core/maprate_model.h"
 #include "core/report.h"
 #include "sim/catalog.h"
@@ -37,10 +37,11 @@ int main() {
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                  config);
     auto& curve = single_cell ? sc_curve : bulk_curve;
-    engine.run(reads, [&](const ProgressSnapshot& snap) {
-      curve.push_back(snap.mapped_rate());
-      return EngineCommand::kContinue;
-    });
+    engine.execute({.reads = &reads,
+                    .callback = [&](const ProgressSnapshot& snap) {
+                      curve.push_back(snap.mapped_rate());
+                      return EngineCommand::kContinue;
+                    }});
   }
   for (usize i = 0; i < std::min(bulk_curve.size(), sc_curve.size()); i += 2) {
     trajectory.add_row({strf("%zu%%", (i + 1) * 5),

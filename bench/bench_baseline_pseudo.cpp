@@ -35,8 +35,8 @@ int main() {
   config.num_threads = 1;
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
-  const AlignmentRun star_bulk = engine.run(bulk);
-  const AlignmentRun star_sc = engine.run(sc);
+  const AlignmentRun star_bulk = engine.execute({.reads = &bulk});
+  const AlignmentRun star_sc = engine.execute({.reads = &sc});
 
   const auto time_pseudo = [&](const std::vector<std::string>& seqs,
                                PseudoStats& stats) {

@@ -16,7 +16,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/early_stopping.h"
+#include "align/early_stopping.h"
 #include "core/maprate_model.h"
 #include "core/report.h"
 #include "sim/catalog.h"
@@ -49,14 +49,14 @@ int main() {
     config.progress_check_interval = reads.size() / 20;
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                  config);
-    const AlignmentRun run =
-        engine.run(reads, [&](const ProgressSnapshot& snap) {
-          if (rate_at_checkpoint < 0.0 &&
-              snap.fraction_processed() >= policy.checkpoint_fraction) {
-            rate_at_checkpoint = snap.mapped_rate();
-          }
-          return EngineCommand::kContinue;
-        });
+    const AlignmentRun run = engine.execute(
+        {.reads = &reads, .callback = [&](const ProgressSnapshot& snap) {
+           if (rate_at_checkpoint < 0.0 &&
+               snap.fraction_processed() >= policy.checkpoint_fraction) {
+             rate_at_checkpoint = snap.mapped_rate();
+           }
+           return EngineCommand::kContinue;
+         }});
     const double final_rate = run.stats.mapped_rate();
     const bool would_stop = early_stop_decision(policy, rate_at_checkpoint);
     panel_stops += would_stop ? 1 : 0;

@@ -183,12 +183,13 @@ EngineResult run_engine_dispatch(const HotpathConfig& cfg) {
   // Pooled: one engine, worker pool and workspaces reused every run.
   {
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
-    engine.run(reads);  // warm: spawn pool, build counter, size workspaces
+    // Warm: spawn pool, build counter, size workspaces.
+    engine.execute({.reads = &reads});
     double best_elapsed = 1e30;
     for (usize pass = 0; pass < cfg.passes; ++pass) {
       const auto start = std::chrono::steady_clock::now();
       for (usize i = 0; i < cfg.engine_iters; ++i) {
-        engine.run(reads);
+        engine.execute({.reads = &reads});
       }
       best_elapsed = std::min(best_elapsed, seconds_since(start));
     }
@@ -205,7 +206,7 @@ EngineResult run_engine_dispatch(const HotpathConfig& cfg) {
       for (usize i = 0; i < cfg.engine_iters; ++i) {
         AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
-        engine.run(reads);
+        engine.execute({.reads = &reads});
       }
       best_elapsed = std::min(best_elapsed, seconds_since(start));
     }

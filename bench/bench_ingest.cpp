@@ -6,9 +6,10 @@
 //      (FastqReader -> per-record std::strings), plus heap allocations
 //      per read for both parsers (block steady state must be 0);
 //   2. end-to-end parse/align overlap: one sample processed sequentially
-//      (fasterq_dump fully, then engine.run) vs streamed
-//      (engine.run_stream pulling batches off the SRA decoder while the
-//      workers align), 4 threads — streamed must beat sequential;
+//      (fasterq_dump fully, then an engine.execute over the ReadSet) vs
+//      streamed (an engine.execute whose workers pull batches off the SRA
+//      decoder one at a time while the others align), 4 threads —
+//      streamed must beat sequential;
 //   3. steady-state consumer-side allocations and the peak batch-arena
 //      footprint of the streaming path.
 //
@@ -174,7 +175,8 @@ struct OverlapResult {
 };
 
 /// One sample end to end: full fasterq-dump then align (the batch path)
-/// vs decode-while-aligning (run_stream). Same container, same engine.
+/// vs decode-while-aligning (a BatchSource run). Same container, same
+/// engine.
 OverlapResult run_overlap(const IngestConfig& cfg) {
   const BenchWorld& w = bench_world();
   const ReadSet reads =
@@ -195,13 +197,15 @@ OverlapResult run_overlap(const IngestConfig& cfg) {
   OverlapResult out;
 
   // Warm both paths once (pool spawn, workspace + slot arena growth).
-  engine.run(fasterq_dump(container).reads);
   {
+    const DumpResult dumped = fasterq_dump(container);
+    engine.execute({.reads = &dumped.reads});
     FasterqDumpStream dump(container);
-    const BatchSource source = [&](ReadBatch& batch) {
-      return dump.next_batch(batch, config.chunk_size) > 0;
-    };
-    engine.run_stream(source, metadata.num_reads);
+    engine.execute({.batches =
+                        [&](ReadBatch& batch) {
+                          return dump.next_batch(batch, config.chunk_size) > 0;
+                        },
+                    .total_reads_hint = metadata.num_reads});
   }
 
   // Passes are interleaved (sequential, then streamed, each pass) so load
@@ -215,12 +219,12 @@ OverlapResult run_overlap(const IngestConfig& cfg) {
       const auto start = std::chrono::steady_clock::now();
       for (usize i = 0; i < cfg.e2e_iters; ++i) {
         const DumpResult dumped = fasterq_dump(container);
-        engine.run(dumped.reads);
+        engine.execute({.reads = &dumped.reads});
         out.fastq_bytes = dumped.fastq_bytes.bytes();
       }
       best_sequential = std::min(best_sequential, seconds_since(start));
     }
-    // Streamed: the engine's producer thread decodes while workers align.
+    // Streamed: one worker at a time decodes while the others align.
     {
       const auto start = std::chrono::steady_clock::now();
       for (usize i = 0; i < cfg.e2e_iters; ++i) {

@@ -17,9 +17,9 @@
 //   4. Saturation: >= 1050 samples across three tenant profiles
 //      (light / medium / heavy — distinct weights and admission caps)
 //      submitted concurrently and drained to completion. Aggregate
-//      service throughput must stay >= 0.9x a single engine.run over
-//      the identical reads (the scheduler + chunk merges may cost at
-//      most 10%).
+//      service throughput must stay >= 0.9x a single engine.execute
+//      over the identical reads (the scheduler + chunk merges may cost
+//      at most 10%).
 //
 // Emits machine-readable BENCH_service.json (schema in EXPERIMENTS.md),
 // the sixth point of the perf trajectory.
@@ -86,7 +86,7 @@ ServiceConfig make_service_config(const ServiceBenchConfig& cfg) {
   ServiceConfig config;
   config.engine.num_threads = cfg.workers;
   config.engine.collect_junctions = true;
-  config.chunk_size = cfg.chunk_size;
+  config.engine.chunk_size = cfg.chunk_size;
   config.admission.max_total_samples = 4096;
   config.admission.max_total_reads = 64u << 20;
   TenantProfile light;
@@ -139,7 +139,7 @@ IdentityResult run_identity(SharedIndexCache& cache,
   auto pin = cache.acquire("bench-index", load_bench_index);
   AlignmentEngine engine(*pin, &w.synthesizer->annotation(),
                          make_service_config(cfg).engine);
-  AlignmentRun run = engine.run(reads);
+  AlignmentRun run = engine.execute({.reads = &reads});
   SampleResult reference;
   reference.total_reads = reads.size();
   u64 bases = 0;
@@ -260,7 +260,7 @@ struct SaturationResult {
 };
 
 /// Phase 4: >= 1050 concurrent submissions over the three profiles vs
-/// one engine.run over the identical reads.
+/// one engine.execute over the identical reads.
 SaturationResult run_saturation(SharedIndexCache& cache,
                                 const ServiceBenchConfig& cfg) {
   const BenchWorld& w = bench_world();
@@ -295,7 +295,7 @@ SaturationResult run_saturation(SharedIndexCache& cache,
     AlignmentEngine engine(*pin, &w.synthesizer->annotation(),
                            make_service_config(cfg).engine);
     auto start = std::chrono::steady_clock::now();
-    engine.run(combined);
+    engine.execute({.reads = &combined});
     out.engine_secs = std::min(out.engine_secs, seconds_since(start));
 
     AlignmentService service(cache, "bench-index", load_bench_index,
@@ -352,7 +352,7 @@ int check_results(const std::string& baseline_path, const BenchResults& r) {
   }
   if (!r.identity.identity_ok) {
     std::cerr << "SMOKE FAIL: service result is not byte-identical to "
-                 "engine.run\n";
+                 "engine.execute\n";
     ++failures;
   }
   if (r.cache_loads != 1) {
@@ -369,7 +369,7 @@ int check_results(const std::string& baseline_path, const BenchResults& r) {
   if (r.saturation.throughput_ratio < 0.9) {
     std::cerr << "SMOKE FAIL: saturation throughput is "
               << r.saturation.throughput_ratio
-              << "x the single engine.run (gate: >= 0.9x)\n";
+              << "x the single engine.execute (gate: >= 0.9x)\n";
     ++failures;
   }
   // >30% regression of the in-process throughput ratio vs the committed
@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
   std::cout << "saturation (" << r.saturation.submissions
             << " submissions, 3 tenant profiles, " << r.saturation.reads
             << " reads)\n"
-            << "  engine.run         : " << r.saturation.engine_secs << " s ("
+            << "  engine.execute     : " << r.saturation.engine_secs << " s ("
             << r.saturation.engine_reads_per_s << " reads/s)\n"
             << "  service            : " << r.saturation.service_secs
             << " s (" << r.saturation.service_reads_per_s << " reads/s)\n"

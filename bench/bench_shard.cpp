@@ -129,7 +129,6 @@ MeasuredResult run_measured(const ShardBenchConfig& cfg) {
       EngineRunRequest request;
       request.fastq_text = fastq;
       request.num_shards = config.num_shards;
-      request.batch_reads = config.batch_reads;
       request.sharded_out = &sharded;
       sharded.merged = engine.execute(request);
     }

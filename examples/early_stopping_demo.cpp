@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "align/run_request.h"
 #include "core/pipeline.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
@@ -27,7 +28,8 @@ void run_sample(const GenomeIndex& index, const Annotation& annotation,
 
   EarlyStopPolicy policy;  // paper defaults: stop at 10% if <30% mapped
   EarlyStopController controller(policy);
-  const AlignmentRun run = engine.run(reads, controller.callback());
+  const AlignmentRun run =
+      engine.execute({.reads = &reads, .callback = controller.callback()});
 
   std::cout << "=== " << profile.name << " ("
             << library_type_name(profile.type) << ") ===\n";

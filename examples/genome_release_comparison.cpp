@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "align/engine.h"
+#include "align/run_request.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
 #include "sim/read_simulator.h"
@@ -40,7 +41,7 @@ int main() {
     EngineConfig config;
     config.num_threads = 2;
     AlignmentEngine engine(index, &synthesizer.annotation(), config);
-    const AlignmentRun run = engine.run(sample);
+    const AlignmentRun run = engine.execute({.reads = &sample});
     secs[idx] = run.wall_seconds;
     rates[idx] = run.stats.mapped_rate();
     std::cout << "release " << assembly->release() << ":  FASTA "

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "align/engine.h"
+#include "align/run_request.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
 #include "sim/read_simulator.h"
@@ -51,7 +52,7 @@ int main() {
   EngineConfig config;
   config.num_threads = 2;
   AlignmentEngine engine(index, &synthesizer.annotation(), config);
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
 
   std::cout << "aligned " << run.stats.processed << " reads in "
             << run.wall_seconds << "s\n"

@@ -41,7 +41,7 @@
 #include "align/sam.h"
 #include "align/run_request.h"
 #include "align/sharded.h"
-#include "core/early_stopping.h"
+#include "align/early_stopping.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
 #include "io/fasta.h"
@@ -261,12 +261,12 @@ int cmd_align(const Args& args) {
     return 1;
   }
 
-  // Log.final.out
+  // Log.final.out (an empty sample reports a 0 mean length, not NaN)
   double mean_length = 0.0;
   for (const auto& read : reads.reads) {
     mean_length += static_cast<double>(read.sequence.size());
   }
-  mean_length /= static_cast<double>(reads.size());
+  if (!reads.empty()) mean_length /= static_cast<double>(reads.size());
   {
     std::ofstream log(prefix + ".Log.final.out");
     log << render_final_log(run, reads.size(), mean_length);
@@ -334,13 +334,13 @@ int cmd_serve(const Args& args) {
   config.engine.num_threads = args.get_u64("workers", 2);
   config.engine.quant_gene_counts = quant;
   config.engine.collect_junctions = true;
-  config.chunk_size = args.get_u64("chunk", 256);
+  config.engine.chunk_size = args.get_u64("chunk", 256);
 
   AlignmentService service(index, quant ? &annotation : nullptr, config);
   ServiceServer server(service, quant ? &annotation : nullptr, socket_path);
   std::cout << "serving " << index->stats().genome_length << " bp index on "
             << socket_path << " (" << config.engine.num_threads
-            << " workers, chunk " << config.chunk_size
+            << " workers, chunk " << config.engine.chunk_size
             << " reads); DRAIN to stop\n";
   // A DRAIN request flips the service into draining; exit once it does.
   while (!service.draining()) {

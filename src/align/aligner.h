@@ -26,9 +26,11 @@ class Aligner {
   /// `result` (reset first; its hit capacity is reused). Work counters
   /// (seeds/windows/bases) are accumulated into `work`; the outcome
   /// counter is NOT updated here (the engine owns outcome accounting).
-  /// This is the hot-path interface: with a warmed workspace and result it
-  /// performs zero heap allocations per read. `result` must not alias a
-  /// workspace member.
+  /// With a warmed workspace and result it performs zero heap allocations
+  /// per read. `result` must not alias a workspace member. Per-read align
+  /// is the reference oracle for the batched path: the tests' serial
+  /// reference (tests/testutil.h) aligns read by read through it and the
+  /// engine, which runs align_batch, must match it exactly.
   void align(std::string_view read, AlignWorkspace& ws, MappingStats& work,
              ReadAlignment& result) const;
 

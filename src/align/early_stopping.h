@@ -29,8 +29,8 @@ class EarlyStopController {
  public:
   explicit EarlyStopController(const EarlyStopPolicy& policy);
 
-  /// The callback to pass to AlignmentEngine::run. The controller must
-  /// outlive the run.
+  /// The callback to pass as EngineRunRequest::callback. The controller
+  /// must outlive the run.
   ProgressCallback callback();
 
   const EarlyStopDecision& decision() const { return decision_; }

@@ -7,7 +7,6 @@
 #include <future>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/alloc_counter.h"
@@ -16,15 +15,13 @@
 
 namespace staratlas {
 
-/// One recycled unit of streaming work: a batch arena plus everything a
-/// worker accumulates for it, kept per-slot so the committer can merge
-/// batches in stream order.
+/// One recycled unit of work: a batch arena plus everything a worker
+/// accumulates for it, kept per-slot so the committer can merge batches in
+/// stream order.
 struct AlignmentEngine::StreamSlot {
   ReadBatch batch;
   std::vector<ReadOutcome> outcomes;  ///< batch-local, index-aligned
-  MappingStats stats;
-  GeneCountsTable counts;  ///< sized num_genes when quant is on
-  std::unique_ptr<JunctionCollector> junctions;
+  ChunkSink sink;
   u64 seq = 0;         ///< batch sequence number in stream order
   u64 first_read = 0;  ///< global index of the batch's first read
 };
@@ -44,145 +41,18 @@ AlignmentEngine::AlignmentEngine(const GenomeIndex& index,
 AlignmentEngine::~AlignmentEngine() = default;
 
 void AlignmentEngine::ensure_workers() {
+  prepare_worker_slots();
   if (config_.num_threads > 1 && !pool_) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
-  while (workspaces_.size() < config_.num_threads) {
-    workspaces_.push_back(std::make_unique<AlignWorkspace>());
   }
 }
 
 void AlignmentEngine::ensure_stream_slots(usize count) {
   while (stream_slots_.size() < count) {
     auto slot = std::make_unique<StreamSlot>();
-    if (counter_) slot->counts = GeneCountsTable(annotation_->num_genes());
-    if (config_.collect_junctions) {
-      slot->junctions = std::make_unique<JunctionCollector>(
-          *index_, config_.junction_min_intron);
-    }
+    slot->sink = make_chunk_sink();
     stream_slots_.push_back(std::move(slot));
   }
-}
-
-AlignmentRun AlignmentEngine::run_memory(const ReadSet& reads,
-                                  const ProgressCallback& callback) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  AlignmentRun run;
-  run.outcomes.assign(reads.size(), ReadOutcome::kUnmapped);
-  // Pre-size like run_stream: worker tables merge under the strict
-  // equal-dimension contract of GeneCountsTable::operator+=.
-  if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
-  if (reads.empty()) return run;
-
-  ensure_workers();
-
-  const u64 check_interval = config_.progress_check_interval
-                                 ? config_.progress_check_interval
-                                 : std::max<u64>(1, reads.size() / 50);
-
-  const Aligner aligner(*index_, config_.params);
-  const GeneCounter* counter = counter_.get();
-
-  JunctionCollector merged_junctions(*index_, config_.junction_min_intron);
-  ProgressTracker tracker(reads.size());
-  const usize num_chunks =
-      (reads.size() + config_.chunk_size - 1) / config_.chunk_size;
-
-  std::atomic<usize> next_chunk{0};
-  std::atomic<usize> next_worker_slot{0};
-  std::atomic<bool> abort_flag{false};
-  std::mutex merge_mu;
-  // Next checkpoint boundary. Workers pre-check it lock-free after every
-  // chunk; merge_mu is only taken when a boundary has actually been
-  // crossed, instead of on every chunk as before.
-  std::atomic<u64> next_check{check_interval};
-
-  auto elapsed_secs = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
-  };
-
-  auto worker = [&] {
-    AlignWorkspace& ws =
-        *workspaces_[next_worker_slot.fetch_add(1) % workspaces_.size()];
-    MappingStats local_stats;
-    GeneCountsTable local_counts(counter ? annotation_->num_genes() : 0);
-    JunctionCollector local_junctions(*index_, config_.junction_min_intron);
-    for (;;) {
-      if (abort_flag.load(std::memory_order_relaxed)) break;
-      const usize chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      const usize begin = chunk * config_.chunk_size;
-      const usize end = std::min(begin + config_.chunk_size, reads.size());
-
-      MappingStats chunk_stats;
-      const usize count = end - begin;
-      AlignBatchLanes& lanes = ws.batch;
-      lanes.views.clear();
-      for (usize r = begin; r < end; ++r) {
-        lanes.views.push_back(reads.reads[r].sequence);
-      }
-      if (lanes.results.size() < count) lanes.results.resize(count);
-      aligner.align_batch(lanes.views, ws, chunk_stats,
-                          std::span(lanes.results).first(count));
-      for (usize r = begin; r < end; ++r) {
-        const ReadAlignment& result = lanes.results[r - begin];
-        chunk_stats.add_outcome(result.outcome);
-        run.outcomes[r] = result.outcome;
-        if (counter) counter->count(result, local_counts);
-        if (config_.collect_junctions) local_junctions.add(result);
-      }
-      local_stats += chunk_stats;
-      tracker.add(chunk_stats);
-
-      // Progress checkpoint: lock-free boundary pre-check, serialized
-      // snapshot + callback only on actual crossings.
-      if (callback &&
-          tracker.processed() >= next_check.load(std::memory_order_relaxed)) {
-        std::lock_guard lock(merge_mu);
-        const ProgressSnapshot snap = tracker.snapshot(elapsed_secs());
-        if (snap.processed >= next_check.load(std::memory_order_relaxed) &&
-            !abort_flag.load()) {
-          // Advance past every boundary this snapshot crossed so a single
-          // large chunk produces one log row, not several duplicates.
-          next_check.store(
-              (snap.processed / check_interval + 1) * check_interval,
-              std::memory_order_relaxed);
-          run.progress_log.append(snap);
-          if (callback(snap) == EngineCommand::kAbort) {
-            abort_flag.store(true, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-    std::lock_guard lock(merge_mu);
-    run.stats += local_stats;
-    if (counter) run.gene_counts += local_counts;
-    if (config_.collect_junctions) merged_junctions += local_junctions;
-  };
-
-  if (config_.num_threads == 1) {
-    worker();
-  } else {
-    // Fan the persistent pool's workers over the chunk queue: one long
-    // task per worker, so a run costs task dispatch, not thread spawn.
-    std::vector<std::future<void>> futures;
-    futures.reserve(config_.num_threads);
-    for (usize t = 0; t < config_.num_threads; ++t) {
-      futures.push_back(pool_->submit(worker));
-    }
-    for (auto& f : futures) f.wait();  // all workers park before unwinding
-    for (auto& f : futures) f.get();   // then rethrow the first failure
-  }
-
-  run.aborted = abort_flag.load();
-  run.wall_seconds = elapsed_secs();
-  if (config_.collect_junctions) run.junctions = merged_junctions.junctions();
-  if (!run.progress_log.entries().empty() || !callback) {
-    run.progress_log.append(tracker.snapshot(run.wall_seconds));
-  }
-  return run;
 }
 
 namespace {
@@ -215,25 +85,16 @@ ChunkSink AlignmentEngine::make_chunk_sink() const {
   return sink;
 }
 
-void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
-                                  usize end, usize slot, ChunkSink& sink,
+void AlignmentEngine::align_views(AlignWorkspace& ws, ChunkSink& sink,
                                   std::span<ReadOutcome> outcomes) const {
-  STARATLAS_CHECK(slot < workspaces_.size());
-  STARATLAS_CHECK(begin <= end && end <= reads.size());
-  STARATLAS_CHECK(outcomes.size() >= end - begin);
   sink.stats = MappingStats{};
   if (counter_) reset_counts(sink.counts);
   if (sink.junctions) sink.junctions->clear();
 
-  AlignWorkspace& ws = *workspaces_[slot];
-  const Aligner aligner(*index_, config_.params);
-  const usize count = end - begin;
   AlignBatchLanes& lanes = ws.batch;
-  lanes.views.clear();
-  for (usize r = begin; r < end; ++r) {
-    lanes.views.push_back(reads.reads[r].sequence);
-  }
+  const usize count = lanes.views.size();
   if (lanes.results.size() < count) lanes.results.resize(count);
+  const Aligner aligner(*index_, config_.params);
   aligner.align_batch(lanes.views, ws, sink.stats,
                       std::span(lanes.results).first(count));
   for (usize r = 0; r < count; ++r) {
@@ -245,41 +106,58 @@ void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
   }
 }
 
-AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
-                                         u64 total_reads_hint,
-                                         const ProgressCallback& callback) {
+void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
+                                  usize end, usize slot, ChunkSink& sink,
+                                  std::span<ReadOutcome> outcomes) const {
+  STARATLAS_CHECK(slot < workspaces_.size());
+  STARATLAS_CHECK(begin <= end && end <= reads.size());
+  STARATLAS_CHECK(outcomes.size() >= end - begin);
+  AlignWorkspace& ws = *workspaces_[slot];
+  ws.batch.views.clear();
+  for (usize r = begin; r < end; ++r) {
+    ws.batch.views.push_back(reads.reads[r].sequence);
+  }
+  align_views(ws, sink, outcomes);
+}
+
+AlignmentRun AlignmentEngine::run_pull(const BatchSource& source,
+                                       u64 total_reads_hint,
+                                       const ProgressCallback& callback) {
   STARATLAS_CHECK(source != nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
   run.outcomes.assign(total_reads_hint, ReadOutcome::kUnmapped);
+  if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
 
   ensure_workers();
-  const usize nslots = std::max<usize>(
-      2, config_.stream_queue_depth ? config_.stream_queue_depth
-                                    : config_.num_threads + 2);
+  const usize nslots = config_.num_threads + 2;
   ensure_stream_slots(nslots);
-  if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
 
   const u64 check_interval =
       config_.progress_check_interval
           ? config_.progress_check_interval
           : std::max<u64>(1, total_reads_hint / 50);
 
-  const Aligner aligner(*index_, config_.params);
   JunctionCollector merged_junctions(*index_, config_.junction_min_intron);
   ProgressTracker tracker(total_reads_hint);
 
-  // Slot recycling ring (backpressure) and the parsed-batch work queue.
-  // Both hold at most nslots entries, so pushes never block; the producer
-  // blocks only in free_q.pop(), i.e. exactly when every slot is in
-  // flight — that wait IS the peak-memory bound.
+  // Slot recycling ring. It holds at most nslots entries, so pushes never
+  // block; a worker blocks in pop() only when every slot is in flight —
+  // that wait IS the peak-memory bound.
   BoundedQueue<StreamSlot*> free_q(nslots);
-  BoundedQueue<StreamSlot*> work_q(nslots);
   for (usize i = 0; i < nslots; ++i) free_q.push(stream_slots_[i].get());
 
   std::atomic<usize> next_worker_slot{0};
   std::atomic<bool> abort_flag{false};
   std::atomic<u64> consumer_allocs{0};
+
+  // Source state, all guarded by source_mu: batch sequence numbers are
+  // handed out in the order the source produces batches.
+  std::mutex source_mu;
+  u64 next_seq = 0;
+  u64 next_first_read = 0;
+  bool exhausted = false;
+  std::exception_ptr source_error;
 
   // In-order commit state, all guarded by commit_mu. Workers align batches
   // in any order, then park them in the reorder ring; the ring drains
@@ -297,11 +175,38 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         .count();
   };
 
+  // The next batch in a free slot, or null once the stream has ended or
+  // the run was aborted. Every slot returned here is committed exactly
+  // once, which keeps the reorder ring gap-free.
+  auto pull = [&]() -> StreamSlot* {
+    std::lock_guard lock(source_mu);
+    if (exhausted || abort_flag.load(std::memory_order_relaxed)) {
+      return nullptr;
+    }
+    StreamSlot* slot = *free_q.pop();
+    slot->batch.clear();
+    bool got = false;
+    try {
+      got = source(slot->batch) && !slot->batch.empty();
+    } catch (...) {
+      source_error = std::current_exception();
+      abort_flag.store(true, std::memory_order_relaxed);
+    }
+    if (!got) {
+      exhausted = true;
+      free_q.push(slot);
+      return nullptr;
+    }
+    slot->seq = next_seq++;
+    slot->first_read = next_first_read;
+    next_first_read += slot->batch.size();
+    return slot;
+  };
+
   auto commit = [&](StreamSlot* done) {
     std::lock_guard lock(commit_mu);
     reorder[done->seq % nslots] = done;
     while (StreamSlot* slot = reorder[commit_next % nslots]) {
-      if (slot->seq != commit_next) break;
       reorder[commit_next % nslots] = nullptr;
       ++commit_next;
       if (!abort_flag.load(std::memory_order_relaxed)) {
@@ -309,17 +214,18 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         if (run.outcomes.size() < slot->first_read + n) {
           run.outcomes.resize(slot->first_read + n, ReadOutcome::kUnmapped);
         }
-        std::copy(slot->outcomes.begin(), slot->outcomes.begin() + n,
-                  run.outcomes.begin() + slot->first_read);
-        run.stats += slot->stats;
-        tracker.add(slot->stats);
-        if (counter_) run.gene_counts += slot->counts;
-        if (slot->junctions) merged_junctions += *slot->junctions;
+        std::copy_n(slot->outcomes.begin(), n,
+                    run.outcomes.begin() + slot->first_read);
+        const ChunkSink& sink = slot->sink;
+        run.stats += sink.stats;
+        tracker.add(sink.stats);
+        if (counter_) run.gene_counts += sink.counts;
+        if (sink.junctions) merged_junctions += *sink.junctions;
         ++run.stream_batches;
         if (callback && tracker.processed() >= next_check) {
           const ProgressSnapshot snap = tracker.snapshot(elapsed_secs());
           // Advance past every boundary this commit crossed so one large
-          // batch produces one log row, exactly as run() does.
+          // batch produces one log row, not several duplicates.
           next_check = (snap.processed / check_interval + 1) * check_interval;
           run.progress_log.append(snap);
           if (callback(snap) == EngineCommand::kAbort) {
@@ -327,63 +233,26 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
           }
         }
       }
-      free_q.push(slot);  // recycle even past abort: the producer may be
+      free_q.push(slot);  // recycle even past abort: a puller may be
                           // blocked on a free slot and must wake to exit
     }
   };
 
-  std::exception_ptr producer_error;
-  std::thread producer([&] {
-    try {
-      u64 seq = 0;
-      u64 first_read = 0;
-      for (;;) {
-        const auto popped = free_q.pop();
-        if (!popped) break;
-        StreamSlot* slot = *popped;
-        if (abort_flag.load(std::memory_order_relaxed)) break;
-        slot->batch.clear();
-        if (!source(slot->batch) || slot->batch.empty()) break;
-        slot->seq = seq++;
-        slot->first_read = first_read;
-        first_read += slot->batch.size();
-        work_q.push(slot);
-      }
-    } catch (...) {
-      producer_error = std::current_exception();
-      abort_flag.store(true, std::memory_order_relaxed);
-    }
-    work_q.close();
-  });
-
-  auto consumer = [&] {
+  auto worker = [&] {
     AlignWorkspace& ws =
         *workspaces_[next_worker_slot.fetch_add(1) % workspaces_.size()];
-    const u64 allocs_before = alloc_counter::thread_allocations();
-    while (const auto popped = work_q.pop()) {
-      StreamSlot* slot = *popped;
+    u64 allocs = 0;
+    while (StreamSlot* slot = pull()) {
+      const u64 allocs_before = alloc_counter::thread_allocations();
       if (!abort_flag.load(std::memory_order_relaxed)) {
         try {
-          slot->stats = MappingStats{};
           const usize count = slot->batch.size();
+          ws.batch.views.clear();
+          for (usize r = 0; r < count; ++r) {
+            ws.batch.views.push_back(slot->batch.sequence(r));
+          }
           slot->outcomes.resize(count);
-          if (counter_) reset_counts(slot->counts);
-          if (slot->junctions) slot->junctions->clear();
-          AlignBatchLanes& lanes = ws.batch;
-          lanes.views.clear();
-          for (usize r = 0; r < count; ++r) {
-            lanes.views.push_back(slot->batch.sequence(r));
-          }
-          if (lanes.results.size() < count) lanes.results.resize(count);
-          aligner.align_batch(lanes.views, ws, slot->stats,
-                              std::span(lanes.results).first(count));
-          for (usize r = 0; r < count; ++r) {
-            const ReadAlignment& result = lanes.results[r];
-            slot->stats.add_outcome(result.outcome);
-            slot->outcomes[r] = result.outcome;
-            if (counter_) counter_->count(result, slot->counts);
-            if (slot->junctions) slot->junctions->add(result);
-          }
+          align_views(ws, slot->sink, slot->outcomes);
         } catch (...) {
           std::lock_guard lock(commit_mu);
           if (!worker_error) worker_error = std::current_exception();
@@ -391,31 +260,31 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         }
       }
       commit(slot);  // always: recycling must not stall behind an abort
+      allocs += alloc_counter::thread_allocations() - allocs_before;
     }
-    consumer_allocs.fetch_add(
-        alloc_counter::thread_allocations() - allocs_before,
-        std::memory_order_relaxed);
+    consumer_allocs.fetch_add(allocs, std::memory_order_relaxed);
   };
 
   if (config_.num_threads == 1) {
-    consumer();  // the caller thread aligns; the producer still overlaps
+    worker();
   } else {
+    // Fan the persistent pool's workers over the source: one long task
+    // per worker, so a run costs task dispatch, not thread spawn.
     std::vector<std::future<void>> futures;
     futures.reserve(config_.num_threads);
     for (usize t = 0; t < config_.num_threads; ++t) {
-      futures.push_back(pool_->submit(consumer));
+      futures.push_back(pool_->submit(worker));
     }
-    for (auto& f : futures) f.wait();
-    for (auto& f : futures) f.get();
+    for (auto& f : futures) f.wait();  // all workers park before unwinding
+    for (auto& f : futures) f.get();   // then rethrow the first failure
   }
-  producer.join();  // already exited: consumers only finish once it closed
 
-  if (producer_error) std::rethrow_exception(producer_error);
+  if (source_error) std::rethrow_exception(source_error);
   if (worker_error) std::rethrow_exception(worker_error);
 
   run.aborted = abort_flag.load();
   // A completed stream knows the true total; an aborted one keeps the
-  // hint-sized vector (unprocessed tail stays kUnmapped, like run()).
+  // hint-sized vector (the unprocessed tail stays kUnmapped).
   if (!run.aborted && run.outcomes.size() > run.stats.processed) {
     run.outcomes.resize(run.stats.processed);
   }

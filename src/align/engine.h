@@ -1,12 +1,19 @@
-// AlignmentEngine: multi-threaded alignment of a whole ReadSet with
-// progress callbacks and cooperative abort — the hook the paper's
-// early-stopping optimization attaches to.
+// AlignmentEngine: multi-threaded alignment of one sample with progress
+// callbacks and cooperative abort — the hook the paper's early-stopping
+// optimization attaches to.
 //
-// The engine is built for reuse across samples: its worker thread pool and
-// per-worker AlignWorkspaces are created on the first run() and kept for
-// the engine's lifetime, so a 1000-sample campaign pays thread spawn and
-// scratch allocation once, not per sample (the compute analog of STAR's
-// --genomeLoad LoadAndKeep).
+// Every non-sharded run executes one body: the engine's pool workers each
+// pull the next batch from the run's BatchSource (source calls serialized
+// under one mutex) into a recycled batch slot, align it, and commit slots
+// strictly in stream order. Merges, progress checkpoints and the abort
+// decision therefore land on the same read counts for every thread count
+// and machine load.
+//
+// The engine is built for reuse across samples: its worker thread pool,
+// per-worker AlignWorkspaces and batch slots are created on the first run
+// and kept for the engine's lifetime, so a 1000-sample campaign pays
+// thread spawn and scratch allocation once, not per sample (the compute
+// analog of STAR's --genomeLoad LoadAndKeep).
 #pragma once
 
 #include <functional>
@@ -33,20 +40,24 @@ struct EngineRunRequest;  // align/run_request.h
 
 enum class EngineCommand { kContinue, kAbort };
 
-/// Invoked (serialized) whenever `progress_check_interval` more reads have
-/// completed. Returning kAbort stops the run promptly (chunk granularity).
+/// Invoked (serialized, in stream order) at the first batch commit at or
+/// past each multiple of `progress_check_interval` reads. Returning kAbort
+/// ends the run at that commit: no later batch is merged.
 using ProgressCallback = std::function<EngineCommand(const ProgressSnapshot&)>;
 
 /// Fills `batch` (already cleared; arena capacity reused) with the next
 /// reads of the stream. Return false once the stream is exhausted (an
 /// empty batch is also treated as end of stream). Called from the
-/// engine's producer thread, never concurrently with itself.
+/// engine's worker threads, never concurrently with itself.
 using BatchSource = std::function<bool(ReadBatch&)>;
 
 struct EngineConfig {
   AlignerParams params;
   usize num_threads = 1;
-  usize chunk_size = 256;  ///< reads per work unit
+  /// Reads per batch: the unit of work, of in-order commit and of service
+  /// scheduling. ReadSet and FASTQ-text runs, the sharded scatter and the
+  /// pipeline's container decode all cut batches of this size.
+  usize chunk_size = 256;
   /// Reads between progress-callback invocations; 0 = total/50.
   u64 progress_check_interval = 0;
   bool quant_gene_counts = true;
@@ -54,17 +65,13 @@ struct EngineConfig {
   bool collect_junctions = false;
   /// Minimum genomic gap treated as an intron when collecting junctions.
   u64 junction_min_intron = 21;
-  /// Batch slots in flight for run_stream (the backpressure bound: peak
-  /// ingest memory is this many batch arenas). 0 = num_threads + 2.
-  usize stream_queue_depth = 0;
 };
 
-/// Accumulators for one externally scheduled chunk — the preemptible work
-/// unit of the multi-tenant service. A service worker owns one sink per
-/// worker slot and reuses it across chunks of *different* samples: the
-/// engine zeroes it (capacity kept) at the start of every align_chunk, so
-/// steady-state chunk execution stays allocation-free like run()'s own
-/// workers.
+/// Accumulators for one batch of reads. The engine's batch slots each own
+/// one, and so does every worker of the multi-tenant service, which reuses
+/// its sink across chunks of *different* samples: the engine zeroes it
+/// (capacity kept) before aligning into it, so steady-state execution
+/// stays allocation-free.
 struct ChunkSink {
   MappingStats stats;
   GeneCountsTable counts;  ///< sized num_genes when quant is on
@@ -85,15 +92,16 @@ struct AlignmentRun {
   bool aborted = false;
   double wall_seconds = 0.0;  ///< measured real time of the run
 
-  // run_stream telemetry (zero after run()).
+  // Execution telemetry (sharded runs report sums over their shards).
   u64 stream_batches = 0;  ///< batches committed (aborted runs: up to abort)
-  /// Heap allocations made on consumer (alignment) threads. With a warmed
-  /// engine, quant/junctions off and no callback this is 0 — the streaming
-  /// consume path is allocation-free at steady state.
+  /// Heap allocations made by alignment work (align + commit) on worker
+  /// threads; source calls are not counted. With a warmed engine,
+  /// quant/junctions off and no callback this is 0 — the execution body
+  /// is allocation-free at steady state.
   u64 stream_consumer_allocs = 0;
   /// Sum of the recycled batch-slot footprints (arena + outcome capacity):
-  /// the streaming path's peak ingest memory, bounded by queue depth, not
-  /// by sample size.
+  /// the run's peak ingest memory, bounded by the slot count
+  /// (num_threads + 2), not by sample size.
   u64 stream_peak_arena_bytes = 0;
 };
 
@@ -106,52 +114,25 @@ class AlignmentEngine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// The single front door: validates the request (every combination rule
-  /// in EngineRunRequest::validate) and dispatches to the in-memory,
-  /// streaming or sharded execution strategy. The entrypoints below are
-  /// thin compatibility wrappers over this. See align/run_request.h.
+  /// The single entrypoint: validates the request (every combination rule
+  /// in EngineRunRequest::validate), then runs the scatter/gather path
+  /// when num_shards > 1 and the engine's execution body otherwise. A
+  /// ReadSet or FASTQ text is cut into chunk_size batches. Not reentrant:
+  /// one run at a time per engine (the worker pool, workspaces and batch
+  /// slots are engine-owned and reused run to run). See
+  /// align/run_request.h.
   AlignmentRun execute(const EngineRunRequest& request);
 
-  /// Thin wrapper: execute() in memory mode. Aligns the read set.
-  /// Deterministic in its statistics regardless of thread count; abort
-  /// timing has chunk granularity. Not reentrant: one run at a time per
-  /// engine (the worker pool and workspaces are engine-owned and reused
-  /// run to run).
-  AlignmentRun run(const ReadSet& reads, const ProgressCallback& callback = {});
-
-  /// Thin wrapper: execute() in stream mode over a pull source.
-  /// Streaming form: a producer thread pulls batches from `source` while
-  /// the worker pool aligns them, overlapping parse/decode with alignment.
-  /// A bounded ring of `stream_queue_depth` recycled batch slots provides
-  /// backpressure, so peak ingest memory is a few batch arenas regardless
-  /// of sample size. Batches are aligned in parallel but COMMITTED
-  /// (stats/outcome merge, progress checkpoints, abort decisions) strictly
-  /// in stream order, which makes every snapshot — and the processed count
-  /// an early-stop abort lands on — bit-identical across thread counts and
-  /// identical to a single-threaded run() whose chunk_size equals the
-  /// batch size. `total_reads_hint` sizes the outcome vector and the
-  /// default checkpoint interval (pass the known read count when you have
-  /// it; 0 degrades to per-batch checkpoints). Not reentrant, but freely
-  /// interleavable with run() on the same engine.
-  AlignmentRun run_stream(const BatchSource& source, u64 total_reads_hint = 0,
-                          const ProgressCallback& callback = {});
-
-  /// Thin wrapper: execute() in stream mode over an in-memory ReadSet,
-  /// batching `batch_size` reads at a time (tests and benchmarks; the
-  /// pipeline streams from the SRA decoder instead).
-  AlignmentRun run_stream_reads(const ReadSet& reads, usize batch_size,
-                                const ProgressCallback& callback = {});
-
   // --- Chunk-granular scheduling hooks -------------------------------
-  // run() owns its chunk queue; an external scheduler (the multi-tenant
-  // service) instead interleaves chunks of MANY samples over one engine,
-  // preempting a long sample between chunks. The hooks expose the same
-  // per-chunk alignment body run()'s workers execute, so per-read results
-  // are identical to a run() over the whole sample.
+  // execute() pulls its own batches; an external scheduler (the
+  // multi-tenant service) instead interleaves chunks of MANY samples over
+  // one engine, preempting a long sample between chunks. align_chunk runs
+  // the same per-batch body as execute()'s workers, so per-read results
+  // are identical to an execute() over the whole sample.
 
-  /// Creates the worker pool and workspaces if needed and returns the
-  /// number of worker slots (== num_threads). NOT thread-safe: call once
-  /// before spawning external workers.
+  /// Creates the workspaces if needed and returns the number of worker
+  /// slots (== num_threads). NOT thread-safe: call once before spawning
+  /// external workers.
   usize prepare_worker_slots();
 
   /// A sink dimensioned for this engine's quant/junction configuration.
@@ -162,23 +143,25 @@ class AlignmentEngine {
   /// first, keeping capacity). Uses worker slot `slot`'s workspace:
   /// distinct slots may execute concurrently, the same slot must not.
   /// Requires prepare_worker_slots() first and outcomes.size() >= end -
-  /// begin. Merging every chunk's sink of a sample reproduces run()'s
+  /// begin. Merging every chunk's sink of a sample reproduces execute()'s
   /// stats, counts and junctions for that sample exactly (field-wise sums
-  /// of chunk-local values, as run()'s own merge does).
+  /// of chunk-local values, as execute()'s own commit does).
   void align_chunk(const ReadSet& reads, usize begin, usize end, usize slot,
                    ChunkSink& sink, std::span<ReadOutcome> outcomes) const;
 
  private:
   struct StreamSlot;
 
-  /// The real in-memory execution body (execute()'s kMemory strategy).
-  AlignmentRun run_memory(const ReadSet& reads,
-                          const ProgressCallback& callback);
-  /// The real streaming execution body (execute()'s kStream strategy).
-  AlignmentRun run_streaming(const BatchSource& source, u64 total_reads_hint,
-                             const ProgressCallback& callback);
+  /// The execution body behind execute() for every non-sharded request.
+  AlignmentRun run_pull(const BatchSource& source, u64 total_reads_hint,
+                        const ProgressCallback& callback);
+  /// Aligns the reads staged in `ws.batch.views` into `sink` (reset
+  /// first) and `outcomes` (index-aligned with the views): the per-batch
+  /// body shared by run_pull's workers and align_chunk.
+  void align_views(AlignWorkspace& ws, ChunkSink& sink,
+                   std::span<ReadOutcome> outcomes) const;
 
-  /// Creates the worker pool and per-worker workspaces on first use.
+  /// Creates the worker pool on first use.
   void ensure_workers();
   /// Creates (or grows) the recycled batch-slot ring.
   void ensure_stream_slots(usize count);
@@ -193,9 +176,8 @@ class AlignmentEngine {
   /// One workspace per worker slot (num_threads of them), reused run to
   /// run so steady-state alignment stops allocating.
   std::vector<std::unique_ptr<AlignWorkspace>> workspaces_;
-  /// Recycled streaming batch slots (arena + per-batch accumulators),
-  /// reused across run_stream calls so steady-state ingest stops
-  /// allocating.
+  /// Recycled batch slots (arena + per-batch accumulators), reused across
+  /// runs so steady-state ingest stops allocating.
   std::vector<std::unique_ptr<StreamSlot>> stream_slots_;
 };
 

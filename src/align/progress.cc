@@ -5,21 +5,21 @@
 namespace staratlas {
 
 void ProgressTracker::add(const MappingStats& chunk) {
-  processed_.fetch_add(chunk.processed, std::memory_order_relaxed);
-  unique_.fetch_add(chunk.unique, std::memory_order_relaxed);
-  multi_.fetch_add(chunk.multi, std::memory_order_relaxed);
-  too_many_.fetch_add(chunk.too_many, std::memory_order_relaxed);
-  unmapped_.fetch_add(chunk.unmapped, std::memory_order_relaxed);
+  processed_ += chunk.processed;
+  unique_ += chunk.unique;
+  multi_ += chunk.multi;
+  too_many_ += chunk.too_many;
+  unmapped_ += chunk.unmapped;
 }
 
 ProgressSnapshot ProgressTracker::snapshot(double elapsed_seconds) const {
   ProgressSnapshot snap;
   snap.total_reads = total_reads_;
-  snap.processed = processed_.load(std::memory_order_relaxed);
-  snap.unique = unique_.load(std::memory_order_relaxed);
-  snap.multi = multi_.load(std::memory_order_relaxed);
-  snap.too_many = too_many_.load(std::memory_order_relaxed);
-  snap.unmapped = unmapped_.load(std::memory_order_relaxed);
+  snap.processed = processed_;
+  snap.unique = unique_;
+  snap.multi = multi_;
+  snap.too_many = too_many_;
+  snap.unmapped = unmapped_;
   snap.elapsed_seconds = elapsed_seconds;
   return snap;
 }

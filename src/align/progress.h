@@ -1,11 +1,11 @@
 // Alignment progress telemetry — the staratlas equivalent of STAR's
 // Log.progress.out, which the paper's early-stopping optimization parses.
 //
-// ProgressTracker is the thread-safe counter the engine updates;
-// ProgressLog renders snapshots into a STAR-style progress table.
+// ProgressTracker accumulates the outcome counts the engine's in-order
+// commit feeds it (under the commit lock); ProgressLog renders snapshots
+// into a STAR-style progress table.
 #pragma once
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -43,19 +43,18 @@ class ProgressTracker {
   /// Adds a completed chunk's outcome counts.
   void add(const MappingStats& chunk);
 
-  /// Reads processed so far. Lock-free; the engine's progress checkpoint
-  /// uses this to skip the merge lock off checkpoint boundaries.
-  u64 processed() const { return processed_.load(std::memory_order_relaxed); }
+  /// Reads processed so far.
+  u64 processed() const { return processed_; }
 
   ProgressSnapshot snapshot(double elapsed_seconds = 0.0) const;
 
  private:
   u64 total_reads_;
-  std::atomic<u64> processed_{0};
-  std::atomic<u64> unique_{0};
-  std::atomic<u64> multi_{0};
-  std::atomic<u64> too_many_{0};
-  std::atomic<u64> unmapped_{0};
+  u64 processed_ = 0;
+  u64 unique_ = 0;
+  u64 multi_ = 0;
+  u64 too_many_ = 0;
+  u64 unmapped_ = 0;
 };
 
 /// Accumulates snapshots and renders a Log.progress.out-style table.

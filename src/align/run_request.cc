@@ -9,23 +9,6 @@
 
 namespace staratlas {
 
-const char* to_string(EngineRunRequest::Mode mode) {
-  switch (mode) {
-    case EngineRunRequest::Mode::kAuto: return "auto";
-    case EngineRunRequest::Mode::kMemory: return "memory";
-    case EngineRunRequest::Mode::kStream: return "stream";
-    case EngineRunRequest::Mode::kSharded: return "sharded";
-  }
-  return "unknown";
-}
-
-EngineRunRequest::Mode EngineRunRequest::resolved_mode() const {
-  if (mode != Mode::kAuto) return mode;
-  if (num_shards > 1) return Mode::kSharded;
-  if (batches || !fastq_text.empty()) return Mode::kStream;
-  return Mode::kMemory;
-}
-
 void EngineRunRequest::validate() const {
   const int sources = (reads != nullptr ? 1 : 0) + (batches ? 1 : 0) +
                       (!fastq_text.empty() ? 1 : 0);
@@ -41,50 +24,26 @@ void EngineRunRequest::validate() const {
   if (num_shards < 1) {
     throw InvalidArgument("run request needs num_shards >= 1");
   }
-  if (batch_reads < 1) {
-    throw InvalidArgument("run request needs batch_reads >= 1");
-  }
-
-  const Mode resolved = resolved_mode();
-  switch (resolved) {
-    case Mode::kMemory:
-      if (reads == nullptr) {
-        throw InvalidArgument("memory mode requires an in-memory ReadSet");
-      }
-      break;
-    case Mode::kStream:
-      // Any source streams: a BatchSource is pulled directly, fastq_text
-      // is block-parsed, and a ReadSet is batched internally.
-      break;
-    case Mode::kSharded:
-      if (fastq_text.empty()) {
-        throw InvalidArgument(
-            "sharded mode requires fastq_text (raw FASTQ bytes)");
-      }
-      break;
-    case Mode::kAuto:
-      break;  // unreachable: resolved_mode never returns kAuto
-  }
-  if (num_shards > 1 && resolved != Mode::kSharded) {
-    throw InvalidArgument("num_shards > 1 requires sharded mode (fastq_text)");
+  const bool sharded = num_shards > 1;
+  if (sharded && fastq_text.empty()) {
+    throw InvalidArgument(
+        "num_shards > 1 requires fastq_text (raw FASTQ bytes)");
   }
   if (early_stop.enabled) {
     early_stop.validate();
-    if (resolved == Mode::kSharded) {
-      // The scatter/gather layer has no cross-shard abort protocol; the
-      // CLI used to enforce this, now every caller gets it.
+    if (sharded) {
+      // The scatter/gather layer has no cross-shard abort protocol.
       throw InvalidArgument(
           "early stopping cannot be combined with sharded alignment");
     }
   }
-  if (sharded_out != nullptr && resolved != Mode::kSharded) {
-    throw InvalidArgument("sharded_out is only produced by sharded mode");
+  if (sharded_out != nullptr && !sharded) {
+    throw InvalidArgument("sharded_out is only produced when num_shards > 1");
   }
 }
 
 AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
   request.validate();
-  const EngineRunRequest::Mode mode = request.resolved_mode();
 
   // Chain the caller's callback with the engine-owned early-stop
   // controller; the user callback sees every snapshot first and an abort
@@ -108,96 +67,47 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
   }
 
   AlignmentRun run;
-  switch (mode) {
-    case EngineRunRequest::Mode::kMemory:
-      run = run_memory(*request.reads, callback);
-      break;
-    case EngineRunRequest::Mode::kStream: {
-      if (request.batches) {
-        run = run_streaming(request.batches, request.total_reads_hint,
-                            callback);
-      } else if (request.reads != nullptr) {
-        const ReadSet& reads = *request.reads;
-        usize next = 0;
-        const usize batch_size = request.batch_reads;
-        const BatchSource source = [&reads, &next,
-                                    batch_size](ReadBatch& batch) {
-          if (next >= reads.size()) return false;
-          const usize end = std::min(next + batch_size, reads.size());
-          for (; next < end; ++next) {
-            const FastqRecord& rec = reads.reads[next];
-            batch.append(rec.name, rec.sequence, rec.quality);
-          }
-          return true;
-        };
-        run = run_streaming(source, reads.size(), callback);
-      } else {
-        FastqBlockReader reader(request.fastq_text);
-        const usize batch_size = request.batch_reads;
-        const BatchSource source = [&reader, batch_size](ReadBatch& batch) {
-          return reader.read_batch(batch, batch_size) > 0;
-        };
-        run = run_streaming(source, request.total_reads_hint, callback);
-      }
-      break;
+  if (request.num_shards > 1) {
+    ShardedConfig sharded_config;
+    sharded_config.engine = config_;
+    sharded_config.num_shards = request.num_shards;
+    ShardedRun sharded = align_sharded(request.fastq_text, *index_,
+                                       annotation_, sharded_config);
+    run = std::move(sharded.merged);
+    if (request.sharded_out != nullptr) {
+      // The merged result is execute()'s return value; sharded_out
+      // receives the plan and per-shard runs (merged left empty).
+      sharded.merged = AlignmentRun{};
+      *request.sharded_out = std::move(sharded);
     }
-    case EngineRunRequest::Mode::kSharded: {
-      ShardedConfig sharded_config;
-      sharded_config.engine = config_;
-      sharded_config.num_shards = request.num_shards;
-      sharded_config.batch_reads = request.batch_reads;
-      ShardedRun sharded = align_sharded(request.fastq_text, *index_,
-                                         annotation_, sharded_config);
-      run = std::move(sharded.merged);
-      if (request.sharded_out != nullptr) {
-        // The merged result is execute()'s return value; sharded_out
-        // receives the plan and per-shard runs (merged left empty).
-        sharded.merged = AlignmentRun{};
-        *request.sharded_out = std::move(sharded);
+  } else if (request.batches) {
+    run = run_pull(request.batches, request.total_reads_hint, callback);
+  } else if (request.reads != nullptr) {
+    const ReadSet& reads = *request.reads;
+    usize next = 0;
+    const usize batch_size = config_.chunk_size;
+    const BatchSource source = [&reads, &next, batch_size](ReadBatch& batch) {
+      const usize end = std::min(next + batch_size, reads.size());
+      for (; next < end; ++next) {
+        const FastqRecord& rec = reads.reads[next];
+        batch.append(rec.name, rec.sequence, rec.quality);
       }
-      break;
-    }
-    case EngineRunRequest::Mode::kAuto:
-      STARATLAS_CHECK(false);  // resolved_mode never returns kAuto
+      return !batch.empty();
+    };
+    run = run_pull(source, reads.size(), callback);
+  } else {
+    FastqBlockReader reader(request.fastq_text);
+    const usize batch_size = config_.chunk_size;
+    const BatchSource source = [&reader, batch_size](ReadBatch& batch) {
+      return reader.read_batch(batch, batch_size) > 0;
+    };
+    run = run_pull(source, request.total_reads_hint, callback);
   }
   if (request.early_stop_out != nullptr) {
     *request.early_stop_out = controller.has_value() ? controller->decision()
                                                      : EarlyStopDecision{};
   }
   return run;
-}
-
-// --- Legacy entrypoints: thin wrappers over execute() ----------------
-
-AlignmentRun AlignmentEngine::run(const ReadSet& reads,
-                                  const ProgressCallback& callback) {
-  EngineRunRequest request;
-  request.reads = &reads;
-  request.mode = EngineRunRequest::Mode::kMemory;
-  request.callback = callback;
-  return execute(request);
-}
-
-AlignmentRun AlignmentEngine::run_stream(const BatchSource& source,
-                                         u64 total_reads_hint,
-                                         const ProgressCallback& callback) {
-  EngineRunRequest request;
-  request.batches = source;
-  request.mode = EngineRunRequest::Mode::kStream;
-  request.total_reads_hint = total_reads_hint;
-  request.callback = callback;
-  return execute(request);
-}
-
-AlignmentRun AlignmentEngine::run_stream_reads(const ReadSet& reads,
-                                               usize batch_size,
-                                               const ProgressCallback& callback) {
-  EngineRunRequest request;
-  request.reads = &reads;
-  request.mode = EngineRunRequest::Mode::kStream;
-  request.batch_reads = batch_size;
-  request.callback = callback;
-  return execute(request);
 }
 
 }  // namespace staratlas

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "align/final_log.h"
+#include "align/run_request.h"
 #include "common/error.h"
 #include "io/fastq_block.h"
 
@@ -28,17 +29,17 @@ u64 resolve_interval(const ShardedConfig& config, u64 total_reads) {
 class CappedRangeSource {
  public:
   CappedRangeSource(std::string_view range_data, u64 global_offset,
-                    u64 interval, usize batch_reads)
+                    u64 interval, usize batch_size)
       : reader_(range_data),
         global_offset_(global_offset),
         interval_(interval),
-        batch_reads_(std::max<usize>(1, batch_reads)) {}
+        batch_size_(std::max<usize>(1, batch_size)) {}
 
   bool operator()(ReadBatch& batch) {
     const u64 global = global_offset_ + consumed_;
     const u64 to_boundary = interval_ - global % interval_;
     const usize want =
-        static_cast<usize>(std::min<u64>(batch_reads_, to_boundary));
+        static_cast<usize>(std::min<u64>(batch_size_, to_boundary));
     const usize got = reader_.read_batch(batch, want);
     consumed_ += got;
     return got > 0;
@@ -48,7 +49,7 @@ class CappedRangeSource {
   FastqBlockReader reader_;
   u64 global_offset_;
   u64 interval_;
-  usize batch_reads_;
+  usize batch_size_;
   u64 consumed_ = 0;
 };
 
@@ -88,7 +89,7 @@ ShardedRun align_sharded(std::string_view fastq,
       AlignmentEngine engine(*index, annotation, engine_config);
       CappedRangeSource source(
           fastq.substr(range.byte_begin, range.byte_end - range.byte_begin),
-          range.first_read, interval, config.batch_reads);
+          range.first_read, interval, config.engine.chunk_size);
       const ProgressCallback on_commit = [&](const ProgressSnapshot& snap) {
         if ((range.first_read + snap.processed) % interval == 0) {
           checkpoints[s].push_back(snap);
@@ -97,9 +98,10 @@ ShardedRun align_sharded(std::string_view fastq,
       };
       // The shard's own read count is the progress denominator, so its
       // local %complete is correct (not off by a factor of num_shards).
-      AlignmentRun run = engine.run_stream(
-          [&source](ReadBatch& batch) { return source(batch); },
-          range.num_reads, on_commit);
+      AlignmentRun run = engine.execute(
+          {.batches = [&source](ReadBatch& batch) { return source(batch); },
+           .total_reads_hint = range.num_reads,
+           .callback = on_commit});
       STARATLAS_CHECK(run.stats.processed == range.num_reads);
       out.shard_runs[s] = std::move(run);
     } catch (...) {
@@ -171,7 +173,7 @@ ShardedRun align_sharded(std::string_view fastq,
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
   merged.wall_seconds = out.wall_seconds;
-  // Final summary row under the same condition run_stream uses with a
+  // Final summary row under the same condition the engine uses with a
   // callback installed: only when checkpoint rows exist.
   if (!merged.progress_log.entries().empty()) {
     ProgressSnapshot fin;
@@ -216,13 +218,13 @@ AlignmentRun align_unsharded_reference(std::string_view fastq,
   EngineConfig engine_config = config.engine;
   engine_config.progress_check_interval = interval;
   AlignmentEngine engine(index, annotation, engine_config);
-  CappedRangeSource source(fastq, 0, interval, config.batch_reads);
-  const ProgressCallback keep_going = [](const ProgressSnapshot&) {
-    return EngineCommand::kContinue;
-  };
-  AlignmentRun run = engine.run_stream(
-      [&source](ReadBatch& batch) { return source(batch); }, total_reads,
-      keep_going);
+  CappedRangeSource source(fastq, 0, interval, config.engine.chunk_size);
+  AlignmentRun run = engine.execute(
+      {.batches = [&source](ReadBatch& batch) { return source(batch); },
+       .total_reads_hint = total_reads,
+       .callback = [](const ProgressSnapshot&) {
+         return EngineCommand::kContinue;
+       }});
   STARATLAS_CHECK(run.stats.processed == total_reads);
   return run;
 }

@@ -40,18 +40,18 @@ struct ShardedConfig {
   /// Per-worker engine configuration. `num_threads` is threads PER SHARD
   /// (total concurrency = num_shards x num_threads);
   /// `progress_check_interval` is the GLOBAL checkpoint interval of the
-  /// merged log (0 = total_reads / 50, like the engine's default).
+  /// merged log (0 = total_reads / 50, like the engine's default);
+  /// `chunk_size` is the max reads per batch, and batches are additionally
+  /// capped at global checkpoint boundaries (see determinism contract
+  /// above).
   EngineConfig engine;
   usize num_shards = 1;
-  /// Max reads per streamed batch; batches are additionally capped at
-  /// global checkpoint boundaries (see determinism contract above).
-  usize batch_reads = 256;
 };
 
 struct ShardedRun {
   ShardPlan plan;
-  /// The gathered result, shaped exactly like the unsharded
-  /// AlignmentEngine::run_stream result over the whole file.
+  /// The gathered result, shaped exactly like an unsharded
+  /// AlignmentEngine::execute over the whole file.
   AlignmentRun merged;
   /// Per-shard runs (shard-local stats, progress with the SHARD's read
   /// count as denominator, junctions). Outcomes are moved into `merged`.

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "align/engine.h"
-#include "core/early_stopping.h"
+#include "align/early_stopping.h"
 #include "genome/annotation.h"
 #include "index/genome_index.h"
 #include "sra/repository.h"

@@ -3,7 +3,7 @@
 // so the text is timing-independent), ReadsPerGene TSV when gene counts
 // were produced, and the SJ TSV. The RPC server ships this string as the
 // SUBMIT response body; tests string-compare it against the same
-// rendering of an AlignmentEngine::run over the same reads.
+// rendering of an AlignmentEngine::execute over the same reads.
 #pragma once
 
 #include <string>

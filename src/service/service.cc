@@ -52,7 +52,7 @@ AlignmentService::AlignmentService(std::shared_ptr<const GenomeIndex> index,
       engine_(std::make_unique<AlignmentEngine>(*index_, annotation,
                                                 config_.engine)),
       admission_(config_.admission),
-      scheduler_(config_.chunk_size) {
+      scheduler_(config_.engine.chunk_size) {
   start_workers();
 }
 
@@ -69,7 +69,7 @@ AlignmentService::AlignmentService(SharedIndexCache& cache,
       engine_(std::make_unique<AlignmentEngine>(*index_, annotation,
                                                 config_.engine)),
       admission_(config_.admission),
-      scheduler_(config_.chunk_size) {
+      scheduler_(config_.engine.chunk_size) {
   start_workers();
 }
 
@@ -99,14 +99,11 @@ void AlignmentService::ensure_tenant(const TenantId& tenant) {
 
 AlignmentService::Ticket AlignmentService::submit(SampleSubmission submission) {
   const auto now = std::chrono::steady_clock::now();
-  // The service is the fourth engine entrypoint: every submission is
-  // validated as an in-memory run request at admission (the same single
-  // validation point the direct entrypoints use), then executed through
-  // the chunk hooks for fair-share interleaving instead of execute().
-  EngineRunRequest request;
-  request.reads = &submission.reads;
-  request.mode = EngineRunRequest::Mode::kMemory;
-  request.validate();
+  // Every submission is validated as a ReadSet run request at admission
+  // (the same single validation point execute() uses), then executed
+  // through the chunk hook for fair-share interleaving instead of
+  // execute().
+  EngineRunRequest{.reads = &submission.reads}.validate();
   ensure_tenant(submission.tenant);
 
   Ticket ticket;
@@ -122,8 +119,8 @@ AlignmentService::Ticket AlignmentService::submit(SampleSubmission submission) {
   session->future = session->promise.get_future().share();
   session->acc = engine_->make_chunk_sink();
   session->outcomes.assign(total_reads, ReadOutcome::kUnmapped);
-  session->chunks_total =
-      (total_reads + config_.chunk_size - 1) / config_.chunk_size;
+  const usize chunk = config_.engine.chunk_size;
+  session->chunks_total = (total_reads + chunk - 1) / chunk;
   // Every admitted sample re-acquires through the cache: a hit that adds
   // one more pin, keeping the entry unevictable while any sample runs.
   if (cache_) session->pin = cache_->acquire(index_key_, loader_);

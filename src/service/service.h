@@ -13,10 +13,10 @@
 // else yields when the budget demands it.
 //
 // Determinism: per-sample results (outcomes, stats, gene counts,
-// junctions) are byte-identical to AlignmentEngine::run on the same
+// junctions) are byte-identical to AlignmentEngine::execute on the same
 // reads, whatever the worker count or cross-tenant interleaving — chunk
 // results are read-indexed and the accumulator merges are field-wise
-// sums, the same argument that makes run() deterministic.
+// sums, the same argument that makes execute()'s commit deterministic.
 #pragma once
 
 #include <future>
@@ -35,10 +35,10 @@
 namespace staratlas {
 
 struct ServiceConfig {
-  /// Engine configuration; num_threads is the worker-pool width.
+  /// Engine configuration; num_threads is the worker-pool width and
+  /// chunk_size the scheduling quantum in reads (the preemption
+  /// granularity).
   EngineConfig engine;
-  /// Scheduling quantum in reads (the preemption granularity).
-  usize chunk_size = 256;
   /// Service-wide admission caps.
   AdmissionLimits admission;
   /// Profile applied to tenants with no explicit entry.

@@ -52,8 +52,8 @@ struct SampleSubmission {
 
 /// Completed (or drain-rejected) sample. The accumulators merge the
 /// chunk-granular sinks field-wise, so stats/counts/junctions — and the
-/// per-read outcomes — are identical to an AlignmentEngine::run over the
-/// same reads.
+/// per-read outcomes — are identical to an AlignmentEngine::execute over
+/// the same reads.
 struct SampleResult {
   TenantId tenant;
   std::string name;

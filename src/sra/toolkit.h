@@ -64,8 +64,9 @@ DumpResult fasterq_dump(const std::vector<u8>& container);
 
 /// Streaming form of fasterq-dump: yields batches of decoded reads on
 /// demand so the pipeline can overlap the dump stage with alignment
-/// (AlignmentEngine::run_stream) instead of materializing the whole
-/// ReadSet first. Borrows the container; it must outlive the stream.
+/// (an AlignmentEngine::execute over a BatchSource) instead of
+/// materializing the whole ReadSet first. Borrows the container; it must
+/// outlive the stream.
 class FasterqDumpStream {
  public:
   explicit FasterqDumpStream(const std::vector<u8>& container)

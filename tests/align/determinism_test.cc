@@ -1,10 +1,19 @@
-// Guards the workspace-reuse and pooled-engine changes against stale-state
-// bugs: AlignmentRun outcomes, gene counts, and junctions must be
-// bit-identical across thread counts and across repeated runs on a reused
-// engine (whose workspaces and pool persist between runs).
+// Guards the engine's determinism contract: outcomes, gene counts and
+// junctions match the serial reference across thread counts and across
+// repeated runs on a reused engine (whose pool, workspaces and batch slots
+// persist between runs), and an early-stop abort lands on the same read
+// count and progress rows at every thread count, even with every CPU busy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <optional>
+#include <thread>
+#include <vector>
+
+#include "align/early_stopping.h"
 #include "align/engine.h"
+#include "align/run_request.h"
 #include "sim/library_profile.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
@@ -12,6 +21,8 @@
 namespace staratlas {
 namespace {
 
+using staratlas::testing::expect_identical_runs;
+using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
 ReadSet determinism_reads() {
@@ -23,82 +34,43 @@ ReadSet determinism_reads() {
 EngineConfig determinism_config(usize num_threads) {
   EngineConfig config;
   config.num_threads = num_threads;
-  config.chunk_size = 32;  // plenty of chunks even at 8 threads
+  config.chunk_size = 32;  // plenty of batches even at 8 threads
   config.collect_junctions = true;
   return config;
 }
 
-void expect_identical(const AlignmentRun& a, const AlignmentRun& b,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (usize i = 0; i < a.outcomes.size(); ++i) {
-    ASSERT_EQ(a.outcomes[i], b.outcomes[i]) << "read " << i;
-  }
-  EXPECT_EQ(a.stats.processed, b.stats.processed);
-  EXPECT_EQ(a.stats.unique, b.stats.unique);
-  EXPECT_EQ(a.stats.multi, b.stats.multi);
-  EXPECT_EQ(a.stats.too_many, b.stats.too_many);
-  EXPECT_EQ(a.stats.unmapped, b.stats.unmapped);
-  EXPECT_EQ(a.stats.seeds_generated, b.stats.seeds_generated);
-  EXPECT_EQ(a.stats.windows_scored, b.stats.windows_scored);
-  EXPECT_EQ(a.stats.bases_compared, b.stats.bases_compared);
-
-  ASSERT_EQ(a.gene_counts.per_gene.size(), b.gene_counts.per_gene.size());
-  for (usize g = 0; g < a.gene_counts.per_gene.size(); ++g) {
-    ASSERT_EQ(a.gene_counts.per_gene[g], b.gene_counts.per_gene[g])
-        << "gene " << g;
-  }
-  EXPECT_EQ(a.gene_counts.n_unmapped, b.gene_counts.n_unmapped);
-  EXPECT_EQ(a.gene_counts.n_multimapping, b.gene_counts.n_multimapping);
-  EXPECT_EQ(a.gene_counts.n_no_feature, b.gene_counts.n_no_feature);
-  EXPECT_EQ(a.gene_counts.n_ambiguous, b.gene_counts.n_ambiguous);
-
-  ASSERT_EQ(a.junctions.size(), b.junctions.size());
-  for (usize j = 0; j < a.junctions.size(); ++j) {
-    EXPECT_EQ(a.junctions[j].contig, b.junctions[j].contig) << "junction " << j;
-    EXPECT_EQ(a.junctions[j].intron_start, b.junctions[j].intron_start)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].intron_end, b.junctions[j].intron_end)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].unique_reads, b.junctions[j].unique_reads)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].multi_reads, b.junctions[j].multi_reads)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].max_overhang, b.junctions[j].max_overhang)
-        << "junction " << j;
-  }
+AlignmentRun reference_run(const ReadSet& reads) {
+  const auto& w = world();
+  return serial_reference(w.index111, &w.synthesizer->annotation(),
+                          determinism_config(1), reads);
 }
 
 TEST(Determinism, IdenticalAcrossThreadCounts) {
   const auto& w = world();
   const ReadSet reads = determinism_reads();
+  const AlignmentRun reference = reference_run(reads);
 
-  AlignmentEngine e1(w.index111, &w.synthesizer->annotation(),
-                     determinism_config(1));
-  const AlignmentRun run1 = e1.run(reads);
-
-  for (const usize threads : {usize{4}, usize{8}}) {
+  for (const usize threads : {usize{1}, usize{4}, usize{8}}) {
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                            determinism_config(threads));
-    const AlignmentRun run = engine.run(reads);
-    expect_identical(run1, run, "threads=" + std::to_string(threads));
+    expect_identical_runs(reference, engine.execute({.reads = &reads}),
+                          "threads=" + std::to_string(threads));
   }
 }
 
 TEST(Determinism, IdenticalAcrossRepeatedRunsOnReusedEngine) {
   const auto& w = world();
   const ReadSet reads = determinism_reads();
+  const AlignmentRun reference = reference_run(reads);
 
   // The same engine object runs the same sample three times; its pool and
   // per-worker workspaces persist, so any stale workspace state (seeds,
   // hit buffers, result slot) from run N would corrupt run N+1.
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                          determinism_config(4));
-  const AlignmentRun first = engine.run(reads);
-  for (int rep = 0; rep < 2; ++rep) {
-    const AlignmentRun again = engine.run(reads);
-    expect_identical(first, again, "repeat=" + std::to_string(rep));
+  for (int rep = 0; rep < 3; ++rep) {
+    expect_identical_runs(reference, engine.execute({.reads = &reads}),
+                          "repeat=" + std::to_string(rep));
   }
 }
 
@@ -110,20 +82,91 @@ TEST(Determinism, ReusedEngineIsCleanAcrossDifferentSamples) {
                                                  Rng(8));
 
   // Interleave two different samples on one engine; each must produce the
-  // same result as a fresh engine would.
+  // reference result every time.
   AlignmentEngine reused(w.index111, &w.synthesizer->annotation(),
                          determinism_config(4));
-  const AlignmentRun a_warm = reused.run(sample_a);
-  const AlignmentRun b_warm = reused.run(sample_b);
-  const AlignmentRun a_again = reused.run(sample_a);
+  const AlignmentRun a_warm = reused.execute({.reads = &sample_a});
+  const AlignmentRun b_warm = reused.execute({.reads = &sample_b});
+  const AlignmentRun a_again = reused.execute({.reads = &sample_a});
 
-  AlignmentEngine fresh_a(w.index111, &w.synthesizer->annotation(),
-                          determinism_config(4));
-  AlignmentEngine fresh_b(w.index111, &w.synthesizer->annotation(),
-                          determinism_config(4));
-  expect_identical(fresh_a.run(sample_a), a_warm, "sample_a vs fresh");
-  expect_identical(fresh_b.run(sample_b), b_warm, "sample_b vs fresh");
-  expect_identical(a_warm, a_again, "sample_a warm vs again");
+  expect_identical_runs(reference_run(sample_a), a_warm, "sample_a");
+  expect_identical_runs(reference_run(sample_b), b_warm, "sample_b");
+  expect_identical_runs(a_warm, a_again, "sample_a warm vs again");
+}
+
+/// Keeps every CPU spinning for its lifetime, so engine workers are
+/// preempted at arbitrary points.
+class CpuHogs {
+ public:
+  CpuHogs() {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      hogs_.emplace_back([this] {
+        u64 spin = 0;
+        while (!stop_.load(std::memory_order_relaxed)) ++spin;
+        sink_.fetch_add(spin, std::memory_order_relaxed);
+      });
+    }
+  }
+  ~CpuHogs() {
+    stop_.store(true);
+    for (auto& hog : hogs_) hog.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<u64> sink_{0};
+  std::vector<std::thread> hogs_;
+};
+
+TEST(Determinism, EarlyStopAbortPointStableUnderContention) {
+  const auto& w = world();
+  // Single-cell reads map poorly, so the paper's rule aborts at the 10%
+  // checkpoint (200 reads). Checkpoints fall every 40 reads; with 64-read
+  // batches the first commit at or past 200 reads is at 256.
+  const ReadSet reads =
+      w.simulator->simulate(single_cell_profile(), 2'000, Rng(99));
+  const CpuHogs hogs;
+
+  struct Observed {
+    u64 processed = 0;
+    bool aborted = false;
+    std::vector<ProgressSnapshot> rows;
+  };
+  std::optional<Observed> first;
+  for (const usize threads : {usize{1}, usize{2}, usize{4}}) {
+    EngineConfig config;
+    config.num_threads = threads;
+    config.chunk_size = 64;
+    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " rep=" + std::to_string(rep));
+      const AlignmentRun run = engine.execute(
+          {.reads = &reads, .early_stop = EarlyStopPolicy{}});
+      const Observed seen{run.stats.processed, run.aborted,
+                          run.progress_log.entries()};
+      EXPECT_EQ(seen.processed, 256u);
+      EXPECT_TRUE(seen.aborted);
+      if (!first) {
+        first = seen;
+        continue;
+      }
+      EXPECT_EQ(seen.processed, first->processed);
+      EXPECT_EQ(seen.aborted, first->aborted);
+      ASSERT_EQ(seen.rows.size(), first->rows.size());
+      for (usize i = 0; i < seen.rows.size(); ++i) {
+        const ProgressSnapshot& a = seen.rows[i];
+        const ProgressSnapshot& b = first->rows[i];
+        EXPECT_EQ(a.total_reads, b.total_reads) << "row " << i;
+        EXPECT_EQ(a.processed, b.processed) << "row " << i;
+        EXPECT_EQ(a.unique, b.unique) << "row " << i;
+        EXPECT_EQ(a.multi, b.multi) << "row " << i;
+        EXPECT_EQ(a.too_many, b.too_many) << "row " << i;
+        EXPECT_EQ(a.unmapped, b.unmapped) << "row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

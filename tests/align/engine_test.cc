@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "align/run_request.h"
 #include "common/error.h"
-
 #include "sim/read_simulator.h"
 #include "testutil.h"
 
@@ -19,7 +19,8 @@ ReadSet bulk_reads(usize n, u64 seed = 3) {
 TEST(Engine, StatsSumToProcessed) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
-  const AlignmentRun run = engine.run(bulk_reads(2'000));
+  const ReadSet reads = bulk_reads(2'000);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_EQ(run.stats.processed, 2'000u);
   EXPECT_EQ(run.stats.unique + run.stats.multi + run.stats.too_many +
                 run.stats.unmapped,
@@ -32,7 +33,7 @@ TEST(Engine, OutcomesArrayMatchesStats) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
   const ReadSet reads = bulk_reads(1'000);
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   ASSERT_EQ(run.outcomes.size(), reads.size());
   u64 unique = 0;
   for (ReadOutcome outcome : run.outcomes) {
@@ -50,7 +51,7 @@ TEST(Engine, DeterministicStatsAcrossThreadCounts) {
     config.num_threads = threads;
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                  config);
-    const AlignmentRun run = engine.run(reads);
+    const AlignmentRun run = engine.execute({.reads = &reads});
     if (threads == 1) {
       reference = run.stats;
     } else {
@@ -65,7 +66,8 @@ TEST(Engine, DeterministicStatsAcrossThreadCounts) {
 TEST(Engine, GeneCountsTotalsConsistent) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
-  const AlignmentRun run = engine.run(bulk_reads(2'000));
+  const ReadSet reads = bulk_reads(2'000);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   const GeneCountsTable& counts = run.gene_counts;
   EXPECT_EQ(counts.per_gene.size(), w.synthesizer->annotation().num_genes());
   EXPECT_EQ(counts.total_counted() + counts.n_unmapped +
@@ -82,7 +84,8 @@ TEST(Engine, QuantDisabledSkipsCounts) {
   EngineConfig config;
   config.quant_gene_counts = false;
   AlignmentEngine engine(w.index111, nullptr, config);
-  const AlignmentRun run = engine.run(bulk_reads(500));
+  const ReadSet reads = bulk_reads(500);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_TRUE(run.gene_counts.per_gene.empty());
   EXPECT_GT(run.stats.processed, 0u);
 }
@@ -102,14 +105,15 @@ TEST(Engine, CallbackInvokedAtIntervals) {
                                config);
   usize calls = 0;
   u64 last_processed = 0;
-  const AlignmentRun run =
-      engine.run(bulk_reads(1'000), [&](const ProgressSnapshot& snap) {
-        ++calls;
-        EXPECT_GE(snap.processed, last_processed);
-        last_processed = snap.processed;
-        EXPECT_EQ(snap.total_reads, 1'000u);
-        return EngineCommand::kContinue;
-      });
+  const ReadSet reads = bulk_reads(1'000);
+  const AlignmentRun run = engine.execute(
+      {.reads = &reads, .callback = [&](const ProgressSnapshot& snap) {
+         ++calls;
+         EXPECT_GE(snap.processed, last_processed);
+         last_processed = snap.processed;
+         EXPECT_EQ(snap.total_reads, 1'000u);
+         return EngineCommand::kContinue;
+       }});
   EXPECT_GE(calls, 3u);
   EXPECT_LE(calls, 6u);
   EXPECT_FALSE(run.aborted);
@@ -122,14 +126,15 @@ TEST(Engine, AbortStopsPromptly) {
   config.chunk_size = 50;
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
-  const AlignmentRun run =
-      engine.run(bulk_reads(4'000), [&](const ProgressSnapshot& snap) {
-        return snap.processed >= 400 ? EngineCommand::kAbort
-                                     : EngineCommand::kContinue;
-      });
+  const ReadSet reads = bulk_reads(4'000);
+  const AlignmentRun run = engine.execute(
+      {.reads = &reads, .callback = [&](const ProgressSnapshot& snap) {
+         return snap.processed >= 400 ? EngineCommand::kAbort
+                                      : EngineCommand::kContinue;
+       }});
   EXPECT_TRUE(run.aborted);
-  EXPECT_GE(run.stats.processed, 400u);
-  EXPECT_LT(run.stats.processed, 2'000u);  // far from the full set
+  // In-order commit: the abort lands exactly on the checkpoint's batch.
+  EXPECT_EQ(run.stats.processed, 400u);
 }
 
 TEST(Engine, AbortWithThreadsStillStops) {
@@ -140,18 +145,22 @@ TEST(Engine, AbortWithThreadsStillStops) {
   config.num_threads = 4;
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
-  const AlignmentRun run =
-      engine.run(bulk_reads(4'000), [&](const ProgressSnapshot&) {
-        return EngineCommand::kAbort;  // abort at first checkpoint
-      });
+  const ReadSet reads = bulk_reads(4'000);
+  const AlignmentRun run = engine.execute(
+      {.reads = &reads, .callback = [&](const ProgressSnapshot&) {
+         return EngineCommand::kAbort;  // abort at first checkpoint
+       }});
   EXPECT_TRUE(run.aborted);
-  EXPECT_LT(run.stats.processed, 4'000u);
+  // Workers running ahead are discarded: the first checkpoint (100 reads)
+  // is the end of the second 50-read batch at any thread count.
+  EXPECT_EQ(run.stats.processed, 100u);
 }
 
 TEST(Engine, EmptyReadSet) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
-  const AlignmentRun run = engine.run(ReadSet{});
+  const ReadSet reads;
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_EQ(run.stats.processed, 0u);
   EXPECT_FALSE(run.aborted);
 }
@@ -162,10 +171,11 @@ TEST(Engine, ProgressLogRecordsRun) {
   config.progress_check_interval = 250;
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
-  const AlignmentRun run = engine.run(
-      bulk_reads(1'000), [](const ProgressSnapshot&) {
-        return EngineCommand::kContinue;
-      });
+  const ReadSet reads = bulk_reads(1'000);
+  const AlignmentRun run = engine.execute(
+      {.reads = &reads, .callback = [](const ProgressSnapshot&) {
+         return EngineCommand::kContinue;
+       }});
   EXPECT_GE(run.progress_log.entries().size(), 3u);
   const std::string rendered = run.progress_log.render();
   EXPECT_NE(rendered.find("Reads processed"), std::string::npos);
@@ -174,7 +184,8 @@ TEST(Engine, ProgressLogRecordsRun) {
 TEST(Engine, BulkMappingRateHigh) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
-  const AlignmentRun run = engine.run(bulk_reads(3'000));
+  const ReadSet reads = bulk_reads(3'000);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_GT(run.stats.mapped_rate(), 0.80);
 }
 
@@ -183,7 +194,7 @@ TEST(Engine, SingleCellMappingRateBelowThreshold) {
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
   const ReadSet reads =
       w.simulator->simulate(single_cell_profile(), 3'000, Rng(8));
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_LT(run.stats.mapped_rate(), 0.30);
   EXPECT_GT(run.stats.mapped_rate(), 0.05);
 }
@@ -194,8 +205,8 @@ TEST(Engine, MappingRateNearlyEqualAcrossReleases) {
   const ReadSet reads = bulk_reads(3'000, 21);
   AlignmentEngine e108(w.index108, &w.synthesizer->annotation(), {});
   AlignmentEngine e111(w.index111, &w.synthesizer->annotation(), {});
-  const double r108 = e108.run(reads).stats.mapped_rate();
-  const double r111 = e111.run(reads).stats.mapped_rate();
+  const double r108 = e108.execute({.reads = &reads}).stats.mapped_rate();
+  const double r111 = e111.execute({.reads = &reads}).stats.mapped_rate();
   EXPECT_NEAR(r108, r111, 0.01);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "align/run_request.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
 
@@ -14,7 +15,7 @@ TEST(FinalLog, ContainsStarStyleSections) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
   const ReadSet reads = w.simulator->simulate(bulk_rna_profile(), 1'000, Rng(3));
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   const std::string log = render_final_log(run, reads.size(), 100.0);
 
   EXPECT_NE(log.find("Number of input reads |\t1000"), std::string::npos);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "align/engine.h"
+#include "align/run_request.h"
 #include "common/error.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
@@ -225,7 +226,7 @@ TEST(JunctionCollector, EngineCollectsRealJunctions) {
                                config);
   const ReadSet reads =
       w.simulator->simulate(bulk_rna_profile(), 4'000, Rng(71));
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   ASSERT_FALSE(run.junctions.empty());
 
   // The dominant share of junction support must coincide with annotated
@@ -264,7 +265,7 @@ TEST(JunctionCollector, DisabledByDefault) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});
   const ReadSet reads = w.simulator->simulate(bulk_rna_profile(), 500, Rng(72));
-  const AlignmentRun run = engine.run(reads);
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_TRUE(run.junctions.empty());
 }
 

@@ -1,8 +1,7 @@
 // EngineRunRequest: the single validated entrypoint in front of the
-// engine's in-memory, streaming and sharded paths. Validation rules live
-// in exactly one place (EngineRunRequest::validate), and execute() must
-// reproduce the legacy entrypoints' results identically — they are now
-// thin wrappers over it.
+// engine's execution body and the sharded path. Validation rules live in
+// exactly one place (EngineRunRequest::validate), and execute() must
+// reproduce the serial reference for every input kind.
 #include "align/run_request.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +20,8 @@
 namespace staratlas {
 namespace {
 
+using staratlas::testing::expect_identical_runs;
+using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
 ReadSet sample_reads(usize n = 400, u64 seed = 77) {
@@ -39,17 +40,6 @@ EngineConfig engine_config(usize threads = 2) {
   config.num_threads = threads;
   config.collect_junctions = true;
   return config;
-}
-
-void expect_same_outcomes(const AlignmentRun& a, const AlignmentRun& b) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (usize i = 0; i < a.outcomes.size(); ++i) {
-    ASSERT_EQ(a.outcomes[i], b.outcomes[i]) << "read " << i;
-  }
-  EXPECT_EQ(a.stats.processed, b.stats.processed);
-  EXPECT_EQ(a.stats.unique, b.stats.unique);
-  EXPECT_EQ(a.stats.multi, b.stats.multi);
-  EXPECT_EQ(a.stats.unmapped, b.stats.unmapped);
 }
 
 // ---- validation: every rule rejected in the one shared place ----------
@@ -71,23 +61,14 @@ TEST(RunRequest, RejectsDegenerateCounts) {
   request.reads = &reads;
   request.num_shards = 0;
   EXPECT_THROW(request.validate(), InvalidArgument);
-
-  request.num_shards = 1;
-  request.batch_reads = 0;
-  EXPECT_THROW(request.validate(), InvalidArgument);
 }
 
 TEST(RunRequest, RejectsShardingWithoutRawText) {
   const ReadSet reads = sample_reads(10);
   EngineRunRequest request;
   request.reads = &reads;
-  request.mode = EngineRunRequest::Mode::kSharded;
+  request.num_shards = 4;  // sharded alignment scatters raw FASTQ text
   EXPECT_THROW(request.validate(), InvalidArgument);
-
-  EngineRunRequest implied;
-  implied.reads = &reads;
-  implied.num_shards = 4;  // kAuto resolves to sharded, which needs text
-  EXPECT_THROW(implied.validate(), InvalidArgument);
 }
 
 TEST(RunRequest, RejectsEarlyStopWithSharding) {
@@ -118,53 +99,32 @@ TEST(RunRequest, RejectsShardedOutOnNonShardedModes) {
   EXPECT_THROW(request.validate(), InvalidArgument);
 }
 
-TEST(RunRequest, AutoModeResolution) {
-  const ReadSet reads = sample_reads(10);
-  const std::string fastq = to_fastq(reads);
+// ---- execute() parity with the serial reference ----------------------
 
-  EngineRunRequest memory;
-  memory.reads = &reads;
-  EXPECT_EQ(memory.resolved_mode(), EngineRunRequest::Mode::kMemory);
-
-  EngineRunRequest stream;
-  stream.fastq_text = fastq;
-  EXPECT_EQ(stream.resolved_mode(), EngineRunRequest::Mode::kStream);
-
-  EngineRunRequest sharded;
-  sharded.fastq_text = fastq;
-  sharded.num_shards = 4;
-  EXPECT_EQ(sharded.resolved_mode(), EngineRunRequest::Mode::kSharded);
-}
-
-// ---- execute() parity with the legacy entrypoints ---------------------
-
+// The reference is the serial per-read run over the same reads.
 TEST(RunRequest, ExecuteMemoryMatchesLegacyRun) {
   const auto& w = world();
   const ReadSet reads = sample_reads();
+  const AlignmentRun reference = serial_reference(
+      w.index111, &w.synthesizer->annotation(), engine_config(), reads);
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                          engine_config());
-  const AlignmentRun legacy = engine.run(reads);
-
-  EngineRunRequest request;
-  request.reads = &reads;
-  const AlignmentRun via_request = engine.execute(request);
-  expect_same_outcomes(legacy, via_request);
+  expect_identical_runs(reference, engine.execute({.reads = &reads}),
+                        "reads");
 }
 
 TEST(RunRequest, ExecuteStreamFromTextMatchesMemoryRun) {
   const auto& w = world();
   const ReadSet reads = sample_reads();
   const std::string fastq = to_fastq(reads);
-  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                         engine_config());
-  const AlignmentRun memory = engine.run(reads);
-
-  EngineRunRequest request;
-  request.fastq_text = fastq;
-  request.batch_reads = 64;
-  request.total_reads_hint = reads.size();
-  const AlignmentRun streamed = engine.execute(request);
-  expect_same_outcomes(memory, streamed);
+  EngineConfig config = engine_config();
+  config.chunk_size = 64;
+  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
+  const AlignmentRun memory = engine.execute({.reads = &reads});
+  const AlignmentRun streamed = engine.execute(
+      {.fastq_text = fastq, .total_reads_hint = reads.size()});
+  expect_identical_runs(memory, streamed, "streamed");
+  EXPECT_EQ(streamed.stream_batches, (reads.size() + 63) / 64);
 }
 
 TEST(RunRequest, ExecuteShardedMatchesDirectScatterGather) {
@@ -185,12 +145,12 @@ TEST(RunRequest, ExecuteShardedMatchesDirectScatterGather) {
   request.fastq_text = fastq;
   request.num_shards = 4;
   const AlignmentRun merged = engine.execute(request);
-  expect_same_outcomes(direct.merged, merged);
+  expect_identical_runs(direct.merged, merged, "merged");
 
   // With sharded_out the per-shard detail comes back too.
   request.sharded_out = &details;
   const AlignmentRun merged_again = engine.execute(request);
-  expect_same_outcomes(direct.merged, merged_again);
+  expect_identical_runs(direct.merged, merged_again, "merged_again");
   EXPECT_EQ(details.plan.num_shards(), 4u);
 }
 
@@ -211,7 +171,10 @@ TEST(RunRequest, EngineOwnedEarlyStopAborts) {
   EXPECT_TRUE(run.aborted);
   EXPECT_TRUE(decision.evaluated);
   EXPECT_TRUE(decision.stopped);
-  EXPECT_LT(run.stats.processed, reads.size());
+  // The 10% checkpoint (40 reads) is decided at the first commit past it:
+  // the end of the first 256-read batch, whatever the thread timing.
+  EXPECT_EQ(run.stats.processed, 256u);
+  EXPECT_EQ(decision.at_reads, 256u);
 }
 
 TEST(RunRequest, UserCallbackStillSeesSnapshots) {

@@ -35,7 +35,7 @@ ShardedConfig sharded_config(usize num_shards, usize num_threads) {
   config.engine.collect_junctions = true;
   config.engine.progress_check_interval = 64;
   config.num_shards = num_shards;
-  config.batch_reads = 32;
+  config.engine.chunk_size = 32;
   return config;
 }
 

@@ -1,12 +1,17 @@
-// run_stream must be a drop-in for run(): identical outcomes, stats, gene
-// counts and junctions at every thread count, an early-stop abort landing
-// on the same committed read count, bounded peak ingest memory, and an
-// allocation-free steady state on the consumer side.
+// The engine's execution body against the serial reference: identical
+// outcomes, stats, gene counts and junctions at every thread count and
+// for every input kind, an early-stop abort landing on the first batch
+// boundary past the checkpoint, bounded peak ingest memory, and an
+// allocation-free steady state for the alignment work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "align/engine.h"
-#include "common/alloc_counter.h"
+#include "align/run_request.h"
 #include "common/error.h"
+#include "io/fastq.h"
 #include "sim/library_profile.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
@@ -14,6 +19,8 @@
 namespace staratlas {
 namespace {
 
+using staratlas::testing::expect_identical_runs;
+using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
 ReadSet stream_reads(usize n = 600, u64 seed = 4242) {
@@ -29,111 +36,93 @@ EngineConfig stream_config(usize num_threads) {
   return config;
 }
 
-void expect_identical(const AlignmentRun& a, const AlignmentRun& b,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (usize i = 0; i < a.outcomes.size(); ++i) {
-    ASSERT_EQ(a.outcomes[i], b.outcomes[i]) << "read " << i;
-  }
-  EXPECT_EQ(a.stats.processed, b.stats.processed);
-  EXPECT_EQ(a.stats.unique, b.stats.unique);
-  EXPECT_EQ(a.stats.multi, b.stats.multi);
-  EXPECT_EQ(a.stats.too_many, b.stats.too_many);
-  EXPECT_EQ(a.stats.unmapped, b.stats.unmapped);
-  EXPECT_EQ(a.stats.seeds_generated, b.stats.seeds_generated);
-  EXPECT_EQ(a.stats.windows_scored, b.stats.windows_scored);
-  EXPECT_EQ(a.stats.bases_compared, b.stats.bases_compared);
-
-  ASSERT_EQ(a.gene_counts.per_gene.size(), b.gene_counts.per_gene.size());
-  for (usize g = 0; g < a.gene_counts.per_gene.size(); ++g) {
-    ASSERT_EQ(a.gene_counts.per_gene[g], b.gene_counts.per_gene[g])
-        << "gene " << g;
-  }
-  EXPECT_EQ(a.gene_counts.n_unmapped, b.gene_counts.n_unmapped);
-  EXPECT_EQ(a.gene_counts.n_multimapping, b.gene_counts.n_multimapping);
-  EXPECT_EQ(a.gene_counts.n_no_feature, b.gene_counts.n_no_feature);
-  EXPECT_EQ(a.gene_counts.n_ambiguous, b.gene_counts.n_ambiguous);
-
-  ASSERT_EQ(a.junctions.size(), b.junctions.size());
-  for (usize j = 0; j < a.junctions.size(); ++j) {
-    EXPECT_EQ(a.junctions[j].contig, b.junctions[j].contig) << "junction " << j;
-    EXPECT_EQ(a.junctions[j].intron_start, b.junctions[j].intron_start)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].intron_end, b.junctions[j].intron_end)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].unique_reads, b.junctions[j].unique_reads)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].multi_reads, b.junctions[j].multi_reads)
-        << "junction " << j;
-    EXPECT_EQ(a.junctions[j].max_overhang, b.junctions[j].max_overhang)
-        << "junction " << j;
-  }
-}
-
 TEST(Stream, MatchesBatchRunAcrossThreadCounts) {
   const auto& w = world();
+  const Annotation* annotation = &w.synthesizer->annotation();
   const ReadSet reads = stream_reads();
+  const AlignmentRun reference =
+      serial_reference(w.index111, annotation, stream_config(1), reads);
 
-  AlignmentEngine batch_engine(w.index111, &w.synthesizer->annotation(),
-                               stream_config(1));
-  const AlignmentRun reference = batch_engine.run(reads);
-
+  // A caller's source decides the batch boundaries: uneven batches of 1 to
+  // 40 reads must commit to the same result as the serial reference.
   for (const usize threads : {usize{1}, usize{4}, usize{8}}) {
-    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                           stream_config(threads));
-    const AlignmentRun streamed = engine.run_stream_reads(reads, 32);
-    expect_identical(reference, streamed,
-                     "threads=" + std::to_string(threads));
-    EXPECT_FALSE(streamed.aborted);
-    EXPECT_EQ(streamed.stream_batches, (reads.size() + 31) / 32);
+    AlignmentEngine engine(w.index111, annotation, stream_config(threads));
+    usize next = 0;
+    usize batches = 0;
+    const BatchSource uneven = [&](ReadBatch& batch) {
+      const usize end = std::min(next + 1 + batches * 13 % 40, reads.size());
+      for (; next < end; ++next) {
+        const auto& rec = reads.reads[next];
+        batch.append(rec.name, rec.sequence, rec.quality);
+      }
+      ++batches;
+      return !batch.empty();
+    };
+    const AlignmentRun run = engine.execute(
+        {.batches = uneven, .total_reads_hint = reads.size()});
+    expect_identical_runs(reference, run,
+                          "threads=" + std::to_string(threads));
+    EXPECT_EQ(run.stream_batches, batches - 1);  // the last call ends it
   }
 }
 
 TEST(Stream, EarlyStopAbortsAtIdenticalReadCount) {
   const auto& w = world();
+  const Annotation* annotation = &w.synthesizer->annotation();
   const ReadSet reads = stream_reads();
 
-  // Abort at the first checkpoint: batch mode on one thread defines the
-  // reference processed count; in-order commit must reproduce it exactly
-  // at every thread count.
-  auto abort_at_first = [](const ProgressSnapshot&) {
+  // Abort at the first checkpoint (100 reads): the in-order commit stops
+  // at the first 32-read batch boundary at or past it, at every thread
+  // count.
+  constexpr usize kAbortAt = 128;
+  const AlignmentRun reference = serial_reference(
+      w.index111, annotation, stream_config(1), reads, kAbortAt);
+  const ProgressCallback abort_at_first = [](const ProgressSnapshot&) {
     return EngineCommand::kAbort;
   };
-  EngineConfig reference_config = stream_config(1);
-  reference_config.progress_check_interval = 100;
-  AlignmentEngine batch_engine(w.index111, &w.synthesizer->annotation(),
-                               reference_config);
-  const AlignmentRun reference = batch_engine.run(reads, abort_at_first);
-  ASSERT_TRUE(reference.aborted);
-  ASSERT_LT(reference.stats.processed, reads.size());
-
   for (const usize threads : {usize{1}, usize{4}, usize{8}}) {
     EngineConfig config = stream_config(threads);
     config.progress_check_interval = 100;
-    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
-    const AlignmentRun streamed =
-        engine.run_stream_reads(reads, config.chunk_size, abort_at_first);
-    expect_identical(reference, streamed,
-                     "abort threads=" + std::to_string(threads));
-    EXPECT_TRUE(streamed.aborted);
+    AlignmentEngine engine(w.index111, annotation, config);
+    const AlignmentRun run =
+        engine.execute({.reads = &reads, .callback = abort_at_first});
+    expect_identical_runs(reference, run,
+                          "abort threads=" + std::to_string(threads));
+    EXPECT_TRUE(run.aborted);
   }
 }
 
 TEST(Stream, ReusedEngineInterleavesRunAndRunStream) {
   const auto& w = world();
+  const Annotation* annotation = &w.synthesizer->annotation();
   const ReadSet sample_a = stream_reads(400, 7);
   const ReadSet sample_b = stream_reads(250, 8);
+  auto to_fastq = [](const ReadSet& reads) {
+    std::ostringstream out;
+    write_fastq(out, reads.reads);
+    return out.str();
+  };
+  const std::string text_a = to_fastq(sample_a);
+  const std::string text_b = to_fastq(sample_b);
 
-  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                         stream_config(4));
-  const AlignmentRun a_batch = engine.run(sample_a);
-  const AlignmentRun b_stream = engine.run_stream_reads(sample_b, 32);
-  const AlignmentRun a_stream = engine.run_stream_reads(sample_a, 32);
-  const AlignmentRun b_batch = engine.run(sample_b);
+  // One engine alternates ReadSet and FASTQ-text inputs of two samples;
+  // its slots and workspaces carry nothing from one run into the next.
+  AlignmentEngine engine(w.index111, annotation, stream_config(4));
+  const AlignmentRun a_reads = engine.execute({.reads = &sample_a});
+  const AlignmentRun b_text = engine.execute(
+      {.fastq_text = text_b, .total_reads_hint = sample_b.size()});
+  const AlignmentRun a_text = engine.execute(
+      {.fastq_text = text_a, .total_reads_hint = sample_a.size()});
+  const AlignmentRun b_reads = engine.execute({.reads = &sample_b});
 
-  expect_identical(a_batch, a_stream, "sample_a batch vs stream");
-  expect_identical(b_batch, b_stream, "sample_b batch vs stream");
+  const AlignmentRun ref_a =
+      serial_reference(w.index111, annotation, stream_config(1), sample_a);
+  const AlignmentRun ref_b =
+      serial_reference(w.index111, annotation, stream_config(1), sample_b);
+  expect_identical_runs(ref_a, a_reads, "sample_a reads");
+  expect_identical_runs(ref_a, a_text, "sample_a text");
+  expect_identical_runs(ref_b, b_reads, "sample_b reads");
+  expect_identical_runs(ref_b, b_text, "sample_b text");
 }
 
 TEST(Stream, ConsumerSideIsAllocationFreeAtSteadyState) {
@@ -142,23 +131,25 @@ TEST(Stream, ConsumerSideIsAllocationFreeAtSteadyState) {
 
   // Gene counting and junction collection merge into heap-backed tables
   // by design; the allocation-free claim is about the align/commit path.
-  // One consumer thread pins the whole stream to one workspace: with
-  // several consumers the scheduler decides which workspaces see work, so
-  // a workspace left cold by the warm run can take batches in the
-  // measured run and its first-touch growth would read as a steady-state
-  // allocation. (The producer still runs on its own thread.)
+  // One worker thread pins the whole run to one workspace: with several
+  // workers the scheduler decides which workspaces see work, so a
+  // workspace left cold by the warm run can take batches in the measured
+  // run and its first-touch growth would read as a steady-state
+  // allocation. Source calls (here: copying reads into batch arenas) are
+  // not alignment work and stay outside the count.
   EngineConfig config;
   config.num_threads = 1;
+  config.chunk_size = 64;
   config.quant_gene_counts = false;
   config.collect_junctions = false;
   AlignmentEngine engine(w.index111, nullptr, config);
 
   // First run warms every slot arena, outcome buffer and workspace to the
   // workload's high-water marks.
-  engine.run_stream_reads(reads, 64);
-  const AlignmentRun warm = engine.run_stream_reads(reads, 64);
+  engine.execute({.reads = &reads});
+  const AlignmentRun warm = engine.execute({.reads = &reads});
   EXPECT_EQ(warm.stream_consumer_allocs, 0u)
-      << "streaming consumer path allocated at steady state";
+      << "alignment work allocated at steady state";
   EXPECT_EQ(warm.stats.processed, reads.size());
 }
 
@@ -168,15 +159,15 @@ TEST(Stream, PeakIngestMemoryBoundedByQueueDepth) {
 
   EngineConfig config;
   config.num_threads = 4;
+  config.chunk_size = 50;
   config.quant_gene_counts = false;
-  config.stream_queue_depth = 4;
   AlignmentEngine engine(w.index111, nullptr, config);
-  const AlignmentRun run = engine.run_stream_reads(reads, 50);
+  const AlignmentRun run = engine.execute({.reads = &reads});
 
   EXPECT_EQ(run.stats.processed, reads.size());
   ASSERT_GT(run.stream_peak_arena_bytes, 0u);
-  // 4 slots x 50 reads in flight out of 2000: the resident batch arenas
-  // must stay well under the whole decoded FASTQ.
+  // num_threads + 2 = 6 slots x 50 reads in flight out of 2000: the
+  // resident batch arenas must stay well under the whole decoded FASTQ.
   EXPECT_LT(run.stream_peak_arena_bytes, reads.fastq_bytes.bytes());
 }
 
@@ -186,8 +177,8 @@ TEST(Stream, EmptyStreamCompletesCleanly) {
   config.num_threads = 2;
   config.quant_gene_counts = false;
   AlignmentEngine engine(w.index111, nullptr, config);
-  const BatchSource empty = [](ReadBatch&) { return false; };
-  const AlignmentRun run = engine.run_stream(empty, 0);
+  const AlignmentRun run =
+      engine.execute({.batches = [](ReadBatch&) { return false; }});
   EXPECT_EQ(run.stats.processed, 0u);
   EXPECT_FALSE(run.aborted);
   EXPECT_TRUE(run.outcomes.empty());
@@ -210,9 +201,11 @@ TEST(Stream, ProducerExceptionPropagates) {
     }
     return true;
   };
-  EXPECT_THROW(engine.run_stream(flaky, reads.size()), IoError);
-  // The engine must be reusable after a producer failure.
-  const AlignmentRun run = engine.run_stream_reads(reads, 16);
+  EXPECT_THROW(
+      engine.execute({.batches = flaky, .total_reads_hint = reads.size()}),
+      IoError);
+  // The engine must be reusable after a source failure.
+  const AlignmentRun run = engine.execute({.reads = &reads});
   EXPECT_EQ(run.stats.processed, reads.size());
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.h"
 
 namespace staratlas {
@@ -51,6 +53,13 @@ struct ParseCase {
   const char* text;
   u64 bytes;
 };
+
+// Prints the case by value: gtest's default byte dump of this struct
+// includes the text pointer, so the listed test names would change from
+// process to process.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" -> " << c.bytes;
+}
 
 class ByteSizeParse : public ::testing::TestWithParam<ParseCase> {};
 

@@ -1,7 +1,8 @@
-#include "core/early_stopping.h"
+#include "align/early_stopping.h"
 
 #include <gtest/gtest.h>
 
+#include "align/run_request.h"
 #include "common/error.h"
 
 #include "testutil.h"
@@ -98,7 +99,8 @@ TEST(EarlyStopController, AbortsSingleCellAlignment) {
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
   EarlyStopController controller(EarlyStopPolicy{});
-  const AlignmentRun run = engine.run(reads, controller.callback());
+  const AlignmentRun run =
+      engine.execute({.reads = &reads, .callback = controller.callback()});
   EXPECT_TRUE(run.aborted);
   EXPECT_TRUE(controller.decision().stopped);
   EXPECT_LT(controller.decision().observed_rate, 0.30);
@@ -115,7 +117,8 @@ TEST(EarlyStopController, LetsBulkAlignmentFinish) {
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                                config);
   EarlyStopController controller(EarlyStopPolicy{});
-  const AlignmentRun run = engine.run(reads, controller.callback());
+  const AlignmentRun run =
+      engine.execute({.reads = &reads, .callback = controller.callback()});
   EXPECT_FALSE(run.aborted);
   EXPECT_TRUE(controller.decision().evaluated);
   EXPECT_FALSE(controller.decision().stopped);

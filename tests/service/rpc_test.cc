@@ -51,7 +51,7 @@ struct ServerFixture {
   explicit ServerFixture(const char* tag, usize workers = 2) {
     config.engine.num_threads = workers;
     config.engine.collect_junctions = true;
-    config.chunk_size = 32;
+    config.engine.chunk_size = 32;
     service = std::make_unique<AlignmentService>(
         world_index(), &world().synthesizer->annotation(), config);
     server = std::make_unique<ServiceServer>(

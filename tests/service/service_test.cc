@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "align/final_log.h"
+#include "align/run_request.h"
 #include "common/rng.h"
 #include "index/shared_cache.h"
 #include "service/artifacts.h"
@@ -32,7 +33,7 @@ ServiceConfig small_config(usize workers, usize chunk) {
   ServiceConfig config;
   config.engine.num_threads = workers;
   config.engine.collect_junctions = true;
-  config.chunk_size = chunk;
+  config.engine.chunk_size = chunk;
   return config;
 }
 
@@ -43,7 +44,7 @@ std::string reference_artifacts(const ReadSet& reads,
                                 AlignmentRun* run_out = nullptr) {
   AlignmentEngine engine(world().index111, &world().synthesizer->annotation(),
                          engine_config);
-  AlignmentRun run = engine.run(reads);
+  AlignmentRun run = engine.execute({.reads = &reads});
   SampleResult as_result;
   as_result.total_reads = reads.size();
   u64 bases = 0;
@@ -291,7 +292,7 @@ TEST(AlignmentService, SharedCacheLoadsOnceAndStaysPinned) {
   ServiceConfig config;
   config.engine.num_threads = 2;
   config.engine.quant_gene_counts = false;  // loader genome != world annotation
-  config.chunk_size = 32;
+  config.engine.chunk_size = 32;
   {
     AlignmentService service(cache, "svc-index", loader, nullptr, config);
     std::vector<AlignmentService::Ticket> tickets;
