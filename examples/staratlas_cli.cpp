@@ -8,9 +8,11 @@
 //       --profile bulk|single_cell --reads 5000 --out data/sample.fastq
 //   staratlas_cli align --index data/genome.idx --fastq data/sample.fastq \
 //       --gtf data/annotation.gtf --out-prefix data/sample ...
-//       [--threads 4] [--shards 4] [--early-stop]
+//       [--threads 4] [--shards 4] [--early-stop] [--no-sam]
 //       writes sample.sam, sample.SJ.out.tab, sample.ReadsPerGene.out.tab,
-//       sample.Log.final.out
+//       sample.Log.final.out; every read is aligned once, and the SAM is
+//       byte-identical at any --threads and --shards (an early-stopped
+//       run writes none)
 //   staratlas_cli serve --index data/genome.idx --socket /tmp/sa.sock
 //       [--gtf data/annotation.gtf] [--workers 2] [--chunk 256]
 //       long-running multi-tenant daemon; loads the index once and aligns
@@ -29,24 +31,23 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "align/early_stopping.h"
 #include "align/engine.h"
-#include "common/error.h"
 #include "align/final_log.h"
 #include "align/junctions.h"
-#include "align/sam.h"
 #include "align/run_request.h"
-#include "align/sharded.h"
-#include "align/early_stopping.h"
+#include "align/sam.h"
+#include "common/error.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
 #include "io/fasta.h"
 #include "io/fastq.h"
 #include "io/gtf.h"
+#include "io/shard_plan.h"
 #include "service/rpc.h"
 #include "service/service.h"
 #include "sim/read_simulator.h"
@@ -190,7 +191,7 @@ int cmd_simulate(const Args& args) {
   profile.validate();
 
   const ReadSimulator simulator(assembly, annotation, {});
-  const ReadSet reads = simulator.simulate(profile, num_reads, Rng(seed));
+  const auto reads = simulator.simulate(profile, num_reads, Rng(seed));
   write_fastq_file(out, reads.reads);
   std::cout << "wrote " << out << " (" << reads.size() << " reads, "
             << reads.fastq_bytes.str() << ", profile " << profile.name
@@ -198,113 +199,8 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-int cmd_align(const Args& args) {
-  const std::string index_path = args.require("index");
-  const std::string fastq = args.require("fastq");
-  const std::string prefix = args.require("out-prefix");
-
-  const GenomeIndex index = GenomeIndex::load_file(index_path);
-  const ReadSet reads = make_read_set(read_fastq_file(fastq));
-
-  Annotation annotation;
-  const bool quant = args.has("gtf");
-  if (quant) {
-    // Rebuild a throwaway assembly view for contig-name resolution.
-    std::vector<FastaRecord> records;
-    for (const ContigMeta& contig : index.contigs()) {
-      // text_substr decodes when the index is packed (v4), so the GTF path
-      // works against any index version.
-      records.push_back({contig.name, "",
-                         index.text_substr(contig.text_offset,
-                                           contig.length)});
-    }
-    const Assembly assembly =
-        Assembly::from_fasta("cli", index.release(), index.assembly_type(),
-                             records);
-    annotation = Annotation::from_gtf(read_gtf_file(args.require("gtf")),
-                                      assembly);
-  }
-
-  EngineConfig config;
-  config.num_threads = args.get_u64("threads", 2);
-  config.quant_gene_counts = quant;
-  config.collect_junctions = true;
-
-  const usize shards = args.get_u64("shards", 1);
-  AlignmentEngine engine(index, quant ? &annotation : nullptr, config);
-
-  // All modes go through one request; execute() owns validation (e.g.
-  // early-stop x shards rejection) so the CLI carries no mode rules.
-  EngineRunRequest request;
-  std::string raw;  // keeps sharded input alive across execute()
-  if (shards > 1) {
-    // Scatter/gather over byte ranges of the file; merged output is
-    // byte-identical to the unsharded run.
-    std::ifstream in(fastq, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    raw = std::move(buf).str();
-    request.fastq_text = raw;
-    request.num_shards = shards;
-  } else {
-    request.reads = &reads;
-  }
-  if (args.has("early-stop")) {
-    request.early_stop = EarlyStopPolicy{};  // enabled by default
-  }
-
-  AlignmentRun run;
-  try {
-    run = engine.execute(request);
-  } catch (const InvalidArgument& error) {
-    std::cerr << error.what() << "\n";
-    return 1;
-  }
-
-  // Log.final.out (an empty sample reports a 0 mean length, not NaN)
-  double mean_length = 0.0;
-  for (const auto& read : reads.reads) {
-    mean_length += static_cast<double>(read.sequence.size());
-  }
-  if (!reads.empty()) mean_length /= static_cast<double>(reads.size());
-  {
-    std::ofstream log(prefix + ".Log.final.out");
-    log << render_final_log(run, reads.size(), mean_length);
-  }
-  // SJ.out.tab
-  {
-    std::ofstream sj(prefix + ".SJ.out.tab");
-    write_junctions_tsv(sj, run.junctions, index);
-  }
-  // ReadsPerGene.out.tab
-  if (quant) {
-    std::ofstream counts(prefix + ".ReadsPerGene.out.tab");
-    run.gene_counts.write_tsv(counts, annotation);
-  }
-  // SAM (re-aligns to recover per-read hits; fine at CLI scale).
-  if (!args.has("no-sam") && !run.aborted) {
-    std::ofstream sam_out(prefix + ".sam");
-    SamWriter writer(sam_out, index);
-    const Aligner aligner(index, config.params);
-    MappingStats scratch;
-    for (const auto& read : reads.reads) {
-      writer.write_read(read, aligner.align(read.sequence, scratch));
-    }
-    std::cout << "wrote " << prefix << ".sam (" << writer.records_written()
-              << " records)\n";
-  }
-
-  std::cout << "aligned " << run.stats.processed << "/" << reads.size()
-            << " reads: " << 100.0 * run.stats.mapped_rate() << "% mapped"
-            << (run.aborted ? " [EARLY-STOPPED]" : "") << "\n"
-            << "wrote " << prefix << ".Log.final.out, " << prefix
-            << ".SJ.out.tab" << (quant ? ", " + prefix + ".ReadsPerGene.out.tab" : "")
-            << "\n";
-  return 0;
-}
-
-// Contig-name resolution for the GTF against a loaded index (the serve
-// path has no FASTA on hand; text_substr decodes packed v4 indexes too).
+// Contig-name resolution for the GTF against a loaded index (align and
+// serve have no FASTA on hand; text_substr decodes packed v4 indexes too).
 Annotation annotation_from_index(const GenomeIndex& index,
                                  const std::string& gtf_path) {
   std::vector<FastaRecord> records;
@@ -316,6 +212,109 @@ Annotation annotation_from_index(const GenomeIndex& index,
   const Assembly assembly = Assembly::from_fasta(
       "cli", index.release(), index.assembly_type(), records);
   return Annotation::from_gtf(read_gtf_file(gtf_path), assembly);
+}
+
+// The whole file in one buffer: the engine block-parses it in place, and
+// sharded runs scatter byte ranges of it.
+std::string read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) throw IoError("cannot open FASTQ file: " + path);
+  std::string bytes(static_cast<usize>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!in) throw IoError("I/O error while reading FASTQ file: " + path);
+  return bytes;
+}
+
+int cmd_align(const Args& args) {
+  const std::string index_path = args.require("index");
+  const std::string fastq = args.require("fastq");
+  const std::string prefix = args.require("out-prefix");
+
+  const GenomeIndex index = GenomeIndex::load_file(index_path);
+  const std::string raw = read_file_bytes(fastq);
+  const FastqCount count = count_fastq_records(raw);
+
+  Annotation annotation;
+  const bool quant = args.has("gtf");
+  if (quant) annotation = annotation_from_index(index, args.require("gtf"));
+
+  EngineConfig config;
+  config.num_threads = args.get_u64("threads", 2);
+  config.quant_gene_counts = quant;
+  config.collect_junctions = true;
+  AlignmentEngine engine(index, quant ? &annotation : nullptr, config);
+
+  // One request for every mode; execute() owns validation (e.g. early-stop
+  // x shards rejection) so the CLI carries no mode rules. The engine
+  // writes each read's SAM records at its in-order commit.
+  const bool sam = !args.has("no-sam");
+  const std::string sam_path = prefix + ".sam";
+  std::ofstream sam_out;
+  if (sam) {
+    sam_out.open(sam_path, std::ios::binary);
+    if (!sam_out) throw IoError("cannot open SAM file for writing: " + sam_path);
+    write_sam_header(sam_out, index);
+  }
+  const EngineRunRequest request{
+      .fastq_text = raw,
+      .num_shards = args.get_u64("shards", 1),
+      .total_reads_hint = count.records,
+      .early_stop = EarlyStopPolicy{.enabled = args.has("early-stop")},
+      .sam_out = sam ? &sam_out : nullptr};
+  // An aborted or failed run leaves no SAM behind.
+  auto discard_sam = [&] {
+    if (!sam) return;
+    sam_out.close();
+    std::filesystem::remove(sam_path);
+  };
+
+  AlignmentRun run;
+  try {
+    run = engine.execute(request);
+  } catch (const InvalidArgument& error) {
+    discard_sam();
+    std::cerr << error.what() << "\n";
+    return 1;
+  } catch (...) {
+    discard_sam();
+    throw;
+  }
+  if (run.aborted) {
+    discard_sam();
+  } else if (sam) {
+    sam_out.close();
+    if (!sam_out) throw IoError("failed writing SAM file: " + sam_path);
+  }
+
+  // Log.final.out (an empty sample reports a 0 mean length, not NaN)
+  const double mean_length =
+      count.records == 0 ? 0.0
+                         : static_cast<double>(count.sequence_bases) /
+                               static_cast<double>(count.records);
+  {
+    std::ofstream log(prefix + ".Log.final.out");
+    log << render_final_log(run, count.records, mean_length);
+  }
+  // SJ.out.tab
+  {
+    std::ofstream sj(prefix + ".SJ.out.tab");
+    write_junctions_tsv(sj, run.junctions, index);
+  }
+  // ReadsPerGene.out.tab
+  if (quant) {
+    std::ofstream counts(prefix + ".ReadsPerGene.out.tab");
+    run.gene_counts.write_tsv(counts, annotation);
+  }
+
+  std::cout << "aligned " << run.stats.processed << "/" << count.records
+            << " reads: " << 100.0 * run.stats.mapped_rate() << "% mapped"
+            << (run.aborted ? " [EARLY-STOPPED]" : "") << "\n"
+            << "wrote " << (sam && !run.aborted ? sam_path + ", " : "")
+            << prefix << ".Log.final.out, " << prefix << ".SJ.out.tab"
+            << (quant ? ", " + prefix + ".ReadsPerGene.out.tab" : "") << "\n";
+  return 0;
 }
 
 int cmd_serve(const Args& args) {
@@ -371,15 +370,8 @@ int cmd_submit(const Args& args) {
   const std::string tenant = args.require("tenant");
   const std::string name = args.get(
       "name", std::filesystem::path(fastq_path).stem().string());
-  std::ifstream in(fastq_path, std::ios::binary);
-  if (!in) {
-    std::cerr << "error: cannot read " << fastq_path << "\n";
-    return 2;
-  }
-  std::stringstream fastq;
-  fastq << in.rdbuf();
-
-  const auto response = client.submit(tenant, name, fastq.str());
+  const auto response =
+      client.submit(tenant, name, read_file_bytes(fastq_path));
   if (!response.ok) {
     std::cerr << "rejected (" << response.error_code
               << "): " << response.message << "\n";

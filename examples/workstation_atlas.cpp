@@ -47,7 +47,7 @@ int main() {
 
   std::cout << "processed " << report.samples.size() << " accessions in "
             << report.align_wall_seconds << "s of alignment:\n";
-  for (const SampleResult& sample : report.samples) {
+  for (const AccessionResult& sample : report.samples) {
     std::cout << "  " << sample.accession << "  "
               << library_type_name(sample.library_type) << "  ";
     if (sample.early_stop.stopped) {

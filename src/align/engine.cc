@@ -6,9 +6,12 @@
 #include <exception>
 #include <future>
 #include <mutex>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "align/sam.h"
 #include "common/alloc_counter.h"
 #include "common/bounded_queue.h"
 #include "common/error.h"
@@ -22,6 +25,7 @@ struct AlignmentEngine::StreamSlot {
   ReadBatch batch;
   std::vector<ReadOutcome> outcomes;  ///< batch-local, index-aligned
   ChunkSink sink;
+  std::string sam;  ///< the batch's SAM records, when the run writes SAM
   u64 seq = 0;         ///< batch sequence number in stream order
   u64 first_read = 0;  ///< global index of the batch's first read
 };
@@ -122,7 +126,8 @@ void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
 
 AlignmentRun AlignmentEngine::run_pull(const BatchSource& source,
                                        u64 total_reads_hint,
-                                       const ProgressCallback& callback) {
+                                       const ProgressCallback& callback,
+                                       std::ostream* sam_out) {
   STARATLAS_CHECK(source != nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
@@ -221,6 +226,10 @@ AlignmentRun AlignmentEngine::run_pull(const BatchSource& source,
         tracker.add(sink.stats);
         if (counter_) run.gene_counts += sink.counts;
         if (sink.junctions) merged_junctions += *sink.junctions;
+        if (sam_out != nullptr) {
+          sam_out->write(slot->sam.data(),
+                         static_cast<std::streamsize>(slot->sam.size()));
+        }
         ++run.stream_batches;
         if (callback && tracker.processed() >= next_check) {
           const ProgressSnapshot snap = tracker.snapshot(elapsed_secs());
@@ -253,6 +262,15 @@ AlignmentRun AlignmentEngine::run_pull(const BatchSource& source,
           }
           slot->outcomes.resize(count);
           align_views(ws, slot->sink, slot->outcomes);
+          if (sam_out != nullptr) {
+            // The hits live only until the workspace's next batch.
+            slot->sam.clear();
+            for (usize r = 0; r < count; ++r) {
+              append_sam_records(slot->sam, *index_, slot->batch.name(r),
+                                 slot->batch.sequence(r),
+                                 slot->batch.quality(r), ws.batch.results[r]);
+            }
+          }
         } catch (...) {
           std::lock_guard lock(commit_mu);
           if (!worker_error) worker_error = std::current_exception();

@@ -5,9 +5,9 @@
 // Every non-sharded run executes one body: the engine's pool workers each
 // pull the next batch from the run's BatchSource (source calls serialized
 // under one mutex) into a recycled batch slot, align it, and commit slots
-// strictly in stream order. Merges, progress checkpoints and the abort
-// decision therefore land on the same read counts for every thread count
-// and machine load.
+// strictly in stream order. Merges, progress checkpoints, SAM writes and
+// the abort decision therefore land on the same read counts for every
+// thread count and machine load.
 //
 // The engine is built for reuse across samples: its worker thread pool,
 // per-worker AlignWorkspaces and batch slots are created on the first run
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -153,8 +154,11 @@ class AlignmentEngine {
   struct StreamSlot;
 
   /// The execution body behind execute() for every non-sharded request.
+  /// With `sam_out` set, workers format each batch's SAM records into
+  /// their slot and the in-order commit writes them.
   AlignmentRun run_pull(const BatchSource& source, u64 total_reads_hint,
-                        const ProgressCallback& callback);
+                        const ProgressCallback& callback,
+                        std::ostream* sam_out);
   /// Aligns the reads staged in `ws.batch.views` into `sink` (reset
   /// first) and `outcomes` (index-aligned with the views): the per-batch
   /// body shared by run_pull's workers and align_chunk.

@@ -11,7 +11,7 @@ namespace staratlas {
 
 void EngineRunRequest::validate() const {
   const int sources = (reads != nullptr ? 1 : 0) + (batches ? 1 : 0) +
-                      (!fastq_text.empty() ? 1 : 0);
+                      (fastq_text.has_value() ? 1 : 0);
   if (sources == 0) {
     throw InvalidArgument(
         "run request has no input: set reads, batches, or fastq_text");
@@ -25,7 +25,7 @@ void EngineRunRequest::validate() const {
     throw InvalidArgument("run request needs num_shards >= 1");
   }
   const bool sharded = num_shards > 1;
-  if (sharded && fastq_text.empty()) {
+  if (sharded && !fastq_text.has_value()) {
     throw InvalidArgument(
         "num_shards > 1 requires fastq_text (raw FASTQ bytes)");
   }
@@ -71,8 +71,9 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
     ShardedConfig sharded_config;
     sharded_config.engine = config_;
     sharded_config.num_shards = request.num_shards;
-    ShardedRun sharded = align_sharded(request.fastq_text, *index_,
-                                       annotation_, sharded_config);
+    ShardedRun sharded = align_sharded(*request.fastq_text, *index_,
+                                       annotation_, sharded_config,
+                                       request.sam_out);
     run = std::move(sharded.merged);
     if (request.sharded_out != nullptr) {
       // The merged result is execute()'s return value; sharded_out
@@ -81,7 +82,8 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
       *request.sharded_out = std::move(sharded);
     }
   } else if (request.batches) {
-    run = run_pull(request.batches, request.total_reads_hint, callback);
+    run = run_pull(request.batches, request.total_reads_hint, callback,
+                   request.sam_out);
   } else if (request.reads != nullptr) {
     const ReadSet& reads = *request.reads;
     usize next = 0;
@@ -94,14 +96,15 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
       }
       return !batch.empty();
     };
-    run = run_pull(source, reads.size(), callback);
+    run = run_pull(source, reads.size(), callback, request.sam_out);
   } else {
-    FastqBlockReader reader(request.fastq_text);
+    FastqBlockReader reader(*request.fastq_text);
     const usize batch_size = config_.chunk_size;
     const BatchSource source = [&reader, batch_size](ReadBatch& batch) {
       return reader.read_batch(batch, batch_size) > 0;
     };
-    run = run_pull(source, request.total_reads_hint, callback);
+    run = run_pull(source, request.total_reads_hint, callback,
+                   request.sam_out);
   }
   if (request.early_stop_out != nullptr) {
     *request.early_stop_out = controller.has_value() ? controller->decision()

@@ -1,9 +1,9 @@
 // EngineRunRequest: the single front door to the alignment engine.
 //
 // A request names one input — an in-memory ReadSet, a pull-based
-// BatchSource, or raw FASTQ text — plus the shard fan-out, early stopping
-// and callbacks. validate() checks every combination rule in ONE place,
-// and AlignmentEngine::execute() runs the scatter/gather path when
+// BatchSource, or raw FASTQ text — plus the shard fan-out, early stopping,
+// callbacks and outputs. validate() checks every combination rule in ONE
+// place, and AlignmentEngine::execute() runs the scatter/gather path when
 // num_shards > 1 and the engine's single execution body otherwise.
 //
 // The multi-tenant service validates each submission as a ReadSet request
@@ -13,6 +13,8 @@
 // service's whole job.
 #pragma once
 
+#include <iosfwd>
+#include <optional>
 #include <string_view>
 
 #include "align/early_stopping.h"
@@ -32,8 +34,9 @@ struct EngineRunRequest {
   /// Pull-based source; its calls decide the batch boundaries.
   BatchSource batches{};
   /// Raw FASTQ bytes — an mmap'd file or decoded container — block-parsed
-  /// into chunk_size batches, or scattered over shards.
-  std::string_view fastq_text{};
+  /// into chunk_size batches, or scattered over shards. Set means present:
+  /// empty text is a valid empty sample.
+  std::optional<std::string_view> fastq_text{};
 
   /// Shard fan-out over fastq_text; sharded alignment runs exactly when
   /// this is > 1. Early stopping is rejected with shards (the gather layer
@@ -59,6 +62,13 @@ struct EngineRunRequest {
   /// Where execute() deposits the full scatter/gather result for sharded
   /// runs (optional; the merged AlignmentRun is always returned).
   ShardedRun* sharded_out = nullptr;
+
+  /// Where execute() writes SAM records (optional; no header — see
+  /// write_sam_header in align/sam.h): every record of each processed
+  /// read, in input order, written at the in-order batch commit. It holds
+  /// exactly the stats.processed reads, for any thread or shard count,
+  /// and nothing past an abort.
+  std::ostream* sam_out = nullptr;
 
   /// The single validation point: exactly one source, shard/source and
   /// shard/early-stop compatibility, policy parameter ranges. Throws

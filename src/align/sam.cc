@@ -7,11 +7,13 @@
 
 namespace staratlas {
 
-std::string cigar_string(const AlignmentHit& hit, usize read_length) {
+namespace {
+
+void append_cigar(std::string& out, const AlignmentHit& hit,
+                  usize read_length) {
   STARATLAS_CHECK(!hit.segments.empty());
-  std::string cigar;
-  auto emit = [&cigar](u64 count, char op) {
-    if (count > 0) cigar += std::to_string(count) + op;
+  auto emit = [&out](u64 count, char op) {
+    if (count > 0) out.append(std::to_string(count)).push_back(op);
   };
 
   const AlignedSegment& first = hit.segments.front();
@@ -19,28 +21,27 @@ std::string cigar_string(const AlignmentHit& hit, usize read_length) {
 
   for (usize i = 0; i < hit.segments.size(); ++i) {
     const AlignedSegment& segment = hit.segments[i];
-    u64 match_run = segment.length;
-    // Merge the read-gap portion of a mixed gap into the M run of the
-    // following segment (bases were compared during scoring).
+    emit(segment.length, 'M');
     if (i + 1 < hit.segments.size()) {
       const AlignedSegment& next = hit.segments[i + 1];
       const u64 read_gap = next.read_start - (segment.read_start + segment.length);
       const u64 text_gap = next.text_start - (segment.text_start + segment.length);
       STARATLAS_CHECK(text_gap >= read_gap);
-      emit(match_run, 'M');
-      const u64 intron = text_gap - read_gap;
-      if (intron > 0) emit(intron, 'N');
-      // The read-gap bases are attributed to the downstream segment's M
-      // run; fold them in by rewriting the next segment view via emit of
-      // read_gap here as M (kept simple: emit now).
-      if (read_gap > 0) emit(read_gap, 'M');
-    } else {
-      emit(match_run, 'M');
+      emit(text_gap - read_gap, 'N');
+      // The read-gap bases were compared during scoring: they run as M
+      // between the intron and the downstream segment.
+      emit(read_gap, 'M');
     }
   }
   const AlignedSegment& last = hit.segments.back();
-  const u64 tail = read_length - (last.read_start + last.length);
-  emit(tail, 'S');  // trailing soft clip
+  emit(read_length - (last.read_start + last.length), 'S');  // trailing clip
+}
+
+}  // namespace
+
+std::string cigar_string(const AlignmentHit& hit, usize read_length) {
+  std::string cigar;
+  append_cigar(cigar, hit, read_length);
   return cigar;
 }
 
@@ -51,50 +52,65 @@ int star_mapq(u32 num_loci) {
   return 0;
 }
 
+void write_sam_header(std::ostream& out, const GenomeIndex& index) {
+  out << "@HD\tVN:1.6\tSO:unsorted\n";
+  for (const ContigMeta& contig : index.contigs()) {
+    out << "@SQ\tSN:" << contig.name << "\tLN:" << contig.length << '\n';
+  }
+  out << "@PG\tID:staratlas\tPN:staratlas\tVN:1.0\n";
+}
+
+usize append_sam_records(std::string& out, const GenomeIndex& index,
+                         std::string_view name, std::string_view sequence,
+                         std::string_view quality,
+                         const ReadAlignment& alignment) {
+  if (alignment.hits.empty()) {
+    out.append(name)
+        .append("\t4\t*\t0\t0\t*\t*\t0\t0\t")
+        .append(sequence)
+        .append("\t")
+        .append(quality)
+        .append("\tNH:i:0\n");
+    return 1;
+  }
+  for (usize i = 0; i < alignment.hits.size(); ++i) {
+    const AlignmentHit& hit = alignment.hits[i];
+    const ContigLocus locus = index.locate(hit.text_pos);
+    const u32 flag = (hit.reverse ? 0x10u : 0u) | (i > 0 ? 0x100u : 0u);
+    out.append(name)
+        .append("\t").append(std::to_string(flag))
+        .append("\t").append(index.contigs()[locus.contig].name)
+        .append("\t").append(std::to_string(locus.offset + 1))
+        .append("\t").append(std::to_string(star_mapq(alignment.num_loci)))
+        .append("\t");
+    append_cigar(out, hit, sequence.size());
+    out.append("\t*\t0\t0\t");
+    if (hit.reverse) {
+      const usize at = out.size();
+      out.resize(at + sequence.size());
+      reverse_complement(sequence, out.data() + at);
+      out.append("\t").append(quality.rbegin(), quality.rend());
+    } else {
+      out.append(sequence).append("\t").append(quality);
+    }
+    out.append("\tNH:i:").append(std::to_string(alignment.num_loci))
+        .append("\tAS:i:").append(std::to_string(hit.score))
+        .append("\n");
+  }
+  return alignment.hits.size();
+}
+
 SamWriter::SamWriter(std::ostream& out, const GenomeIndex& index)
     : out_(&out), index_(&index) {
-  *out_ << "@HD\tVN:1.6\tSO:unsorted\n";
-  for (const ContigMeta& contig : index.contigs()) {
-    *out_ << "@SQ\tSN:" << contig.name << "\tLN:" << contig.length << '\n';
-  }
-  *out_ << "@PG\tID:staratlas\tPN:staratlas\tVN:1.0\n";
+  write_sam_header(out, index);
 }
 
 void SamWriter::write_read(const FastqRecord& read,
                            const ReadAlignment& alignment) {
-  if (alignment.hits.empty()) {
-    // Unmapped record.
-    *out_ << read.name << "\t4\t*\t0\t0\t*\t*\t0\t0\t" << read.sequence << '\t'
-          << read.quality << "\tNH:i:0\n";
-    ++records_;
-    return;
-  }
-  for (usize i = 0; i < alignment.hits.size(); ++i) {
-    write_record(read, alignment.hits[i], alignment, /*secondary=*/i > 0);
-  }
-}
-
-void SamWriter::write_record(const FastqRecord& read, const AlignmentHit& hit,
-                             const ReadAlignment& alignment, bool secondary) {
-  const ContigLocus locus = index_->locate(hit.text_pos);
-  u32 flag = 0;
-  if (hit.reverse) flag |= 0x10;
-  if (secondary) flag |= 0x100;
-
-  std::string seq = read.sequence;
-  std::string qual = read.quality;
-  if (hit.reverse) {
-    seq = reverse_complement(seq);
-    qual.assign(read.quality.rbegin(), read.quality.rend());
-  }
-
-  *out_ << read.name << '\t' << flag << '\t'
-        << index_->contigs()[locus.contig].name << '\t' << locus.offset + 1
-        << '\t' << star_mapq(alignment.num_loci) << '\t'
-        << cigar_string(hit, seq.size()) << "\t*\t0\t0\t" << seq << '\t'
-        << qual << "\tNH:i:" << alignment.num_loci
-        << "\tAS:i:" << hit.score << '\n';
-  ++records_;
+  buffer_.clear();
+  records_ += append_sam_records(buffer_, *index_, read.name, read.sequence,
+                                 read.quality, alignment);
+  out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
 }
 
 }  // namespace staratlas

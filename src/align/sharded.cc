@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -58,7 +59,8 @@ class CappedRangeSource {
 ShardedRun align_sharded(std::string_view fastq,
                          const ShardIndexProvider& provider,
                          const Annotation* annotation,
-                         const ShardedConfig& config) {
+                         const ShardedConfig& config,
+                         std::ostream* sam_out) {
   STARATLAS_CHECK(provider != nullptr);
   STARATLAS_CHECK(config.num_shards >= 1);
   const auto wall_start = std::chrono::steady_clock::now();
@@ -74,6 +76,9 @@ ShardedRun align_sharded(std::string_view fastq,
   // indexed by shard so concurrent workers never share a vector.
   std::vector<std::vector<ProgressSnapshot>> checkpoints(num_shards);
   std::vector<std::exception_ptr> errors(num_shards);
+  // Per-shard SAM records, written in shard order by the gather.
+  std::vector<std::ostringstream> sam_parts(sam_out != nullptr ? num_shards
+                                                               : 0);
 
   auto run_shard = [&](usize s) noexcept {
     try {
@@ -101,7 +106,8 @@ ShardedRun align_sharded(std::string_view fastq,
       AlignmentRun run = engine.execute(
           {.batches = [&source](ReadBatch& batch) { return source(batch); },
            .total_reads_hint = range.num_reads,
-           .callback = on_commit});
+           .callback = on_commit,
+           .sam_out = sam_out != nullptr ? &sam_parts[s] : nullptr});
       STARATLAS_CHECK(run.stats.processed == range.num_reads);
       out.shard_runs[s] = std::move(run);
     } catch (...) {
@@ -158,6 +164,10 @@ ShardedRun align_sharded(std::string_view fastq,
     if (config.engine.collect_junctions) {
       junction_parts.push_back(shard.junctions);
     }
+    if (sam_out != nullptr) {
+      const std::string_view part = sam_parts[s].view();
+      sam_out->write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
     merged.stream_batches += shard.stream_batches;
     merged.stream_consumer_allocs += shard.stream_consumer_allocs;
     merged.stream_peak_arena_bytes += shard.stream_peak_arena_bytes;
@@ -191,12 +201,13 @@ ShardedRun align_sharded(std::string_view fastq,
 
 ShardedRun align_sharded(std::string_view fastq, const GenomeIndex& index,
                          const Annotation* annotation,
-                         const ShardedConfig& config) {
+                         const ShardedConfig& config, std::ostream* sam_out) {
   // Aliasing shared_ptr: borrowed, never deleted; caller keeps it alive.
   const std::shared_ptr<const GenomeIndex> borrowed(
       std::shared_ptr<const GenomeIndex>(), &index);
   return align_sharded(
-      fastq, [&borrowed](usize) { return borrowed; }, annotation, config);
+      fastq, [&borrowed](usize) { return borrowed; }, annotation, config,
+      sam_out);
 }
 
 ShardedRun align_sharded(std::string_view fastq, SharedIndexCache& cache,
@@ -213,7 +224,7 @@ AlignmentRun align_unsharded_reference(std::string_view fastq,
                                        const GenomeIndex& index,
                                        const Annotation* annotation,
                                        const ShardedConfig& config) {
-  const u64 total_reads = count_fastq_records(fastq);
+  const u64 total_reads = count_fastq_records(fastq).records;
   const u64 interval = resolve_interval(config, total_reads);
   EngineConfig engine_config = config.engine;
   engine_config.progress_check_interval = interval;

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -73,16 +74,22 @@ using ShardIndexProvider =
 /// sequential and deterministic. Throws if any worker throws. The merged
 /// result is byte-identical (rendered gene counts TSV, junctions TSV,
 /// progress log, final log with pinned wall time) to
-/// align_unsharded_reference for every shard/thread count.
+/// align_unsharded_reference for every shard/thread count. With
+/// `sam_out` set, each shard formats its SAM records into its own buffer
+/// and the gather writes the buffers in shard (= file) order, so the
+/// records equal an unsharded run's byte for byte (no header: see
+/// EngineRunRequest::sam_out).
 ShardedRun align_sharded(std::string_view fastq,
                          const ShardIndexProvider& provider,
                          const Annotation* annotation,
-                         const ShardedConfig& config);
+                         const ShardedConfig& config,
+                         std::ostream* sam_out = nullptr);
 
 /// Convenience overload: every shard borrows the same in-process index.
 ShardedRun align_sharded(std::string_view fastq, const GenomeIndex& index,
                          const Annotation* annotation,
-                         const ShardedConfig& config);
+                         const ShardedConfig& config,
+                         std::ostream* sam_out = nullptr);
 
 /// Cache-attach overload: every shard acquires `key` from `cache`
 /// (single-flight: one loader call, the rest are hits — the analog of N

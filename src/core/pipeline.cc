@@ -20,8 +20,8 @@ PipelineRunner::PipelineRunner(const GenomeIndex& index,
   config_.early_stop.validate();
 }
 
-SampleResult PipelineRunner::process(const std::string& accession) {
-  SampleResult result;
+AccessionResult PipelineRunner::process(const std::string& accession) {
+  AccessionResult result;
   result.accession = accession;
 
   // Stage 1: prefetch.

@@ -20,7 +20,8 @@ struct PipelineConfig {
   EarlyStopPolicy early_stop;
 };
 
-struct SampleResult {
+/// One accession's trip through the pipeline.
+struct AccessionResult {
   std::string accession;
   LibraryType library_type = LibraryType::kBulk;
   u64 total_reads = 0;
@@ -34,6 +35,11 @@ struct SampleResult {
   double dump_wall_seconds = 0.0;
 };
 
+/// Former name, still used by perfbench/pipeline_workload.cc. The service has
+/// its own SampleResult (service/types.h): a translation unit including
+/// both headers fails to compile instead of merging two layouts.
+using SampleResult = AccessionResult;
+
 /// Runs the four pipeline stages for every accession handed to process().
 /// The alignment engine (worker pool, workspaces, gene-count tables) is
 /// built once and reused for every accession, so a multi-sample campaign
@@ -44,7 +50,7 @@ class PipelineRunner {
                  SraRepository& repository, PipelineConfig config);
 
   /// Processes one accession end to end.
-  SampleResult process(const std::string& accession);
+  AccessionResult process(const std::string& accession);
 
  private:
   const GenomeIndex* index_;

@@ -16,7 +16,7 @@ WorkstationReport run_workstation_batch(
 
   PipelineRunner runner(index, annotation, repository, config);
   for (const std::string& accession : accessions) {
-    SampleResult result = runner.process(accession);
+    AccessionResult result = runner.process(accession);
     report.align_wall_seconds += result.align_wall_seconds;
     if (result.early_stop.stopped) {
       ++report.early_stopped;

@@ -15,7 +15,7 @@
 namespace staratlas {
 
 struct WorkstationReport {
-  std::vector<SampleResult> samples;
+  std::vector<AccessionResult> samples;
   usize accepted = 0;
   usize early_stopped = 0;
   usize rejected = 0;

@@ -20,6 +20,11 @@ std::string reverse_complement(std::string_view seq) {
 }
 
 void reverse_complement(std::string_view seq, std::string& out) {
+  out.resize(seq.size());
+  reverse_complement(seq, out.data());
+}
+
+void reverse_complement(std::string_view seq, char* out) {
   // Table-driven complement (zero byte = invalid residue): one load per
   // base instead of a branch ladder, which matters because the aligner
   // reverse-complements every read.
@@ -32,7 +37,6 @@ void reverse_complement(std::string_view seq, std::string& out) {
     table['N'] = 'N';
     return table;
   }();
-  out.resize(seq.size());
   for (usize i = 0; i < seq.size(); ++i) {
     const char c = kComplement[static_cast<u8>(seq[seq.size() - 1 - i])];
     if (c == 0) throw InvalidArgument("reverse_complement: invalid residue");

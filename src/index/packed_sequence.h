@@ -101,5 +101,7 @@ std::string reverse_complement(std::string_view seq);
 /// Hot-path form: writes into `out` (resized, capacity reused), so a
 /// per-thread buffer makes repeated calls allocation-free.
 void reverse_complement(std::string_view seq, std::string& out);
+/// Writes seq.size() bytes at `out` (a slot in a caller's buffer).
+void reverse_complement(std::string_view seq, char* out);
 
 }  // namespace staratlas

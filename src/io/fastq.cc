@@ -7,6 +7,8 @@
 
 #include "common/error.h"
 #include "io/fasta.h"
+#include "io/fastq_block.h"
+#include "io/read_batch.h"
 
 namespace staratlas {
 
@@ -15,6 +17,8 @@ namespace {
 // files are large and line-oriented, so give disk I/O a block-sized one.
 // pubsetbuf must be applied before open() to take effect.
 constexpr usize kFileBufferBytes = 256 * 1024;
+// Records parsed per block-parser call before they are copied out.
+constexpr usize kRecordsPerBatch = 1024;
 }  // namespace
 
 bool FastqReader::get_line(std::string& out) {
@@ -62,22 +66,26 @@ std::optional<FastqRecord> FastqReader::next() {
 }
 
 std::vector<FastqRecord> read_fastq(std::istream& in) {
-  FastqReader reader(in);
+  FastqBlockReader reader(in);
+  ReadBatch batch;
   std::vector<FastqRecord> records;
-  while (auto rec = reader.next()) records.push_back(std::move(*rec));
+  while (reader.read_batch(batch, kRecordsPerBatch) > 0) {
+    for (usize i = 0; i < batch.size(); ++i) {
+      records.push_back({std::string(batch.name(i)),
+                         std::string(batch.sequence(i)),
+                         std::string(batch.quality(i))});
+    }
+    batch.clear();
+  }
   return records;
 }
 
 std::vector<FastqRecord> read_fastq_file(const std::string& path) {
-  std::vector<char> buffer(kFileBufferBytes);
-  std::ifstream in;
-  in.rdbuf()->pubsetbuf(buffer.data(),
-                        static_cast<std::streamsize>(buffer.size()));
-  in.open(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open FASTQ file: " + path);
   auto records = read_fastq(in);
-  // getline-at-EOF leaves failbit set on a clean read; badbit is the one
-  // that distinguishes a mid-file I/O error from end of file.
+  // A short read at end of file sets failbit; badbit is the one that
+  // distinguishes a mid-file I/O error from end of file.
   if (in.bad()) throw IoError("I/O error while reading FASTQ file: " + path);
   return records;
 }

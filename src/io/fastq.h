@@ -3,6 +3,11 @@
 // ReadSet is the in-memory form the aligner consumes: a flat vector of
 // reads plus the total byte size of the FASTQ representation (the paper
 // weights its Fig 3 speedup by FASTQ size, so we track it faithfully).
+//
+// read_fastq and read_fastq_file parse with the block parser
+// (io/fastq_block.h). FastqReader, the getline parser, is kept only as
+// the independent oracle the block parser's record and error parity is
+// tested against; production code does not call it.
 #pragma once
 
 #include <iosfwd>
@@ -21,7 +26,8 @@ struct FastqRecord {
   std::string quality;   ///< phred+33, same length as sequence
 };
 
-/// Pull-based FASTQ parser over any istream.
+/// Pull-based getline FASTQ parser over any istream: the parity oracle
+/// for FastqBlockReader.
 class FastqReader {
  public:
   explicit FastqReader(std::istream& in) : in_(&in) {}
@@ -47,7 +53,8 @@ class FastqReader {
   bool get_line(std::string& out);
 };
 
-/// Reads an entire stream.
+/// Reads an entire stream (block parser; throws ParseError exactly as
+/// FastqReader would).
 std::vector<FastqRecord> read_fastq(std::istream& in);
 
 /// Reads a FASTQ file from disk.

@@ -8,12 +8,20 @@ namespace staratlas {
 
 namespace {
 
-/// Calls fn(line_start, content_len) for every line of `data`, with the
-/// trailing '\r' of CRLF endings excluded from content_len. Returns the
-/// number of non-blank lines seen.
+/// Walks `data` with the block parser's record grammar and calls
+/// fn(record_start, record_index, sequence_length) for every record:
+/// blank lines between records are skipped, and a record is a non-blank
+/// header line plus the next three lines taken verbatim (an empty read's
+/// blank sequence and quality lines included). Line lengths exclude the
+/// trailing '\r' of CRLF endings. Returns the record count; throws the
+/// parser's ParseError when the input ends inside a record.
 template <typename Fn>
-u64 for_each_line(std::string_view data, Fn&& fn) {
-  u64 nonblank = 0;
+u64 for_each_record(std::string_view data, Fn&& fn) {
+  u64 records = 0;
+  u64 line = 0;    // lines walked, blank ones included (the parser's count)
+  int field = 0;   // next line of the current record; 0 = its header
+  usize record_start = 0;
+  usize sequence_length = 0;
   usize pos = 0;
   while (pos < data.size()) {
     const char* nl = static_cast<const char*>(
@@ -22,18 +30,26 @@ u64 for_each_line(std::string_view data, Fn&& fn) {
                               : data.size();
     usize content_end = line_end;
     if (content_end > pos && data[content_end - 1] == '\r') --content_end;
-    if (content_end > pos) {
-      fn(pos, nonblank);
-      ++nonblank;
+    ++line;
+    if (field == 0) {
+      if (content_end > pos) {
+        record_start = pos;
+        field = 1;
+      }
+    } else {
+      if (field == 1) sequence_length = content_end - pos;
+      if (++field == 4) {
+        fn(record_start, records, sequence_length);
+        ++records;
+        field = 0;
+      }
     }
     pos = nl ? line_end + 1 : data.size();
   }
-  return nonblank;
-}
-
-[[noreturn]] void throw_truncated(u64 nonblank) {
-  throw ParseError("FASTQ line count " + std::to_string(nonblank) +
-                   " is not a multiple of 4 (truncated record)");
+  if (field != 0) {
+    throw ParseError("FASTQ record truncated at line " + std::to_string(line));
+  }
+  return records;
 }
 
 }  // namespace
@@ -49,17 +65,15 @@ ShardPlan plan_fastq_shards(std::string_view data, usize num_shards) {
   std::vector<u64> reads_before(num_shards, 0);
   usize next_target = 1;  // boundary 0 is pinned to offset 0
 
-  const u64 nonblank = for_each_line(data, [&](usize line_start, u64 seen) {
-    if (seen % 4 != 0) return;  // only every 4th non-blank line starts a record
-    while (next_target < num_shards &&
-           line_start >= data.size() * next_target / num_shards) {
-      snapped[next_target] = line_start;
-      reads_before[next_target] = seen / 4;
-      ++next_target;
-    }
-  });
-  if (nonblank % 4 != 0) throw_truncated(nonblank);
-  plan.total_reads = nonblank / 4;
+  plan.total_reads =
+      for_each_record(data, [&](usize record_start, u64 index, usize) {
+        while (next_target < num_shards &&
+               record_start >= data.size() * next_target / num_shards) {
+          snapped[next_target] = record_start;
+          reads_before[next_target] = index;
+          ++next_target;
+        }
+      });
   for (; next_target < num_shards; ++next_target) {
     snapped[next_target] = data.size();
     reads_before[next_target] = plan.total_reads;
@@ -112,10 +126,13 @@ usize next_record_start(std::string_view data, usize pos) {
   return data.size();
 }
 
-u64 count_fastq_records(std::string_view data) {
-  const u64 nonblank = for_each_line(data, [](usize, u64) {});
-  if (nonblank % 4 != 0) throw_truncated(nonblank);
-  return nonblank / 4;
+FastqCount count_fastq_records(std::string_view data) {
+  FastqCount count;
+  count.records = for_each_record(
+      data, [&count](usize, u64, usize sequence_length) {
+        count.sequence_bases += sequence_length;
+      });
+  return count;
 }
 
 }  // namespace staratlas

@@ -4,8 +4,9 @@
 // workers" step).
 //
 // The planner sees the whole buffer (memory-mapped file, decoded
-// container), so it counts records exactly while walking lines once: a
-// record start is every 4th non-blank line from offset 0, which sidesteps
+// container), so it counts records exactly while walking lines once with
+// the block parser's grammar — blank lines between records are skipped,
+// and a record is a header plus the next three lines — which sidesteps
 // the classic FASTQ ambiguity that a quality line may begin with '@'.
 // Each range therefore carries its exact first-read index and read count
 // — the gather stage needs both to rebuild the unsharded progress log
@@ -50,9 +51,9 @@ struct ShardPlan {
 /// size, each snapped forward to the next record boundary. Single O(data)
 /// newline walk; O(1) memory beyond the plan itself. Shards past the last
 /// record come back empty (byte_begin == byte_end == data.size()), so any
-/// shard count is valid. Throws ParseError if the non-blank line count is
-/// not a multiple of 4 (truncated record) — the same inputs the block
-/// parser would reject, caught before any worker starts.
+/// shard count is valid. Throws ParseError if the input ends inside a
+/// record (the block parser's truncation error), caught before any worker
+/// starts.
 ShardPlan plan_fastq_shards(std::string_view data, usize num_shards);
 
 /// First record boundary at or after `pos`, found heuristically: scans
@@ -62,8 +63,16 @@ ShardPlan plan_fastq_shards(std::string_view data, usize num_shards);
 /// blank separator lines like the block parser.
 usize next_record_start(std::string_view data, usize pos);
 
-/// Exact record count of a well-formed buffer (non-blank lines / 4).
-/// Throws ParseError when the non-blank line count is not a multiple of 4.
-u64 count_fastq_records(std::string_view data);
+struct FastqCount {
+  u64 records = 0;
+  /// Summed sequence-line lengths ('\r' excluded, as the parser strips
+  /// it): records and bases give the sample's mean read length.
+  u64 sequence_bases = 0;
+};
+
+/// Exact record and base count of a well-formed buffer, from the same
+/// single line walk as the planner. Throws ParseError when the input ends
+/// inside a record.
+FastqCount count_fastq_records(std::string_view data);
 
 }  // namespace staratlas

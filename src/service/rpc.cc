@@ -223,7 +223,7 @@ void ServiceServer::serve_connection(int fd) {
       submission.tenant = std::move(tenant);
       submission.name = std::move(name);
       try {
-        std::istringstream fastq(payload);
+        std::istringstream fastq(std::move(payload));
         submission.reads = make_read_set(read_fastq(fastq));
       } catch (const Error& e) {
         if (!send_err(fd, "parse_error", e.what())) break;

@@ -55,6 +55,20 @@ TEST(RunRequest, RejectsMissingAndAmbiguousSources) {
   EXPECT_THROW(request.validate(), InvalidArgument);
 }
 
+TEST(RunRequest, EmptyFastqTextIsAnEmptySampleShardedOrNot) {
+  // Set means present: "" is a valid input, not a missing one.
+  const auto& w = world();
+  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                         engine_config());
+  for (const usize shards : {usize{1}, usize{2}}) {
+    const EngineRunRequest request{.fastq_text = "", .num_shards = shards};
+    EXPECT_NO_THROW(request.validate()) << "shards=" << shards;
+    const AlignmentRun run = engine.execute(request);
+    EXPECT_EQ(run.stats.processed, 0u) << "shards=" << shards;
+    EXPECT_TRUE(run.outcomes.empty()) << "shards=" << shards;
+  }
+}
+
 TEST(RunRequest, RejectsDegenerateCounts) {
   const ReadSet reads = sample_reads(10);
   EngineRunRequest request;

@@ -46,7 +46,7 @@ TEST(Pipeline, BulkSampleAcceptedEndToEnd) {
   config.engine.progress_check_interval = 100;
   PipelineRunner runner(w.index111, w.synthesizer->annotation(),
                         *fx.repository, config);
-  const SampleResult result = runner.process(bulk->accession);
+  const AccessionResult result = runner.process(bulk->accession);
   EXPECT_EQ(result.accession, bulk->accession);
   EXPECT_EQ(result.library_type, LibraryType::kBulk);
   EXPECT_EQ(result.total_reads, bulk->num_reads);
@@ -68,7 +68,7 @@ TEST(Pipeline, SingleCellSampleEarlyStopped) {
   config.engine.progress_check_interval = 50;
   PipelineRunner runner(w.index111, w.synthesizer->annotation(),
                         *fx.repository, config);
-  const SampleResult result = runner.process(sc->accession);
+  const AccessionResult result = runner.process(sc->accession);
   EXPECT_EQ(result.library_type, LibraryType::kSingleCell);
   EXPECT_TRUE(result.early_stop.stopped);
   EXPECT_FALSE(result.accepted);
@@ -85,7 +85,7 @@ TEST(Pipeline, EarlyStopDisabledRunsToCompletion) {
   config.early_stop.enabled = false;
   PipelineRunner runner(w.index111, w.synthesizer->annotation(),
                         *fx.repository, config);
-  const SampleResult result = runner.process(sc->accession);
+  const AccessionResult result = runner.process(sc->accession);
   EXPECT_FALSE(result.early_stop.stopped);
   EXPECT_EQ(result.stats.processed, result.total_reads);
   EXPECT_FALSE(result.accepted);  // still below the atlas threshold

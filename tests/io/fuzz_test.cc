@@ -67,11 +67,14 @@ struct FastqParse {
   std::string error;
 };
 
+// The oracle: the getline FastqReader, driven directly (read_fastq itself
+// runs the block parser).
 FastqParse parse_getline(const std::string& text) {
   FastqParse out;
   std::istringstream in(text);
+  FastqReader reader(in);
   try {
-    out.records = read_fastq(in);
+    while (auto rec = reader.next()) out.records.push_back(std::move(*rec));
   } catch (const Error& e) {
     out.error = e.what();
   }
@@ -101,8 +104,7 @@ FastqParse parse_block(const std::string& text, usize block_bytes,
 
 // The block parser's contract: over ANY input, byte-identical behavior to
 // FastqReader — the same record stream on success, the same ParseError
-// text on failure. An error aborts read_fastq before it returns anything,
-// so on the error path only the message is compared.
+// text on failure. On the error path only the message is compared.
 void expect_block_parity(const std::string& text, usize block_bytes,
                          usize batch_reads) {
   const FastqParse expected = parse_getline(text);

@@ -150,9 +150,45 @@ TEST(ShardPlan, NextRecordStartScansPastQualityLines) {
 }
 
 TEST(ShardPlan, CountFastqRecords) {
-  EXPECT_EQ(count_fastq_records(""), 0u);
-  EXPECT_EQ(count_fastq_records(tricky_fastq(12)), 12u);
-  EXPECT_EQ(count_fastq_records(tricky_fastq(12, "\r\n", "\n")), 12u);
+  EXPECT_EQ(count_fastq_records("").records, 0u);
+  EXPECT_EQ(count_fastq_records(tricky_fastq(12)).records, 12u);
+  EXPECT_EQ(count_fastq_records(tricky_fastq(12, "\r\n", "\n")).records,
+            12u);
+}
+
+TEST(ShardPlan, CountFastqRecordsSumsSequenceBasesLikeTheParser) {
+  // Six records of 8 and six of 12 bases; CRLF's '\r' is not a base.
+  EXPECT_EQ(count_fastq_records("").sequence_bases, 0u);
+  EXPECT_EQ(count_fastq_records(tricky_fastq(12)).sequence_bases, 120u);
+  const std::string crlf = tricky_fastq(12, "\r\n", "\r\n");
+  EXPECT_EQ(count_fastq_records(crlf).sequence_bases, 120u);
+
+  ReadBatch batch;
+  FastqBlockReader reader(crlf);
+  u64 bases = 0;
+  while (reader.read_batch(batch, 64) > 0) {
+    for (usize i = 0; i < batch.size(); ++i) bases += batch.sequence(i).size();
+    batch.clear();
+  }
+  EXPECT_EQ(bases, 120u);
+}
+
+TEST(ShardPlan, EmptyReadsCountAndSnapLikeTheParser) {
+  // An empty read has blank sequence and quality lines; the parser takes
+  // them verbatim, so they are record lines, not separators.
+  std::string data;
+  for (int i = 0; i < 6; ++i) {
+    data += "@r" + std::to_string(i) + "\n" +
+            (i % 2 ? std::string("\n+\n\n") : std::string("AC\n+\nII\n"));
+  }
+  const FastqCount count = count_fastq_records(data);
+  EXPECT_EQ(count.records, 6u);
+  EXPECT_EQ(count.sequence_bases, 6u);
+  for (const usize shards : {usize{1}, usize{2}, usize{4}}) {
+    const ShardPlan plan = plan_fastq_shards(data, shards);
+    EXPECT_EQ(plan.total_reads, 6u);
+    expect_plan_consistent(data, plan);
+  }
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "align/aligner.h"
 #include "align/engine.h"
 #include "align/gene_counts.h"
 #include "align/junctions.h"
+#include "align/sam.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
 #include "sim/read_simulator.h"
@@ -57,13 +59,18 @@ inline const TestWorld& world() {
 /// search) plus GeneCounter and JunctionCollector, one read at a time on
 /// the calling thread, sharing no execution code with the engine. Only the
 /// first `processed` reads are aligned — the shape of a run that stopped
-/// there, whose later outcomes stay kUnmapped.
+/// there, whose later outcomes stay kUnmapped. With `sam` set, it also
+/// renders those reads through SamWriter (header included).
 inline AlignmentRun serial_reference(const GenomeIndex& index,
                                      const Annotation* annotation,
                                      const EngineConfig& config,
                                      const ReadSet& reads,
-                                     usize processed = ~usize{0}) {
+                                     usize processed = ~usize{0},
+                                     std::string* sam = nullptr) {
   const usize n = std::min(processed, reads.size());
+  std::ostringstream sam_stream;
+  std::optional<SamWriter> writer;
+  if (sam != nullptr) writer.emplace(sam_stream, index);
   AlignmentRun run;
   run.outcomes.assign(reads.size(), ReadOutcome::kUnmapped);
   std::optional<GeneCounter> counter;
@@ -81,7 +88,9 @@ inline AlignmentRun serial_reference(const GenomeIndex& index,
     run.outcomes[r] = result.outcome;
     if (counter) counter->count(result, run.gene_counts);
     if (config.collect_junctions) junctions.add(result);
+    if (writer) writer->write_read(reads.reads[r], result);
   }
+  if (sam != nullptr) *sam = sam_stream.str();
   if (config.collect_junctions) run.junctions = junctions.junctions();
   run.aborted = n < reads.size();
   return run;
