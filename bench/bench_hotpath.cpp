@@ -17,9 +17,14 @@
 //      raw-text (v3) load and a 2-bit packed (v4) load of the same index
 //      — the packed/raw throughput ratio is the wide-word LCP speedup,
 //      and the packed/raw text-bytes ratio is the footprint shrink the
-//      economics layer consumes. Both are in-process ratios.
+//      economics layer consumes. Both are in-process ratios;
+//   5. seed-walk work counters on the reused-mode reads: MMP calls and
+//      seeds per read (both strands). They are deterministic, so they
+//      show a seed-phase change that timing noise would hide; reported,
+//      not gated.
 //
-// Emits machine-readable BENCH_hotpath.json (schema in EXPERIMENTS.md).
+// Emits machine-readable BENCH_hotpath.json (schema in EXPERIMENTS.md;
+// the committed copy is bench/BENCH_hotpath.json).
 //
 // Flags:
 //   --smoke             reduced configuration (CI: the bench_smoke ctest)
@@ -71,6 +76,8 @@ struct SingleThreadResult {
   double allocs_per_read_steady = 0;
   double allocs_per_read_fresh = 0;
   double workspace_speedup = 0;
+  double mmp_calls_per_read = 0;
+  double seeds_per_read = 0;
 };
 
 /// FIG3-shaped workload: bulk RNA-seq reads against the release-111 index
@@ -118,7 +125,8 @@ SingleThreadResult run_single_thread(const HotpathConfig& cfg) {
   {
     constexpr usize kChunk = 256;  // EngineConfig::chunk_size default
     AlignWorkspace ws;
-    auto run_pass = [&](MappingStats& work) {
+    u64 mmp_calls = 0;
+    auto run_pass = [&](MappingStats& work, bool count_calls) {
       u64 acc = 0;
       AlignBatchLanes& lanes = ws.batch;
       for (usize begin = 0; begin < reads.size(); begin += kChunk) {
@@ -134,11 +142,19 @@ SingleThreadResult run_single_thread(const HotpathConfig& cfg) {
         for (usize r = 0; r < count; ++r) {
           acc += lanes.results[r].best_score;
         }
+        if (count_calls) {
+          for (usize s = 0; s < 2 * count; ++s) {
+            mmp_calls += lanes.seeds[s].mmp_calls;
+          }
+        }
       }
       return acc;
     };
     MappingStats warm_work;
-    run_pass(warm_work);
+    run_pass(warm_work, /*count_calls=*/true);
+    const double n = static_cast<double>(reads.size());
+    out.mmp_calls_per_read = static_cast<double>(mmp_calls) / n;
+    out.seeds_per_read = static_cast<double>(warm_work.seeds_generated) / n;
     double best_elapsed = 1e30;
     u64 allocs = 0;
     u64 side_effect = 0;
@@ -146,7 +162,7 @@ SingleThreadResult run_single_thread(const HotpathConfig& cfg) {
       const u64 allocs_before = alloc_counter::thread_allocations();
       const auto start = std::chrono::steady_clock::now();
       MappingStats work;
-      side_effect += run_pass(work);
+      side_effect += run_pass(work, /*count_calls=*/false);
       best_elapsed = std::min(best_elapsed, seconds_since(start));
       allocs = alloc_counter::thread_allocations() - allocs_before;
     }
@@ -395,6 +411,8 @@ int main(int argc, char** argv) {
             << "\n  workspace speedup          : " << st.workspace_speedup
             << "x\n  allocs/read fresh          : " << st.allocs_per_read_fresh
             << "\n  allocs/read steady state   : " << st.allocs_per_read_steady
+            << "\n  MMP calls/read (counter)   : " << st.mmp_calls_per_read
+            << "\n  seeds/read (counter)       : " << st.seeds_per_read
             << "\n";
 
   const EngineResult eng = run_engine_dispatch(cfg);
@@ -431,7 +449,9 @@ int main(int argc, char** argv) {
       .add("reads_per_sec_fresh", st.reads_per_sec_fresh)
       .add("workspace_speedup", st.workspace_speedup)
       .add("allocs_per_read_fresh", st.allocs_per_read_fresh)
-      .add("allocs_per_read_steady", st.allocs_per_read_steady);
+      .add("allocs_per_read_steady", st.allocs_per_read_steady)
+      .add("mmp_calls_per_read", st.mmp_calls_per_read)
+      .add("seeds_per_read", st.seeds_per_read);
   if (vs_prechange > 0) {
     single_json.add("speedup_vs_prechange", vs_prechange);
   }
@@ -446,7 +466,7 @@ int main(int argc, char** argv) {
       .add("packed_text_ratio", packed.text_ratio);
   JsonObject root;
   root.add("bench", "hotpath")
-      .add("schema_version", 2)
+      .add("schema_version", 3)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("single_thread", single_json)

@@ -25,12 +25,14 @@
 // Run without arguments for usage. Exit code 0 on success, 1 on usage
 // errors, 2 on runtime failures.
 
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +57,12 @@
 using namespace staratlas;
 
 namespace {
+
+/// A malformed flag value: reported with the usage text, exit code 1.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Args {
  public:
@@ -83,9 +91,22 @@ class Args {
     return it->second;
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
-  u64 get_u64(const std::string& key, u64 fallback) const {
+  /// The flag's value as a whole decimal number >= `min`, or `fallback`
+  /// when the flag is absent. Anything else (a sign, trailing text, an
+  /// out-of-range value) is a UsageError.
+  u64 get_u64(const std::string& key, u64 fallback, u64 min = 0) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    u64 value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < min) {
+      throw UsageError("--" + key + " expects a whole number" +
+                       (min > 0 ? " >= " + std::to_string(min) : "") +
+                       ", got '" + text + "'");
+    }
+    return value;
   }
 
  private:
@@ -147,10 +168,10 @@ int cmd_index(const Args& args) {
   const std::string fasta = args.require("fasta");
   const std::string out = args.require("out");
   const int release = static_cast<int>(args.get_u64("release", 0));
+  IndexParams params;
+  params.num_threads = args.get_u64("threads", 1);  // 0 = one per core
   const Assembly assembly = Assembly::from_fasta(
       "cli", release, AssemblyType::kToplevel, read_fasta_file(fasta));
-  IndexParams params;
-  params.num_threads = args.get_u64("threads", 1);
   const std::string format = args.get("format", "v3");
   u32 version = GenomeIndex::kVersionLatest;
   if (format == "v4") {
@@ -231,6 +252,8 @@ int cmd_align(const Args& args) {
   const std::string index_path = args.require("index");
   const std::string fastq = args.require("fastq");
   const std::string prefix = args.require("out-prefix");
+  const u64 threads = args.get_u64("threads", 2, 1);
+  const u64 shards = args.get_u64("shards", 1, 1);
 
   const GenomeIndex index = GenomeIndex::load_file(index_path);
   const std::string raw = read_file_bytes(fastq);
@@ -241,7 +264,7 @@ int cmd_align(const Args& args) {
   if (quant) annotation = annotation_from_index(index, args.require("gtf"));
 
   EngineConfig config;
-  config.num_threads = args.get_u64("threads", 2);
+  config.num_threads = threads;
   config.quant_gene_counts = quant;
   config.collect_junctions = true;
   AlignmentEngine engine(index, quant ? &annotation : nullptr, config);
@@ -259,7 +282,7 @@ int cmd_align(const Args& args) {
   }
   const EngineRunRequest request{
       .fastq_text = raw,
-      .num_shards = args.get_u64("shards", 1),
+      .num_shards = shards,
       .total_reads_hint = count.records,
       .early_stop = EarlyStopPolicy{.enabled = args.has("early-stop")},
       .sam_out = sam ? &sam_out : nullptr};
@@ -320,6 +343,9 @@ int cmd_align(const Args& args) {
 int cmd_serve(const Args& args) {
   const std::string index_path = args.require("index");
   const std::string socket_path = args.require("socket");
+  ServiceConfig config;
+  config.engine.num_threads = args.get_u64("workers", 2, 1);
+  config.engine.chunk_size = args.get_u64("chunk", 256, 1);
 
   auto index = std::make_shared<const GenomeIndex>(
       GenomeIndex::load_file(index_path));
@@ -329,11 +355,8 @@ int cmd_serve(const Args& args) {
     annotation = annotation_from_index(*index, args.require("gtf"));
   }
 
-  ServiceConfig config;
-  config.engine.num_threads = args.get_u64("workers", 2);
   config.engine.quant_gene_counts = quant;
   config.engine.collect_junctions = true;
-  config.engine.chunk_size = args.get_u64("chunk", 256);
 
   AlignmentService service(index, quant ? &annotation : nullptr, config);
   ServiceServer server(service, quant ? &annotation : nullptr, socket_path);
@@ -403,6 +426,9 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(args);
     if (command == "submit") return cmd_submit(args);
     std::cerr << "unknown command: " << command << "\n";
+    return usage();
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
     return usage();
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -10,7 +10,8 @@ namespace staratlas {
 struct AlignerParams {
   /// Minimum MMP length to use as a seed.
   usize seed_min_length = 18;
-  /// Maximum MMP restarts per read per strand.
+  /// Maximum seeds recorded per read per strand; the seed walks stop once
+  /// this many are found (MMPs too short to seed do not count).
   usize max_seeds_per_read = 16;
   /// STAR's seedSearchStartLmax: a fresh MMP search starts at every
   /// multiple of this offset along the read (in addition to the restart

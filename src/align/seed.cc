@@ -6,37 +6,59 @@
 
 namespace staratlas {
 
+namespace {
+/// Advances one walk's (grid, offset) cursor to its next MMP start, or
+/// returns false when the read's walks are finished. A walk ends at its
+/// tail (fewer than seed_min_length bases left: tail rule) or at an offset
+/// an earlier walk visited (merge rule); the next walk then starts at the
+/// next lmax grid boundary. Hitting max_seeds_per_read ends everything.
+bool next_mmp_start(usize read_length, const SeedSearchResult& result,
+                    const AlignerParams& params, u64 lmax, u64& grid,
+                    u64& offset) {
+  const u64 min_query = std::max<u64>(1, params.seed_min_length);
+  if (read_length < min_query) return false;
+  const u64 last_start = read_length - min_query;
+  for (;;) {
+    if (result.seeds.size() >= params.max_seeds_per_read) return false;
+    if (offset <= last_start && !result.offset_visited[offset]) return true;
+    grid += lmax;
+    if (grid > last_start) return false;
+    offset = grid;
+  }
+}
+
+/// Records the MMP issued at `offset` and steps the walk past it: a long
+/// enough match becomes a seed and the walk restarts at its end; a shorter
+/// one (a sequencing error or foreign sequence) is stepped over, failure
+/// point included, as STAR does.
+void apply_mmp(const MmpResult& mmp, const AlignerParams& params,
+               SeedSearchResult& result, u64& offset) {
+  result.offset_visited[offset] = 1;
+  ++result.mmp_calls;
+  result.chars_matched += mmp.length;
+  if (mmp.length >= params.seed_min_length) {
+    result.seeds.push_back({offset, mmp.length, mmp.interval});
+    offset += mmp.length;
+  } else {
+    offset += mmp.length + 1;
+  }
+}
+
+u64 start_lmax(const AlignerParams& params) {
+  return std::max<usize>(1, params.seed_search_start_lmax);
+}
+}  // namespace
+
 void find_seeds(const GenomeIndex& index, std::string_view read,
                 const AlignerParams& params, SeedSearchResult& result) {
   result.clear(read.size());
-
-  // STAR starts an MMP walk at every seedSearchStartLmax boundary; each
-  // walk then restarts just past the prefix it matched. Seeds are deduped
-  // by read offset (later walks re-cover earlier territory).
+  const u64 lmax = start_lmax(params);
   MmpResult mmp;
-  const u64 lmax = std::max<usize>(1, params.seed_search_start_lmax);
-  for (u64 grid = 0; grid < read.size(); grid += lmax) {
-    u64 offset = grid;
-    const u64 walk_end = read.size();
-    while (offset < walk_end &&
-           result.seeds.size() < params.max_seeds_per_read) {
-      if (result.offset_seeded[offset]) {
-        break;  // this walk merged into a previous one
-      }
-      index.mmp(read.substr(offset), mmp);
-      ++result.mmp_calls;
-      result.chars_matched += mmp.length;
-      if (mmp.length >= params.seed_min_length) {
-        result.seeds.push_back({offset, mmp.length, mmp.interval});
-        result.offset_seeded[offset] = 1;
-        offset += mmp.length;
-      } else {
-        // Too short to anchor anything: a sequencing error or foreign
-        // sequence. Step past the failure point, as STAR does.
-        offset += mmp.length + 1;
-      }
-    }
-    if (result.seeds.size() >= params.max_seeds_per_read) break;
+  u64 grid = 0;
+  u64 offset = 0;
+  while (next_mmp_start(read.size(), result, params, lmax, grid, offset)) {
+    index.mmp(read.substr(offset), mmp);
+    apply_mmp(mmp, params, result, offset);
   }
 }
 
@@ -48,23 +70,6 @@ SeedSearchResult find_seeds(const GenomeIndex& index, std::string_view read,
 }
 
 namespace {
-/// Advances one walk's (grid, offset) cursor to its next MMP start, or
-/// returns false when the walk is finished. Encodes exactly the control
-/// flow of find_seeds' nested loops: the inner while ends at the read end
-/// or a seeded offset (walk merged into a previous one), the outer for
-/// steps the grid by lmax, and hitting max_seeds_per_read ends everything.
-bool next_mmp_start(std::string_view read, const SeedSearchResult& result,
-                    const AlignerParams& params, u64 lmax, u64& grid,
-                    u64& offset) {
-  for (;;) {
-    if (result.seeds.size() >= params.max_seeds_per_read) return false;
-    if (offset < read.size() && !result.offset_seeded[offset]) return true;
-    grid += lmax;
-    if (grid >= read.size()) return false;
-    offset = grid;
-  }
-}
-
 /// Drives every read's MMP walk through the streaming batch walker. The
 /// tag is the walk (= read) index. next() prefers walks freshly advanced
 /// by done() — LIFO, so a restart issues while its read tail is still in
@@ -80,7 +85,7 @@ class SeedWalkFeed final : public GenomeIndex::MmpFeed {
         params_(params),
         results_(results),
         s_(s),
-        lmax_(std::max<usize>(1, params.seed_search_start_lmax)) {}
+        lmax_(start_lmax(params)) {}
 
   bool next(std::string_view& query, u32& tag) override {
     u32 w;
@@ -92,7 +97,7 @@ class SeedWalkFeed final : public GenomeIndex::MmpFeed {
         if (cursor_ >= reads_.size()) return false;
         w = static_cast<u32>(cursor_++);
         results_[w].clear(reads_[w].size());
-        if (next_mmp_start(reads_[w], results_[w], params_, lmax_,
+        if (next_mmp_start(reads_[w].size(), results_[w], params_, lmax_,
                            s_.grid[w], s_.offset[w])) {
           break;
         }
@@ -105,18 +110,9 @@ class SeedWalkFeed final : public GenomeIndex::MmpFeed {
 
   void done(u32 w, const MmpResult& mmp) override {
     SeedSearchResult& result = results_[w];
-    u64& offset = s_.offset[w];
-    ++result.mmp_calls;
-    result.chars_matched += mmp.length;
-    if (mmp.length >= params_.seed_min_length) {
-      result.seeds.push_back({offset, mmp.length, mmp.interval});
-      result.offset_seeded[offset] = 1;
-      offset += mmp.length;
-    } else {
-      offset += mmp.length + 1;
-    }
-    if (next_mmp_start(reads_[w], result, params_, lmax_, s_.grid[w],
-                       offset)) {
+    apply_mmp(mmp, params_, result, s_.offset[w]);
+    if (next_mmp_start(reads_[w].size(), result, params_, lmax_, s_.grid[w],
+                       s_.offset[w])) {
       s_.ready.push_back(w);
     }
   }

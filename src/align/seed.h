@@ -1,9 +1,24 @@
 // Seed search: STAR's Maximal Mappable Prefix walk over a read.
 //
-// Starting at read offset 0, find the longest prefix of the remaining read
-// that occurs in the genome (via the suffix-array index). Record it as a
-// seed if long enough, then restart just past it. Splice junctions and
-// sequencing errors naturally split a read into multiple seeds.
+// A walk starts at read offset 0 and finds the longest prefix of the
+// remaining read that occurs in the genome (via the suffix-array index). It
+// records that prefix as a seed if it is long enough, then restarts just
+// past it. Splice junctions and sequencing errors naturally split a read
+// into multiple seeds. A fresh walk also starts at every
+// seed_search_start_lmax boundary (STAR's seedSearchStartLmax).
+//
+// Two rules prune MMP calls that can never change the seeds:
+//   - Tail rule: no MMP is issued whose query (the rest of the read) is
+//     shorter than seed_min_length. Its match is at most that long, so it
+//     cannot become a seed, and every later offset of the walk is shorter
+//     still.
+//   - Merge rule: a walk stops at any offset an earlier walk of the same
+//     read already issued an MMP at, seeded or not. The MMP at an offset
+//     depends only on the read from there on, so from a shared offset both
+//     walks take the same path; the later one could only re-find seeds
+//     that are already recorded (or stop at one of them).
+// Both are exact: seeds, their order and their intervals are those of the
+// unpruned walk; only mmp_calls and chars_matched drop.
 #pragma once
 
 #include <span>
@@ -26,10 +41,10 @@ struct SeedSearchResult {
   std::vector<Seed> seeds;
   u64 mmp_calls = 0;      ///< MMP invocations performed (work accounting)
   u64 chars_matched = 0;  ///< total matched characters across MMPs
-  /// Scratch: one byte per read offset, set where a seed was recorded.
-  /// Replaces the old O(seeds) linear dedupe scan with an O(1) probe and
-  /// is reused (capacity and all) across reads by the alignment workspace.
-  std::vector<u8> offset_seeded;
+  /// Scratch: one byte per read offset, set where a walk issued an MMP
+  /// (the merge rule's visited mark; every seeded offset is visited).
+  /// Reused (capacity and all) across reads by the alignment workspace.
+  std::vector<u8> offset_visited;
 
   /// Empties the result for a fresh read of `read_length` bases without
   /// releasing any capacity.
@@ -37,7 +52,7 @@ struct SeedSearchResult {
     seeds.clear();
     mmp_calls = 0;
     chars_matched = 0;
-    offset_seeded.assign(read_length, 0);
+    offset_visited.assign(read_length, 0);
   }
 };
 
@@ -54,7 +69,7 @@ SeedSearchResult find_seeds(const GenomeIndex& index, std::string_view read,
 /// Walk-state buffers for find_seeds_batch, reused batch after batch so
 /// the steady state allocates nothing. Owned by AlignWorkspace.
 struct SeedBatchScratch {
-  std::vector<u32> ready;   ///< walks whose next restart is pending
+  std::vector<u32> ready;   ///< walks whose next MMP start is pending
   std::vector<u64> grid;    ///< per-walk: current restart-grid boundary
   std::vector<u64> offset;  ///< per-walk: current MMP start offset
 };

@@ -656,29 +656,43 @@ void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
 namespace {
 
 /// Lockstep batch walker behind GenomeIndex::mmp_batch. Lane state is
-/// struct-of-arrays so each wave phase runs as a tight loop over a dense
-/// active-lane list; per-lane state machines were measured slower than
-/// this shape (dispatch overhead ate the latency win).
+/// struct-of-arrays so each phase runs as a tight loop over a dense list of
+/// the lanes in that phase.
 ///
-/// Wave structure, per round of up to kLanes in-flight queries:
-///   jump:    compute LUT codes for every lane, prefetch the LUT cells
-///            across lanes, then read them (mini-LUT cascade fallback,
-///            exactly as mmp()).
-///   narrow:  lanes whose interval is still wide binary-search one query
-///            character at a time (the lower-then-upper bound rounds of
-///            extend_interval). Each half-round first issues every lane's
-///            sa[mid] load and prefetches the text byte it points at,
-///            then consumes them — lane A's DRAM miss hides behind lanes
+/// Lane life cycle. A lane holds one query from claim to result:
+///   claim:   the feed hands the free lane a query; its leading k-mer code
+///            is computed and the LUT cell prefetched.
+///   jump:    one step later the cell is read (mini-LUT cascade fallback,
+///            exactly as mmp()), leaving the lane narrowing, direct or
+///            finished.
+///   narrow:  a wide interval is binary-searched by the next query block
+///            (the lower-then-upper bound passes of extend_interval), one
+///            probe per step. Each step first issues every narrowing
+///            lane's sa[mid] load and prefetches the text it points at,
+///            then consumes them, so lane A's DRAM miss hides behind lanes
 ///            B..Z instead of stalling the walk.
-///   gather:  lanes whose interval fits kT rows read the rows' text
-///            positions and prefetch all of them at once.
-///   compare: per row, LCP against the query (word-at-a-time); the
+///   direct:  once the interval fits kT rows, one step reads the rows'
+///            text positions and prefetches them all; the next compares
+///            each row against the query (LCP, a word at a time). The
 ///            maximal rows form a contiguous block (LCP over a sorted
-///            suffix block is unimodal), which becomes the result
-///            interval. This replaces the per-character narrowing for
-///            small intervals and is where unique reads spend their walk.
-///   apply:   results are written out and freed lanes refill from the
-///            query list.
+///            suffix block is unimodal), which becomes the result interval.
+///   deliver: the result goes to the feed and the lane is free again.
+/// Every step runs each phase once over the lanes in it, then delivers the
+/// finished lanes and refills them (and any lane left idle while the feed
+/// was dry) at the top of the next step, so a lane never waits for slower
+/// lanes to resolve.
+///
+/// Narrow blocks (packed text only; raw text narrows per character). A
+/// lane narrows one query character per equal-range pass until a pass
+/// past the main LUT depth leaves its interval whole: every suffix agrees
+/// on the next character, the mark of repeat copies. From then on it
+/// consumes up to kPackedBasesPerWord characters per pass, one code-word
+/// extraction per probe. An empty block range means the walk ends
+/// strictly inside the block; the lane then finishes per character, which
+/// locates the exact end. Blocks from the start cost more than they save:
+/// most intervals shrink below kT within a character or two of the LUT
+/// jump, and a block the walk ends inside wastes a whole equal-range
+/// search.
 struct MmpBatchWalker {
   static constexpr u32 kT = 24;       ///< direct-scan row threshold
   static constexpr usize kLanes = 64; ///< in-flight queries
@@ -701,32 +715,44 @@ struct MmpBatchWalker {
   // Lane state (index = lane).
   const char* q[kLanes];
   u32 qlen[kLanes];
-  // Per-lane packed query (filled at refill when the text is packed, so
+  // Per-lane packed query (filled at claim when the text is packed, so
   // the packing cost amortizes over the lane's whole walk).
   u64 qcodes[kLanes][kQWords];
   u64 qexc[kLanes][kEWords];
   bool qpacked[kLanes];
+  u64 code[kLanes];  ///< leading k-mer code, ~0 when the main LUT can't jump
   u32 ilo[kLanes], ihi[kLanes], depth[kLanes];
   // Narrow state: current bounds [a, b), probe row, lower-bound result,
   // and whether we are in the lower (0) or upper (1) bound pass.
   u32 a[kLanes], b[kLanes], mid[kLanes], nlo[kLanes];
   u8 nmode[kLanes];
   i32 target[kLanes];
-  // Wide-block narrowing (packed text + packed lane): characters consumed
-  // per equal-range pass. 1 = per-char probes (raw text, unpackable
-  // query, or the fallback after a block came up empty).
+  // Characters consumed per equal-range pass; 1 = per-char probes.
   u32 blen[kLanes];
-  // Set once a lane's wide block found no matching suffix: the walk ends
-  // within that block, so the lane finishes it per-char (retrying wider
-  // blocks would re-fail and waste probes).
+  // Set once a per-char pass past the main LUT depth left the lane's
+  // interval whole: its suffixes agree on the next character (repeat
+  // copies), so wide blocks now pay.
+  bool stalled[kLanes];
+  // Set once a lane's block found no matching suffix: the walk ends within
+  // that block, so the lane finishes it per-char (retrying wider blocks
+  // would re-fail and waste probes).
   bool single[kLanes];
-  // Gathered text positions of a small interval's rows.
+  // Gathered text positions of a small interval's rows (row 0 doubles as
+  // the narrow probe's position).
   u64 rpos[kLanes][kT];
   u32 rn[kLanes];
-  // advance_bounds() outcome: 0 = next character started (still
-  // narrowing), 1 = direct scan next, 2 = walk finished.
-  u8 state[kLanes];
   u32 tag[kLanes];  ///< feed tag of the query the lane is resolving
+
+  // Lane lists, one per phase.
+  u8 free_lanes[kLanes];
+  u8 claimed[kLanes];
+  u8 narrow[kLanes];
+  u8 started[kLanes];  ///< lanes that began narrowing this step
+  u8 direct[kLanes];
+  u8 gathered[kLanes];
+  u8 done[kLanes];
+  usize n_free = 0, n_claimed = 0, n_narrow = 0, n_started = 0, n_direct = 0,
+        n_gathered = 0, n_done = 0;
 
   explicit MmpBatchWalker(const GenomeIndex& idx)
       : text(idx.text()),
@@ -754,14 +780,79 @@ struct MmpBatchWalker {
     }
   }
 
-  void start_char(usize i) {
-    // Packed lanes narrow by up to a whole 32-base code word per pass —
-    // one funnel-shift extraction per probe — unless a previous block of
-    // this walk already came up empty (single-char fallback).
-    blen[i] = ptext.active() && qpacked[i] && !single[i]
-                  ? std::min<u32>(static_cast<u32>(kPackedBasesPerWord),
-                                  qlen[i] - depth[i])
-                  : 1;
+  /// Claims the next query from the feed into lane `i` and starts its
+  /// jump: the leading k-mer code, with its LUT cell prefetched.
+  bool claim(GenomeIndex::MmpFeed& feed, usize i) {
+    std::string_view query;
+    u32 t = 0;
+    if (!feed.next(query, t)) return false;
+    q[i] = query.data();
+    qlen[i] = static_cast<u32>(query.size());
+    tag[i] = t;
+    stalled[i] = false;
+    single[i] = false;
+    if (ptext.active()) {
+      qpacked[i] = query.size() <= kMaxPackedQuery &&
+                   pack_query(query, qcodes[i], qexc[i]);
+    }
+    code[i] = ~u64{0};
+    if (query.size() >= lut_k) {
+      u64 c = 0;
+      for (u32 j = 0; j < lut_k; ++j) {
+        const u8 base = base_code(query[j]);
+        if (base == 0xff) return true;
+        c = (c << 2) | base;
+      }
+      code[i] = c;
+      __builtin_prefetch(&lut[c]);
+    }
+    return true;
+  }
+
+  /// Reads lane `i`'s jump cell: the main LUT when its k-mer is present,
+  /// else the mini-LUT cascade, exactly as mmp().
+  void jump(usize i) {
+    ilo[i] = 0;
+    ihi[i] = static_cast<u32>(sa.size());
+    depth[i] = 0;
+    if (code[i] != ~u64{0}) {
+      const LutCell& cell = lut[code[i]];
+      if (cell[0] != cell[1]) {
+        ilo[i] = cell[0];
+        ihi[i] = cell[1];
+        depth[i] = lut_k;
+        return;
+      }
+    }
+    if (qlen[i] == 0) return;
+    u64 c = 0;
+    u32 pure = 0;
+    const u32 kmax = std::min<u32>(4, qlen[i]);
+    for (u32 j = 0; j < kmax; ++j) {
+      const u8 base = base_code(q[i][j]);
+      if (base == 0xff) break;
+      c = (c << 2) | base;
+      ++pure;
+    }
+    for (u32 kk = pure; kk >= 1; --kk) {
+      const LutCell& cell = index.mini_lut(kk)[c >> (2 * (pure - kk))];
+      if (cell[0] != cell[1]) {
+        ilo[i] = cell[0];
+        ihi[i] = cell[1];
+        depth[i] = kk;
+        return;
+      }
+    }
+  }
+
+  /// Starts narrowing lane `i` by its next block at the current depth,
+  /// prefetching the first probe's SA row.
+  void start_block(usize i) {
+    const bool wide =
+        stalled[i] && !single[i] && ptext.active() && qpacked[i];
+    blen[i] = wide ? std::min<u32>(static_cast<u32>(kPackedBasesPerWord),
+                                   qlen[i] - depth[i])
+                   : 1;
     target[i] = static_cast<unsigned char>(q[i][depth[i]]);
     a[i] = ilo[i];
     b[i] = ihi[i];
@@ -770,254 +861,183 @@ struct MmpBatchWalker {
     __builtin_prefetch(&sa[mid[i]]);
   }
 
-  /// After one probe was consumed: true when another probe is pending
-  /// (mid computed and prefetched); false with state[i] set otherwise.
-  bool advance_bounds(usize i) {
-    for (;;) {
-      if (a[i] < b[i]) {
-        mid[i] = a[i] + (b[i] - a[i]) / 2;
-        __builtin_prefetch(&sa[mid[i]]);
-        return true;
-      }
-      if (nmode[i] == 0) {
-        // Lower bound done; run the upper bound over [lower, ihi).
-        nlo[i] = a[i];
-        b[i] = ihi[i];
-        nmode[i] = 1;
-        continue;
-      }
-      // Both bounds done: the narrowed interval is [nlo, a).
-      if (nlo[i] == a[i]) {
-        if (blen[i] > 1) {
-          // No suffix matches the whole block: the walk terminates
-          // within it. Re-narrow the same depth one character at a time
-          // to find exactly where (bit-identical to a per-char walk).
-          single[i] = true;
-          start_char(i);
-          state[i] = 0;
-          return false;
-        }
-        state[i] = 2;  // next char absent: keep interval/depth, finish
-        return false;
-      }
-      ilo[i] = nlo[i];
-      ihi[i] = a[i];
-      depth[i] += blen[i];
-      if (depth[i] >= qlen[i]) {
-        state[i] = 2;
-        return false;
-      }
-      if (ihi[i] - ilo[i] > kT) {
-        start_char(i);
-        state[i] = 0;
-        return false;
-      }
-      state[i] = 1;  // small enough for the direct scan
-      return false;
-    }
-  }
-
-  void classify(usize i, u8* narrow, usize& n_nar, u8* direct, usize& n_dir,
-                u8* done, usize& n_done) {
+  /// Routes lane `i`, whose interval matches `depth` query chars, to its
+  /// next phase: finished, direct scan (next step), or a new block.
+  void route(usize i) {
     if (depth[i] >= qlen[i]) {
       done[n_done++] = static_cast<u8>(i);
-      return;
+    } else if (ihi[i] - ilo[i] > kT) {
+      start_block(i);
+      started[n_started++] = static_cast<u8>(i);
+    } else {
+      direct[n_direct++] = static_cast<u8>(i);
     }
-    if (ihi[i] - ilo[i] > kT) {
-      start_char(i);
-      narrow[n_nar++] = static_cast<u8>(i);
-      return;
-    }
-    direct[n_dir++] = static_cast<u8>(i);
   }
 
-  /// Claims the next query from the feed into lane `i`.
-  bool refill(GenomeIndex::MmpFeed& feed, usize i) {
-    std::string_view query;
-    u32 t = 0;
-    if (!feed.next(query, t)) return false;
-    q[i] = query.data();
-    qlen[i] = static_cast<u32>(query.size());
-    tag[i] = t;
-    single[i] = false;
-    if (ptext.active()) {
-      qpacked[i] = query.size() <= kMaxPackedQuery &&
-                   pack_query(query, qcodes[i], qexc[i]);
+  /// Consumes lane `i`'s probe result. Returns true while the lane keeps
+  /// narrowing the same block; otherwise the lane was routed onward.
+  bool consume_probe(usize i, bool go_right) {
+    if (go_right) {
+      a[i] = mid[i] + 1;
+    } else {
+      b[i] = mid[i];
     }
-    return true;
+    if (a[i] >= b[i] && nmode[i] == 0) {
+      // Lower bound done; run the upper bound over [lower, ihi).
+      nlo[i] = a[i];
+      b[i] = ihi[i];
+      nmode[i] = 1;
+    }
+    if (a[i] < b[i]) {
+      mid[i] = a[i] + (b[i] - a[i]) / 2;
+      __builtin_prefetch(&sa[mid[i]]);
+      return true;
+    }
+    // Both bounds done: the narrowed interval is [nlo, a).
+    if (nlo[i] == a[i]) {
+      if (blen[i] > 1) {
+        // No suffix matches the whole block: the walk terminates within
+        // it. Re-narrow the same depth one character at a time to find
+        // exactly where (bit-identical to a per-char walk).
+        single[i] = true;
+        start_block(i);
+        return true;
+      }
+      done[n_done++] = static_cast<u8>(i);  // next char absent: finish
+      return false;
+    }
+    if (blen[i] == 1 && a[i] - nlo[i] == ihi[i] - ilo[i] &&
+        depth[i] >= lut_k) {
+      stalled[i] = true;
+    }
+    ilo[i] = nlo[i];
+    ihi[i] = a[i];
+    depth[i] += blen[i];
+    route(i);
+    return false;
+  }
+
+  /// LCP of the query in lane `i` against the suffix at `pos`, starting
+  /// from the `d` characters already known to match.
+  u64 row_lcp(usize i, u64 pos, u64 d) const {
+    const u64 limit = std::min<u64>(qlen[i], tsize - pos);
+    const char* qq = q[i];
+    if (ptext.active()) {
+      // Packed text: wide-word kernel (32/64/128 bases per XOR) when the
+      // lane's query packed; per-base decode otherwise.
+      if (qpacked[i]) {
+        return packed_lcp(ptext, pos, qcodes[i], qexc[i], d, limit);
+      }
+      while (d < limit && ptext.at(pos + d) == qq[d]) ++d;
+      return d;
+    }
+    const char* t = text.data() + pos;
+    while (d + sizeof(u64) <= limit) {
+      u64 tw, qw;
+      std::memcpy(&tw, t + d, sizeof(u64));
+      std::memcpy(&qw, qq + d, sizeof(u64));
+      const u64 x = tw ^ qw;
+      if (x != 0) return d + static_cast<u64>(std::countr_zero(x)) / 8;
+      d += sizeof(u64);
+    }
+    while (d < limit && t[d] == qq[d]) ++d;
+    return d;
+  }
+
+  /// Direct scan of a gathered lane: per-row LCP, then the maximal
+  /// contiguous block becomes the result.
+  void compare_rows(usize i) {
+    u32 lens[kT];
+    u32 best = depth[i];
+    for (u32 r = 0; r < rn[i]; ++r) {
+      lens[r] = static_cast<u32>(row_lcp(i, rpos[i][r], depth[i]));
+      if (lens[r] > best) best = lens[r];
+    }
+    if (best > depth[i]) {
+      u32 lo = 0;
+      while (lens[lo] < best) ++lo;
+      u32 hi = rn[i];
+      while (lens[hi - 1] < best) --hi;
+      ilo[i] += lo;
+      ihi[i] = ilo[i] + (hi - lo);
+      depth[i] = best;
+    }
   }
 
   void run(GenomeIndex::MmpFeed& feed) {
-    u8 active[kLanes];
-    usize n_active = 0;
-    for (usize i = 0; i < kLanes && refill(feed, i); ++i) {
-      active[n_active++] = static_cast<u8>(i);
+    for (usize i = 0; i < kLanes; ++i) {
+      free_lanes[i] = static_cast<u8>(kLanes - 1 - i);
     }
-
-    u8 narrow[kLanes], direct[kLanes], done[kLanes];
-    u64 codes[kLanes];
-    while (n_active > 0) {
-      usize n_nar = 0, n_dir = 0, n_done = 0;
-      // Jump: codes + LUT prefetch across lanes, then the cell reads.
-      for (usize k = 0; k < n_active; ++k) {
-        const usize i = active[k];
-        const std::string_view query(q[i], qlen[i]);
-        codes[i] = ~u64{0};
-        if (query.size() >= lut_k) {
-          u64 code = 0;
-          bool valid = true;
-          for (u32 j = 0; j < lut_k; ++j) {
-            const u8 c = base_code(query[j]);
-            if (c == 0xff) {
-              valid = false;
-              break;
-            }
-            code = (code << 2) | c;
-          }
-          if (valid) {
-            codes[i] = code;
-            __builtin_prefetch(&lut[code]);
-          }
+    n_free = kLanes;
+    bool dry = false;  ///< feed had nothing pending at its last next()
+    for (;;) {
+      // Claim: fill free lanes until the feed runs dry. A dry feed is
+      // asked again only after a delivery, which may have made new work.
+      n_claimed = 0;
+      while (!dry && n_free > 0) {
+        const usize i = free_lanes[n_free - 1];
+        if (!claim(feed, i)) {
+          dry = true;
+          break;
         }
+        --n_free;
+        claimed[n_claimed++] = static_cast<u8>(i);
       }
-      for (usize k = 0; k < n_active; ++k) {
-        const usize i = active[k];
-        ilo[i] = 0;
-        ihi[i] = static_cast<u32>(sa.size());
-        depth[i] = 0;
-        if (codes[i] != ~u64{0}) {
-          const LutCell& cell = lut[codes[i]];
-          if (cell[0] != cell[1]) {
-            ilo[i] = cell[0];
-            ihi[i] = cell[1];
-            depth[i] = lut_k;
-          }
-        }
-        if (depth[i] == 0 && qlen[i] > 0) {
-          // Mini-LUT cascade, exactly as mmp().
-          u64 code = 0;
-          u32 pure = 0;
-          const u32 kmax = std::min<u32>(4, qlen[i]);
-          for (u32 j = 0; j < kmax; ++j) {
-            const u8 c = base_code(q[i][j]);
-            if (c == 0xff) break;
-            code = (code << 2) | c;
-            ++pure;
-          }
-          for (u32 kk = pure; kk >= 1; --kk) {
-            const LutCell& cell = index.mini_lut(kk)[code >> (2 * (pure - kk))];
-            if (cell[0] != cell[1]) {
-              ilo[i] = cell[0];
-              ihi[i] = cell[1];
-              depth[i] = kk;
-              break;
-            }
-          }
-        }
-        classify(i, narrow, n_nar, direct, n_dir, done, n_done);
-      }
+      if (n_free == kLanes) return;  // nothing in flight, nothing pending
 
-      // Narrow rounds: issue all lanes' probes, then consume them.
-      while (n_nar > 0) {
-        for (usize k = 0; k < n_nar; ++k) {
-          const usize i = narrow[k];
-          rpos[i][0] = sa[mid[i]];
-          prefetch_text(rpos[i][0] + depth[i]);
-        }
-        usize kept = 0;
-        for (usize k = 0; k < n_nar; ++k) {
-          const usize i = narrow[k];
-          bool go_right;
-          if (blen[i] > 1) {
-            const int cmp =
-                packed_block_compare(ptext, tsize, rpos[i][0] + depth[i],
-                                     qcodes[i], qexc[i], depth[i], blen[i]);
-            go_right = nmode[i] == 0 ? cmp < 0 : cmp <= 0;
-          } else {
-            const i32 c = probe_char(rpos[i][0] + depth[i]);
-            go_right = nmode[i] == 0 ? (c < target[i]) : (c <= target[i]);
-          }
-          if (go_right) {
-            a[i] = mid[i] + 1;
-          } else {
-            b[i] = mid[i];
-          }
-          if (advance_bounds(i)) {
-            narrow[kept++] = static_cast<u8>(i);
-          } else if (state[i] == 0) {
-            narrow[kept++] = static_cast<u8>(i);  // next char started
-          } else if (state[i] == 1) {
-            direct[n_dir++] = static_cast<u8>(i);
-          } else {
-            done[n_done++] = static_cast<u8>(i);
-          }
-        }
-        n_nar = kept;
+      // Narrow, issue half: every lane's SA probe, prefetching its text.
+      for (usize k = 0; k < n_narrow; ++k) {
+        const usize i = narrow[k];
+        rpos[i][0] = sa[mid[i]];
+        prefetch_text(rpos[i][0] + depth[i]);
       }
-
-      // Gather: read the rows of every direct lane, prefetch their text.
-      for (usize k = 0; k < n_dir; ++k) {
+      // Direct, gather half: read the rows, prefetch their text.
+      n_gathered = n_direct;
+      for (usize k = 0; k < n_direct; ++k) {
         const usize i = direct[k];
-        const u32 n = ihi[i] - ilo[i];
-        rn[i] = n;
-        for (u32 r = 0; r < n; ++r) {
+        gathered[k] = static_cast<u8>(i);
+        rn[i] = ihi[i] - ilo[i];
+        for (u32 r = 0; r < rn[i]; ++r) {
           rpos[i][r] = sa[ilo[i] + r];
           prefetch_text(rpos[i][r] + depth[i]);
         }
       }
-      // Compare: per-row LCP, then extract the maximal contiguous block.
-      for (usize k = 0; k < n_dir; ++k) {
-        const usize i = direct[k];
-        const char* qq = q[i];
-        u32 lens[kT];
-        u32 best = depth[i];
-        for (u32 r = 0; r < rn[i]; ++r) {
-          const u64 limit = std::min<u64>(qlen[i], tsize - rpos[i][r]);
-          u64 d = depth[i];
-          if (ptext.active()) {
-            // Packed text: wide-word kernel (32/64/128 bases per XOR)
-            // when the lane's query packed; per-base decode otherwise.
-            if (qpacked[i]) {
-              d = packed_lcp(ptext, rpos[i][r], qcodes[i], qexc[i], d,
-                             limit);
-            } else {
-              while (d < limit && ptext.at(rpos[i][r] + d) == qq[d]) ++d;
-            }
-            lens[r] = static_cast<u32>(d);
-            if (lens[r] > best) best = lens[r];
-            continue;
-          }
-          const char* t = text.data() + rpos[i][r];
-          while (d + sizeof(u64) <= limit) {
-            u64 tw, qw;
-            std::memcpy(&tw, t + d, sizeof(u64));
-            std::memcpy(&qw, qq + d, sizeof(u64));
-            const u64 x = tw ^ qw;
-            if (x != 0) {
-              d += static_cast<u64>(std::countr_zero(x)) / 8;
-              goto row_done;
-            }
-            d += sizeof(u64);
-          }
-          while (d < limit && t[d] == qq[d]) ++d;
-        row_done:
-          lens[r] = static_cast<u32>(d);
-          if (lens[r] > best) best = lens[r];
+      n_direct = 0;
+      n_done = 0;
+      n_started = 0;
+      // Jump: the claimed lanes' LUT cells, prefetched at claim.
+      for (usize k = 0; k < n_claimed; ++k) {
+        const usize i = claimed[k];
+        jump(i);
+        route(i);
+      }
+      // Narrow, consume half.
+      usize kept = 0;
+      for (usize k = 0; k < n_narrow; ++k) {
+        const usize i = narrow[k];
+        const u64 pos = rpos[i][0] + depth[i];
+        bool go_right;
+        if (blen[i] > 1) {
+          const int cmp = packed_block_compare(ptext, tsize, pos, qcodes[i],
+                                               qexc[i], depth[i], blen[i]);
+          go_right = nmode[i] == 0 ? cmp < 0 : cmp <= 0;
+        } else {
+          const i32 c = probe_char(pos);
+          go_right = nmode[i] == 0 ? (c < target[i]) : (c <= target[i]);
         }
-        if (best > depth[i]) {
-          u32 lo = 0;
-          while (lens[lo] < best) ++lo;
-          u32 hi = rn[i];
-          while (lens[hi - 1] < best) --hi;
-          ilo[i] += lo;
-          ihi[i] = ilo[i] + (hi - lo);
-          depth[i] = best;
-        }
+        if (consume_probe(i, go_right)) narrow[kept++] = static_cast<u8>(i);
+      }
+      for (usize k = 0; k < n_started; ++k) narrow[kept++] = started[k];
+      n_narrow = kept;
+      // Direct, compare half.
+      for (usize k = 0; k < n_gathered; ++k) {
+        const usize i = gathered[k];
+        compare_rows(i);
         done[n_done++] = static_cast<u8>(i);
       }
 
-      // Apply: deliver every result first — each may hand the feed new
-      // work (a walk's next restart) — then refill the freed lanes.
+      // Deliver every result first — each may hand the feed new work (a
+      // walk's next restart) — then free the lanes for the next claim.
       for (usize k = 0; k < n_done; ++k) {
         const usize i = done[k];
         MmpResult out;
@@ -1025,14 +1045,9 @@ struct MmpBatchWalker {
         out.interval =
             depth[i] > 0 ? SaInterval{ilo[i], ihi[i]} : SaInterval{};
         feed.done(tag[i], out);
+        free_lanes[n_free++] = static_cast<u8>(i);
       }
-      usize new_active = 0;
-      for (usize k = 0; k < n_done; ++k) {
-        const usize i = done[k];
-        if (!refill(feed, i)) break;  // dry now; no in-flight queries left
-        active[new_active++] = static_cast<u8>(i);
-      }
-      n_active = new_active;
+      if (n_done > 0) dry = false;
     }
   }
 };

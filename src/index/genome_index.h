@@ -152,30 +152,36 @@ class GenomeIndex {
 
   /// Batched mmp(): resolves queries[i] into results[i] for every i, with
   /// results identical to per-query mmp() calls. Internally up to 64
-  /// queries walk the suffix array in lockstep — each binary-search round
-  /// issues all lanes' SA probes with software prefetches before any lane
-  /// consumes one, so the dependent DRAM loads that serialize a lone walk
-  /// overlap across lanes instead. Small intervals (<= 24 rows) skip the
-  /// per-character narrowing entirely: the rows' suffixes are gathered,
-  /// prefetched, and LCP-compared directly, which is exact because the
-  /// LCP against a sorted suffix block is unimodal, so the maximal-prefix
-  /// rows form the contiguous block this scan extracts. Performs no heap
+  /// queries walk the suffix array in lockstep lanes. Each step issues
+  /// every narrowing lane's SA probe with a software prefetch before any
+  /// lane consumes one, so the dependent DRAM loads that serialize a lone
+  /// walk overlap across lanes instead. On packed text, a lane whose
+  /// interval a per-character pass past the main LUT depth left whole
+  /// (repeat copies) narrows by up to 32 query characters per binary
+  /// search. Small intervals (<= 24 rows) skip the narrowing entirely:
+  /// the rows' suffixes are gathered, prefetched, and LCP-compared
+  /// directly, which is exact because the LCP against a sorted suffix
+  /// block is unimodal, so the maximal-prefix rows form the contiguous
+  /// block this scan extracts. A lane is refilled the step after its
+  /// query resolves, so no lane waits on slower ones. Performs no heap
   /// allocation. `queries.size()` must equal `results.size()`.
   void mmp_batch(std::span<const std::string_view> queries,
                  std::span<MmpResult> results) const;
 
   /// Pull interface for mmp_batch_stream(). The walker calls next() to
-  /// claim a free lane's query and done() exactly once per issued query;
-  /// within one wave round every result is delivered through done()
-  /// before any next() call of that round, so a caller whose next query
-  /// depends on the previous result (the seed walk's restarts) can chain
-  /// work without ever draining the lanes.
+  /// claim a free lane's query and done() exactly once per issued query.
+  /// Within one walker step every result is delivered through done()
+  /// before any next() call of the following claim, so a caller whose
+  /// next query depends on the previous result (the seed walk's restarts)
+  /// can chain work without ever draining the lanes.
   class MmpFeed {
    public:
     virtual ~MmpFeed() = default;
     /// Supplies the next pending query and an opaque tag, or returns
-    /// false when nothing is pending right now. Called again after later
-    /// done() deliveries, which may have created new pending work.
+    /// false when nothing is pending right now. After a false the walker
+    /// asks again only once a later done() delivery may have created new
+    /// pending work; it returns when no query is in flight and the feed
+    /// is dry.
     virtual bool next(std::string_view& query, u32& tag) = 0;
     /// Delivers the result of the query issued under `tag`. Delivery
     /// order across tags follows lane completion, not issue order.
@@ -183,8 +189,8 @@ class GenomeIndex {
   };
 
   /// Pull-driven mmp_batch: keeps up to 64 lockstep lanes full from
-  /// `feed` until it runs dry. Each query's result is identical to a
-  /// per-query mmp() call. Performs no heap allocation.
+  /// `feed` until it runs dry with no query in flight. Each query's result
+  /// is identical to a per-query mmp() call. Performs no heap allocation.
   void mmp_batch_stream(MmpFeed& feed) const;
 
   /// Narrows `interval` (matching `depth` query chars) to suffixes whose

@@ -23,16 +23,7 @@ namespace {
 
 using staratlas::testing::world;
 
-struct TempIndexFile {
-  explicit TempIndexFile(const GenomeIndex& index, u32 version)
-      : path(::testing::TempDir() + "staratlas_parity_" +
-             std::to_string(version) + "_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin") {
-    index.save_file(path, version);
-  }
-  ~TempIndexFile() { std::remove(path.c_str()); }
-  const std::string path;
-};
+using staratlas::testing::TempIndexFile;
 
 /// Loads the shared test index as v4, mmap when the platform has it (the
 /// production attach path), stream otherwise.

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/rng.h"
+#include "index/packed_sequence.h"
+#include "seed_oracle.h"
+#include "sim/library_profile.h"
 #include "testutil.h"
 
 namespace staratlas {
@@ -96,6 +104,132 @@ TEST(SeedSearch, WorkCountersPopulated) {
   const SeedSearchResult result = find_seeds(w.index111, read, AlignerParams{});
   EXPECT_GT(result.mmp_calls, 0u);
   EXPECT_GT(result.chars_matched, 90u);
+}
+
+
+// --- Walk oracle: the pruned walks against the unpruned one. -------------
+
+void expect_same_seeds(const SeedSearchResult& got,
+                       const SeedSearchResult& want, const std::string& what) {
+  ASSERT_EQ(got.seeds.size(), want.seeds.size()) << what;
+  for (usize s = 0; s < want.seeds.size(); ++s) {
+    EXPECT_EQ(got.seeds[s].read_offset, want.seeds[s].read_offset)
+        << what << " seed " << s;
+    EXPECT_EQ(got.seeds[s].length, want.seeds[s].length)
+        << what << " seed " << s;
+    EXPECT_EQ(got.seeds[s].interval.lo, want.seeds[s].interval.lo)
+        << what << " seed " << s;
+    EXPECT_EQ(got.seeds[s].interval.hi, want.seeds[s].interval.hi)
+        << what << " seed " << s;
+  }
+  EXPECT_LE(got.mmp_calls, want.mmp_calls) << what;
+  EXPECT_LE(got.chars_matched, want.chars_matched) << what;
+}
+
+/// Simulated bulk and single-cell reads (both orientations) plus edge
+/// reads: empty, around seed_min_length, around multiples of lmax, all-N,
+/// and N at either end.
+std::vector<std::string> oracle_corpus() {
+  const auto& w = world();
+  std::vector<std::string> corpus;
+  for (const LibraryProfile& profile :
+       {bulk_rna_profile(), single_cell_profile()}) {
+    const ReadSet reads = w.simulator->simulate(profile, 150, Rng(8080));
+    for (const auto& read : reads.reads) {
+      corpus.push_back(read.sequence);
+      std::string rc;
+      reverse_complement(read.sequence, rc);
+      corpus.push_back(std::move(rc));
+    }
+  }
+  const std::string& chrom = w.r111.contig(0).sequence;
+  Rng rng(77);
+  corpus.push_back("");
+  for (const usize len : {1u, 17u, 18u, 19u, 35u, 36u, 37u, 49u, 50u, 51u,
+                          99u, 100u, 101u, 149u, 150u, 151u}) {
+    corpus.push_back(chrom.substr(rng.uniform(chrom.size() - len), len));
+  }
+  corpus.push_back(std::string(100, 'N'));
+  std::string read = chrom.substr(60'000, 100);
+  read.front() = 'N';
+  corpus.push_back(read);
+  read = chrom.substr(61'000, 100);
+  read.back() = 'N';
+  corpus.push_back(read);
+  read = chrom.substr(62'000, 100);
+  read.replace(0, 5, "NNNNN");
+  read.replace(95, 5, "NNNNN");
+  corpus.push_back(read);
+  return corpus;
+}
+
+/// Defaults, then parameter sets that stress the rules: a short grid (many
+/// walks, many merges), short and long minimum seeds, and seed caps.
+std::vector<AlignerParams> oracle_params() {
+  std::vector<AlignerParams> sets(6);
+  sets[1].seed_search_start_lmax = 7;
+  sets[2].seed_min_length = 12;
+  sets[2].seed_search_start_lmax = 18;
+  sets[3].seed_min_length = 36;
+  sets[4].max_seeds_per_read = 3;
+  sets[4].seed_search_start_lmax = 10;
+  sets[5].seed_min_length = 0;
+  sets[5].seed_search_start_lmax = 1;
+  return sets;
+}
+
+TEST(SeedWalkOracle, FindSeedsMatchesUnprunedWalk) {
+  const auto& w = world();
+  const std::vector<std::string> corpus = oracle_corpus();
+  SeedSearchResult got;
+  for (usize p = 0; p < oracle_params().size(); ++p) {
+    const AlignerParams params = oracle_params()[p];
+    for (usize i = 0; i < corpus.size(); ++i) {
+      find_seeds(w.index111, corpus[i], params, got);
+      expect_same_seeds(
+          got, staratlas::testing::unpruned_find_seeds(w.index111, corpus[i],
+                                                       params),
+          "params " + std::to_string(p) + " read " + std::to_string(i));
+    }
+  }
+}
+
+TEST(SeedWalkOracle, FindSeedsBatchMatchesUnprunedWalk) {
+  const auto& w = world();
+  const std::vector<std::string> corpus = oracle_corpus();
+  const std::vector<std::string_view> views(corpus.begin(), corpus.end());
+  std::vector<SeedSearchResult> got(views.size());
+  SeedBatchScratch scratch;
+  for (usize p = 0; p < oracle_params().size(); ++p) {
+    const AlignerParams params = oracle_params()[p];
+    find_seeds_batch(w.index111, views, params, got, scratch);
+    for (usize i = 0; i < corpus.size(); ++i) {
+      expect_same_seeds(
+          got[i], staratlas::testing::unpruned_find_seeds(w.index111,
+                                                          corpus[i], params),
+          "params " + std::to_string(p) + " read " + std::to_string(i));
+    }
+  }
+}
+
+TEST(SeedWalkOracle, PruningCutsMmpCallsOnSimulatedReads) {
+  // The rules are not vacuous: every 100 bp read ends its walks with tail
+  // queries the unpruned walk issues and the pruned one skips.
+  const auto& w = world();
+  const ReadSet reads =
+      w.simulator->simulate(bulk_rna_profile(), 200, Rng(8181));
+  const AlignerParams params;
+  u64 pruned = 0;
+  u64 unpruned = 0;
+  SeedSearchResult got;
+  for (const auto& read : reads.reads) {
+    find_seeds(w.index111, read.sequence, params, got);
+    pruned += got.mmp_calls;
+    unpruned += staratlas::testing::unpruned_find_seeds(
+                    w.index111, read.sequence, params)
+                    .mmp_calls;
+  }
+  EXPECT_LT(pruned, unpruned);
 }
 
 }  // namespace

@@ -22,18 +22,7 @@ bool same_range(const A& a, const B& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
-// Writes the index to a real file (mmap needs one) and removes it on scope
-// exit.
-struct TempIndexFile {
-  explicit TempIndexFile(const GenomeIndex& index,
-                         u32 version = GenomeIndex::kVersionLatest)
-      : path(::testing::TempDir() + "staratlas_index_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin") {
-    index.save_file(path, version);
-  }
-  ~TempIndexFile() { std::remove(path.c_str()); }
-  const std::string path;
-};
+using staratlas::testing::TempIndexFile;
 
 Assembly two_contig_assembly() {
   std::vector<Contig> contigs = {

@@ -14,11 +14,14 @@
 #include "common/alloc_counter.h"
 #include "common/rng.h"
 #include "index/genome_index.h"
+#include "index/index_storage.h"
+#include "io/fasta.h"
 #include "testutil.h"
 
 namespace staratlas {
 namespace {
 
+using staratlas::testing::TempIndexFile;
 using staratlas::testing::world;
 
 void expect_same(const MmpResult& batch, const MmpResult& solo, usize i) {
@@ -220,6 +223,231 @@ TEST(MmpBatch, SteadyStateIsAllocationFree) {
   const u64 after = alloc_counter::thread_allocations();
   EXPECT_EQ(after - before, 0u)
       << "mmp_batch allocated on a warmed second call";
+}
+
+
+// --- Walker scheduling: lane refill under every feed shape. --------------
+
+/// Feed of chained walks: a walk's next query is issued only after its
+/// previous result was delivered. With `gated`, walk w+1 becomes pending
+/// only once walk w has delivered its first result, so the feed goes dry
+/// while lanes are still in flight and the walker must ask it again after
+/// later deliveries.
+class ScheduledFeed final : public GenomeIndex::MmpFeed {
+ public:
+  ScheduledFeed(const std::vector<std::vector<std::string>>& walks,
+                bool gated)
+      : walks_(walks),
+        gated_(gated),
+        step_(walks.size(), 0),
+        results_(walks.size()) {}
+
+  bool next(std::string_view& query, u32& tag) override {
+    if (!ready_.empty()) {
+      tag = ready_.back();
+      ready_.pop_back();
+    } else if (started_ < walks_.size() &&
+               (!gated_ || started_ == 0 ||
+                !results_[started_ - 1].empty())) {
+      tag = static_cast<u32>(started_++);
+    } else {
+      ++dry_answers_;
+      return false;
+    }
+    query = walks_[tag][step_[tag]];
+    return true;
+  }
+
+  void done(u32 tag, const MmpResult& result) override {
+    results_[tag].push_back(result);
+    if (++step_[tag] < walks_[tag].size()) ready_.push_back(tag);
+  }
+
+  const std::vector<std::vector<MmpResult>>& results() const {
+    return results_;
+  }
+  usize dry_answers() const { return dry_answers_; }
+
+ private:
+  const std::vector<std::vector<std::string>>& walks_;
+  const bool gated_;
+  std::vector<usize> step_;
+  std::vector<std::vector<MmpResult>> results_;
+  std::vector<u32> ready_;
+  usize started_ = 0;
+  usize dry_answers_ = 0;
+};
+
+/// Queries that reach every walker phase on `index`'s genome: absent
+/// k-mers, queries shorter than the LUT k, repeat intervals wider than the
+/// direct-scan threshold past the LUT depth, text-end suffixes, and N.
+std::vector<std::string> scheduling_queries(const Assembly& assembly,
+                                            const GenomeIndex& index) {
+  Rng rng(4711);
+  std::vector<std::string> out;
+  const u32 k = index.prefix_lut_k();
+  for (int i = 0; i < 24; ++i) {  // random: mostly absent k-mers
+    std::string q;
+    const u64 len = k + rng.uniform(30);
+    for (u64 j = 0; j < len; ++j) q.push_back("ACGT"[rng.uniform(4)]);
+    out.push_back(std::move(q));
+  }
+  const std::string& chrom = assembly.contig(0).sequence;
+  for (u32 len = 1; len < k; ++len) {  // shorter than the LUT k
+    out.push_back(chrom.substr(rng.uniform(chrom.size() - len), len));
+  }
+  for (const RepeatRegion& region : world().synthesizer->repeat_regions()) {
+    if (region.contig >= assembly.num_contigs()) continue;
+    const std::string& seq = assembly.contig(region.contig).sequence;
+    if (region.end > seq.size() || region.end - region.start < 60) continue;
+    out.push_back(seq.substr(region.start, 60));  // repeat copies
+  }
+  for (usize c = 0; c < assembly.num_contigs(); ++c) {  // text ends
+    const std::string& seq = assembly.contig(c).sequence;
+    out.push_back(seq.substr(seq.size() - 40) + "ACGTACGT");
+  }
+  for (int i = 0; i < 24; ++i) {  // genome reads with N planted
+    std::string q = chrom.substr(rng.uniform(chrom.size() - 100), 100);
+    q[rng.uniform(q.size())] = 'N';
+    if (i % 4 == 0) q[0] = 'N';
+    out.push_back(std::move(q));
+  }
+  out.push_back("NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN");
+  out.push_back("");
+  return out;
+}
+
+/// Splits `queries` into `num_walks` chained walks, round-robin.
+std::vector<std::vector<std::string>> as_walks(
+    const std::vector<std::string>& queries, usize num_walks) {
+  std::vector<std::vector<std::string>> walks(num_walks);
+  for (usize i = 0; i < queries.size(); ++i) {
+    walks[i % num_walks].push_back(queries[i]);
+  }
+  return walks;
+}
+
+TEST(MmpBatch, StreamSchedulingMatchesPerQueryMmp) {
+  const auto& w = world();
+  // Release 108 carries the repeat copies that keep intervals wide.
+  const GenomeIndex& built = w.index108;
+  const std::vector<std::string> queries = scheduling_queries(w.r108, built);
+
+  // The corpus reaches what it claims to.
+  usize wide = 0;
+  usize short_queries = 0;
+  for (const std::string& query : queries) {
+    const MmpResult solo = built.mmp(query);
+    if (solo.length > built.prefix_lut_k() && solo.interval.count() > 24) {
+      ++wide;
+    }
+    if (query.size() < built.prefix_lut_k()) ++short_queries;
+  }
+  EXPECT_GT(wide, 0u) << "no repeat interval wider than the direct scan";
+  EXPECT_GT(short_queries, 0u);
+
+  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
+    const TempIndexFile file(built, version);
+    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+    for (const IndexLoadMode mode : modes) {
+      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+      struct Shape {
+        const char* name;
+        usize walks;
+        bool gated;
+      };
+      // 1 walk; fewer walks than the 64 lanes; many more walks than lanes
+      // (every query its own walk, so lanes recycle); and a gated feed
+      // that goes dry while lanes are in flight.
+      const Shape shapes[] = {{"one walk", 1, false},
+                              {"fewer walks than lanes", 9, false},
+                              {"many more walks than lanes", queries.size(),
+                               false},
+                              {"dry while in flight", 40, true}};
+      for (const Shape& shape : shapes) {
+        const auto walks = as_walks(queries, shape.walks);
+        ScheduledFeed feed(walks, shape.gated);
+        index.mmp_batch_stream(feed);
+        const std::string what = std::string(shape.name) + ", v" +
+                                 std::to_string(version) +
+                                 (mode == IndexLoadMode::kMmap ? " mmap"
+                                                               : " stream");
+        if (shape.gated) {
+          EXPECT_GT(feed.dry_answers(), 1u) << what;
+        }
+        for (usize wk = 0; wk < walks.size(); ++wk) {
+          ASSERT_EQ(feed.results()[wk].size(), walks[wk].size())
+              << what << " walk " << wk;
+          for (usize s = 0; s < walks[wk].size(); ++s) {
+            const MmpResult solo = index.mmp(walks[wk][s]);
+            EXPECT_EQ(feed.results()[wk][s].length, solo.length)
+                << what << " walk " << wk << " step " << s;
+            EXPECT_EQ(feed.results()[wk][s].interval.lo, solo.interval.lo)
+                << what << " walk " << wk << " step " << s;
+            EXPECT_EQ(feed.results()[wk][s].interval.hi, solo.interval.hi)
+                << what << " walk " << wk << " step " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+
+TEST(MmpBatch, RepeatCopiesNarrowByWideBlocks) {
+  // 60 copies of one 300 bp element in a random background, a third of
+  // them carrying one substitution. A query from the element keeps all
+  // copies past the LUT depth, so per-char narrowing stalls and packed
+  // lanes switch to 32-base blocks; the mutated copies then drop out
+  // inside a block, which forces the per-char fallback. Raw text stays
+  // per-char. Raw and packed text, stream and mmap, must all equal
+  // per-query mmp().
+  Rng rng(515);
+  const auto random_bases = [&](usize n) {
+    std::string out;
+    for (usize i = 0; i < n; ++i) out.push_back("ACGT"[rng.uniform(4)]);
+    return out;
+  };
+  const std::string element = random_bases(300);
+  std::string chrom;
+  for (int copy = 0; copy < 60; ++copy) {
+    chrom += random_bases(500);
+    std::string inserted = element;
+    if (copy % 3 == 0) {
+      const usize at = 40 + rng.uniform(240);
+      inserted[at] = inserted[at] == 'A' ? 'C' : 'A';
+    }
+    chrom += inserted;
+  }
+  chrom += random_bases(500);
+  const Assembly assembly = Assembly::from_fasta(
+      "repeats", 1, AssemblyType::kToplevel, {{"chrR", "", chrom}});
+  const GenomeIndex built = GenomeIndex::build(assembly);
+
+  std::vector<std::string> queries;
+  for (usize start = 0; start + 100 <= element.size(); start += 7) {
+    queries.push_back(element.substr(start, 100));
+    std::string mutated = element.substr(start, 100);
+    mutated[60] = mutated[60] == 'G' ? 'T' : 'G';
+    queries.push_back(std::move(mutated));
+  }
+  ASSERT_GT(built.mmp(queries[0]).interval.count(), 24u);
+
+  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
+    const TempIndexFile file(built, version);
+    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+    for (const IndexLoadMode mode : modes) {
+      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+      std::vector<std::string_view> views(queries.begin(), queries.end());
+      std::vector<MmpResult> results(views.size());
+      index.mmp_batch(views, results);
+      for (usize i = 0; i < views.size(); ++i) {
+        expect_same(results[i], index.mmp(views[i]), i);
+      }
+    }
+  }
 }
 
 }  // namespace

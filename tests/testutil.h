@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -30,6 +32,23 @@ struct TestWorld {
   GenomeIndex index108;
   GenomeIndex index111;
   std::unique_ptr<ReadSimulator> simulator;
+};
+
+/// Writes an index to a real file in the test temp dir (mmap needs one)
+/// and removes it on scope exit.
+struct TempIndexFile {
+  explicit TempIndexFile(const GenomeIndex& index,
+                         u32 version = GenomeIndex::kVersionLatest)
+      : path(::testing::TempDir() + "staratlas_index_v" +
+             std::to_string(version) + "_" +
+             std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
+             ".bin") {
+    index.save_file(path, version);
+  }
+  ~TempIndexFile() { std::remove(path.c_str()); }
+  TempIndexFile(const TempIndexFile&) = delete;
+  TempIndexFile& operator=(const TempIndexFile&) = delete;
+  const std::string path;
 };
 
 /// A compact world (2 chromosomes x 120 kb) shared by alignment tests.
