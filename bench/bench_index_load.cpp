@@ -7,9 +7,9 @@
 //     instance type for the 85 GiB vs 29.5 GiB index objects, on both
 //     load paths (stream vs the v3 mmap attach, which shrinks the load
 //     term by StageTimeModel::mmap_attach_speedup).
-//  2. Real, synthetic scale: build/save wall times plus the three real
-//     load paths (v2 stream, v3 stream, v3 mmap attach) of this repo's
-//     actual index files for both releases.
+//  2. Real, synthetic scale: build/save wall times plus the two real
+//     load paths (v3 stream, v3 mmap attach) of this repo's actual index
+//     files for both releases.
 
 #include <chrono>
 #include <cstdio>
@@ -64,22 +64,17 @@ int main() {
   std::cout << "INIT part 2: real synthetic-index build/save/load timings\n";
   const BenchWorld& w = bench_world();
   Table real({"release", "index size", "build (s)", "save (s)",
-              "v2 stream (s)", "v3 stream (s)", "v3 mmap (s)"});
+              "v3 stream (s)", "v3 mmap (s)"});
   for (const auto& [label, assembly] :
        {std::pair{"108", &w.r108}, std::pair{"111", &w.r111}}) {
     GenomeIndex built;
     const double build_secs =
         time_call([&] { built = GenomeIndex::build(*assembly); });
-    const std::string v2_path =
-        std::string("/tmp/staratlas_init_v2_") + label + ".bin";
     const std::string v3_path =
         std::string("/tmp/staratlas_init_v3_") + label + ".bin";
     const double save_secs =
         time_call([&] { built.save_file(v3_path, GenomeIndex::kVersionV3); });
-    built.save_file(v2_path, GenomeIndex::kVersionV2);
     GenomeIndex loaded;
-    const double v2_stream_secs = time_call(
-        [&] { loaded = GenomeIndex::load_file(v2_path, IndexLoadMode::kStream); });
     const double v3_stream_secs = time_call(
         [&] { loaded = GenomeIndex::load_file(v3_path, IndexLoadMode::kStream); });
     const double v3_mmap_secs =
@@ -89,9 +84,8 @@ int main() {
               })
             : 0.0;
     real.add_row({label, built.stats().total().str(), strf("%.3f", build_secs),
-                  strf("%.3f", save_secs), strf("%.3f", v2_stream_secs),
-                  strf("%.3f", v3_stream_secs), strf("%.6f", v3_mmap_secs)});
-    std::remove(v2_path.c_str());
+                  strf("%.3f", save_secs), strf("%.3f", v3_stream_secs),
+                  strf("%.6f", v3_mmap_secs)});
     std::remove(v3_path.c_str());
   }
   real.print(std::cout);

@@ -5,8 +5,8 @@
 //   1. index build wall time at 1/2/4/8 threads (prefix-bucketed parallel
 //      builder vs the sequential SA-IS reference; outputs are
 //      property-tested bit-identical, so this is a pure perf knob);
-//   2. cold-load throughput of the load paths: v2 stream, v3 stream, v4
-//      (packed-text) stream, and v3/v4 mmap attach (the zero-copy
+//   2. cold-load throughput of the load paths: v3 stream, v4 (packed-text)
+//      stream, and v3/v4 mmap attach (the zero-copy
 //      O(header) path — the in-process analog of attaching to STAR's shm
 //      segment), plus the packed resident-text shrink the v4 sections
 //      deliver;
@@ -23,7 +23,7 @@
 //   --out PATH          output JSON path (default BENCH_index_startup.json)
 //   --baseline PATH     compare against a committed baseline; exit 1 on
 //                       missing schema keys, any duplicate cache load,
-//                       mmap attach < 5x the v2 stream load, loads for
+//                       mmap attach < 5x the v3 stream load, loads for
 //                       distinct keys serializing, or a >30% regression
 //                       of the tracked ratios vs the baseline
 //
@@ -107,16 +107,14 @@ BuildResult run_build(const StartupConfig& cfg) {
 }
 
 struct ColdLoadResult {
-  double file_mb_v2 = 0;
   double file_mb_v3 = 0;
   double file_mb_v4 = 0;
-  double v2_stream_mb_s = 0;
   double v3_stream_mb_s = 0;
   double v4_stream_mb_s = 0;
   double v3_mmap_attach_mb_s = 0;
   double v3_mmap_attach_secs = 0;
   double v4_mmap_attach_secs = 0;
-  double v2_stream_secs = 0;
+  double v3_stream_secs = 0;
   double mmap_vs_stream_speedup = 0;
   double packed_text_ratio = 0;  ///< resident text: raw / packed
 };
@@ -124,10 +122,8 @@ struct ColdLoadResult {
 ColdLoadResult run_cold_load(const StartupConfig& cfg) {
   const BenchWorld& w = bench_world();
   const std::string dir = "/tmp";
-  const std::string v2_path = dir + "/staratlas_bench_index_v2.bin";
   const std::string v3_path = dir + "/staratlas_bench_index_v3.bin";
   const std::string v4_path = dir + "/staratlas_bench_index_v4.bin";
-  w.index111.save_file(v2_path, GenomeIndex::kVersionV2);
   w.index111.save_file(v3_path, GenomeIndex::kVersionV3);
   w.index111.save_file(v4_path, GenomeIndex::kVersionV4);
 
@@ -136,7 +132,6 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
     return static_cast<double>(in.tellg()) / (1024.0 * 1024.0);
   };
   ColdLoadResult out;
-  out.file_mb_v2 = file_mb(v2_path);
   out.file_mb_v3 = file_mb(v3_path);
   out.file_mb_v4 = file_mb(v4_path);
 
@@ -153,20 +148,18 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
     }
     return best;
   };
-  out.v2_stream_secs = timed_load(v2_path, IndexLoadMode::kStream);
-  const double v3_stream_secs = timed_load(v3_path, IndexLoadMode::kStream);
+  out.v3_stream_secs = timed_load(v3_path, IndexLoadMode::kStream);
   const double v4_stream_secs = timed_load(v4_path, IndexLoadMode::kStream);
   out.v3_mmap_attach_secs =
       MappedFile::supported() ? timed_load(v3_path, IndexLoadMode::kMmap) : 0;
   out.v4_mmap_attach_secs =
       MappedFile::supported() ? timed_load(v4_path, IndexLoadMode::kMmap) : 0;
 
-  out.v2_stream_mb_s = out.file_mb_v2 / out.v2_stream_secs;
-  out.v3_stream_mb_s = out.file_mb_v3 / v3_stream_secs;
+  out.v3_stream_mb_s = out.file_mb_v3 / out.v3_stream_secs;
   out.v4_stream_mb_s = out.file_mb_v4 / v4_stream_secs;
   if (out.v3_mmap_attach_secs > 0) {
     out.v3_mmap_attach_mb_s = out.file_mb_v3 / out.v3_mmap_attach_secs;
-    out.mmap_vs_stream_speedup = out.v2_stream_secs / out.v3_mmap_attach_secs;
+    out.mmap_vs_stream_speedup = out.v3_stream_secs / out.v3_mmap_attach_secs;
   }
   // Packed resident footprint vs raw — what IndexStats feeds the
   // rightsizing/faas models.
@@ -177,7 +170,6 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
         static_cast<double>(w.index111.stats().text_bytes.bytes()) /
         static_cast<double>(packed.stats().text_bytes.bytes());
   }
-  std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
   std::remove(v4_path.c_str());
   return out;
@@ -239,7 +231,7 @@ int check_results(const std::string& baseline_path, const BuildResult& build,
                   const ColdLoadResult& cold, const CacheResult& cache) {
   static const char* kRequiredKeys[] = {
       "secs_1t",           "secs_4t",
-      "speedup_4t",        "v2_stream_mb_s",
+      "speedup_4t",        "v3_stream_mb_s",
       "v3_mmap_attach_mb_s", "mmap_vs_stream_speedup",
       "duplicate_loads",   "concurrency_ratio"};
   const auto baseline = read_json_numbers(baseline_path);
@@ -263,7 +255,7 @@ int check_results(const std::string& baseline_path, const BuildResult& build,
   }
   if (MappedFile::supported() && cold.mmap_vs_stream_speedup < 5.0) {
     std::cerr << "SMOKE FAIL: mmap attach only " << cold.mmap_vs_stream_speedup
-              << "x the v2 stream load (need >= 5x)\n";
+              << "x the v3 stream load (need >= 5x)\n";
     ++failures;
   }
   // Structural, not timing: the paged overlay must keep the packed
@@ -333,16 +325,15 @@ int main(int argc, char** argv) {
             << "  speedup@4 : " << build.speedup_4t << "x\n";
 
   const ColdLoadResult cold = run_cold_load(cfg);
-  std::cout << "cold load (v2 " << cold.file_mb_v2 << " MB, v3 "
-            << cold.file_mb_v3 << " MB, v4 " << cold.file_mb_v4 << " MB)\n"
-            << "  v2 stream      : " << cold.v2_stream_mb_s << " MB/s\n"
+  std::cout << "cold load (v3 " << cold.file_mb_v3 << " MB, v4 "
+            << cold.file_mb_v4 << " MB)\n"
             << "  v3 stream      : " << cold.v3_stream_mb_s << " MB/s\n"
             << "  v4 stream      : " << cold.v4_stream_mb_s << " MB/s\n"
             << "  v3 mmap attach : " << cold.v3_mmap_attach_mb_s << " MB/s ("
             << cold.v3_mmap_attach_secs * 1e3 << " ms)\n"
             << "  v4 mmap attach : " << cold.v4_mmap_attach_secs * 1e3
             << " ms\n"
-            << "  mmap vs v2 stream speedup: " << cold.mmap_vs_stream_speedup
+            << "  mmap vs v3 stream speedup: " << cold.mmap_vs_stream_speedup
             << "x\n"
             << "  packed resident text shrink: " << cold.packed_text_ratio
             << "x\n";
@@ -375,16 +366,14 @@ int main(int argc, char** argv) {
       .add("speedup_4t", build.speedup_4t)
       .add("text_bytes", build.text_bytes);
   JsonObject cold_json;
-  cold_json.add("file_mb_v2", cold.file_mb_v2)
-      .add("file_mb_v3", cold.file_mb_v3)
+  cold_json.add("file_mb_v3", cold.file_mb_v3)
       .add("file_mb_v4", cold.file_mb_v4)
-      .add("v2_stream_mb_s", cold.v2_stream_mb_s)
       .add("v3_stream_mb_s", cold.v3_stream_mb_s)
       .add("v4_stream_mb_s", cold.v4_stream_mb_s)
       .add("v3_mmap_attach_mb_s", cold.v3_mmap_attach_mb_s)
       .add("v3_mmap_attach_secs", cold.v3_mmap_attach_secs)
       .add("v4_mmap_attach_secs", cold.v4_mmap_attach_secs)
-      .add("v2_stream_secs", cold.v2_stream_secs)
+      .add("v3_stream_secs", cold.v3_stream_secs)
       .add("mmap_vs_stream_speedup", cold.mmap_vs_stream_speedup)
       .add("packed_text_ratio", cold.packed_text_ratio);
   JsonObject cache_json;
@@ -395,7 +384,7 @@ int main(int argc, char** argv) {
       .add("concurrency_ratio", cache.concurrency_ratio);
   JsonObject root;
   root.add("bench", "index_startup")
-      .add("schema_version", 2)
+      .add("schema_version", 3)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("build", build_json)

@@ -220,19 +220,16 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-// Contig-name resolution for the GTF against a loaded index (align and
-// serve have no FASTA on hand; text_substr decodes packed v4 indexes too).
+// Resolves the GTF's contig names against the loaded index's contig table
+// (align and serve have no FASTA on hand, and need no genome text for it).
 Annotation annotation_from_index(const GenomeIndex& index,
                                  const std::string& gtf_path) {
-  std::vector<FastaRecord> records;
+  std::vector<std::string> contig_names;
+  contig_names.reserve(index.contigs().size());
   for (const ContigMeta& contig : index.contigs()) {
-    records.push_back(
-        {contig.name, "",
-         index.text_substr(contig.text_offset, contig.length)});
+    contig_names.push_back(contig.name);
   }
-  const Assembly assembly = Assembly::from_fasta(
-      "cli", index.release(), index.assembly_type(), records);
-  return Annotation::from_gtf(read_gtf_file(gtf_path), assembly);
+  return Annotation::from_gtf(read_gtf_file(gtf_path), contig_names);
 }
 
 // The whole file in one buffer: the engine block-parses it in place, and

@@ -14,10 +14,11 @@
 //
 // Determinism contract: for the registered "alignment" pipeline the
 // deterministic topological order equals the historical SampleStage enum
-// order and every node's cost function reproduces StageTimeModel's
-// plan_sample arithmetic expression-for-expression, so default-config
-// simulations are bit-identical to the pre-graph chain (asserted by
-// tests/core/sim_golden_test.cc against captured pre-refactor outputs).
+// order and every node's cost function reproduces the pre-graph chain's
+// StageTimeModel arithmetic expression-for-expression, so default-config
+// simulations are bit-identical to that chain (asserted by
+// tests/core/sim_golden_test.cc against captured pre-refactor outputs, and
+// by tests/core/stage_graph_test.cc against a chain oracle).
 #pragma once
 
 #include <array>
@@ -100,16 +101,16 @@ struct StageNode {
   StageCostFn cost;
 };
 
-/// One sample's planned per-node durations over a StageGraph — the graph
-/// generalization of StagePlan. Node ids index `durations`.
+/// One sample's planned per-node durations over a StageGraph. Node ids
+/// index `durations`.
 struct GraphPlan {
   std::vector<VirtualDuration> durations;
   bool stop_early = false;
   /// Full (un-stopped) alignment time, for saved-hours accounting.
   VirtualDuration align_full;
   /// Per-role duration sums (indexed by StageRole), accumulated in node
-  /// id order so the alignment chain reproduces StagePlan::align_actual's
-  /// checkpoint-then-rest addition order exactly.
+  /// id order so the alignment chain keeps the checkpoint-then-rest
+  /// addition order of the pre-graph chain exactly.
   std::array<VirtualDuration, 4> role_totals{};
 
   VirtualDuration duration(StageId id) const { return durations[id]; }
@@ -180,8 +181,8 @@ class StageGraph {
 
 /// Builds the paper's 4-stage alignment chain (6 nodes: the align stage is
 /// split at the early-stop checkpoint, plus the zero-length upload node
-/// where S3 faults land). Cost functions reproduce
-/// StageTimeModel::plan_sample exactly.
+/// where S3 faults land). Cost functions are StageTimeModel's stage
+/// times, split at the checkpoint fraction.
 StageGraph alignment_pipeline();
 
 /// A variant-calling-shaped pipeline reusing the aligner cost stage:

@@ -68,36 +68,6 @@ const char* stage_name(SampleStage stage) {
   return "unknown";
 }
 
-VirtualDuration StagePlan::total() const {
-  VirtualDuration sum;
-  for (const VirtualDuration& d : durations) sum += d;
-  return sum;
-}
-
-StagePlan StageTimeModel::plan_sample(ByteSize sra_bytes, ByteSize fastq_bytes,
-                                      int genome_release,
-                                      const InstanceType& type,
-                                      double checkpoint_fraction,
-                                      bool stop_early) const {
-  STARATLAS_CHECK(checkpoint_fraction > 0.0 && checkpoint_fraction <= 1.0);
-  StagePlan plan;
-  plan.stop_early = stop_early;
-  plan.align_full = align_time(fastq_bytes, genome_release, type);
-  auto set = [&plan](SampleStage stage, VirtualDuration d) {
-    plan.durations[static_cast<usize>(stage)] = d;
-  };
-  set(SampleStage::kPrefetch, prefetch_time(sra_bytes, type));
-  set(SampleStage::kDump, dump_time(fastq_bytes, type));
-  set(SampleStage::kAlignCheckpoint, plan.align_full * checkpoint_fraction);
-  set(SampleStage::kAlignRest,
-      stop_early ? VirtualDuration::zero()
-                 : plan.align_full * (1.0 - checkpoint_fraction));
-  set(SampleStage::kPostprocess,
-      stop_early ? VirtualDuration::zero() : postprocess_time());
-  set(SampleStage::kUpload, VirtualDuration::zero());
-  return plan;
-}
-
 ByteSize StageTimeModel::required_memory(ByteSize index_bytes) {
   // Index resident in shared memory + STAR working set + OS headroom.
   return index_bytes + ByteSize::from_gib(6.0);

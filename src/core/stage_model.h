@@ -12,8 +12,6 @@
 //    of sra-tools on EBS-backed instances.
 #pragma once
 
-#include <array>
-
 #include "cloud/instance_types.h"
 #include "common/units.h"
 #include "common/vclock.h"
@@ -45,29 +43,11 @@ constexpr bool is_transfer_stage(SampleStage stage) {
 }
 
 /// How a worker materializes the downloaded index at boot. kStream is the
-/// v2 path (read + copy every section through memory at shm_load_gibps);
-/// kMmap is the v3 zero-copy attach, whose cost is the stream cost divided
-/// by the measured `mmap_attach_speedup` (bench_index_startup).
+/// stream (copy) load (read + copy every section through memory at
+/// shm_load_gibps); kMmap is the v3 zero-copy attach, whose cost is the
+/// stream cost divided by the measured `mmap_attach_speedup`
+/// (bench_index_startup).
 enum class IndexLoadPath : u8 { kStream = 0, kMmap };
-
-/// One sample's planned per-stage durations. The durations always sum to
-/// exactly the single-block service time the simulator used before the
-/// stage machine existed (prefetch + dump + actual align + postprocess),
-/// so fault-free campaigns are unchanged by construction.
-struct StagePlan {
-  std::array<VirtualDuration, kNumSampleStages> durations{};
-  bool stop_early = false;
-  VirtualDuration align_full;  ///< full alignment (for saved-hours math)
-
-  VirtualDuration duration(SampleStage stage) const {
-    return durations[static_cast<usize>(stage)];
-  }
-  VirtualDuration align_actual() const {
-    return duration(SampleStage::kAlignCheckpoint) +
-           duration(SampleStage::kAlignRest);
-  }
-  VirtualDuration total() const;
-};
 
 struct StageTimeModel {
   /// STAR seconds per FASTQ GiB on a release-111 index at 16 vCPU.
@@ -83,8 +63,8 @@ struct StageTimeModel {
   double sra_source_gbps_cap = 1.5;
   /// Loading the downloaded index into shared memory, GiB per second.
   double shm_load_gibps = 1.2;
-  /// Measured cold-load advantage of the v3 mmap attach over the v2
-  /// stream load (bench_index_startup cold_load.speedup; see
+  /// Measured cold-load advantage of the v3 mmap attach over the stream
+  /// (copy) load (bench_index_startup cold_load.speedup; see
   /// EXPERIMENTS.md INIT). Applied only when index_init_time is asked for
   /// IndexLoadPath::kMmap.
   double mmap_attach_speedup = 20.0;
@@ -104,21 +84,13 @@ struct StageTimeModel {
   VirtualDuration postprocess_time() const;
 
   /// Boot-time index initialization: S3 download + index materialization.
-  /// The default load path is the v2 stream (download + full copy); the
-  /// mmap path divides the materialization term by mmap_attach_speedup —
-  /// the download term is unchanged, so init stays download-dominated.
+  /// The default load path is the stream (copy) load (download + full
+  /// copy); the mmap path divides the materialization term by
+  /// mmap_attach_speedup — the download term is unchanged, so init stays
+  /// download-dominated.
   VirtualDuration index_init_time(
       ByteSize index_bytes, const InstanceType& type,
       IndexLoadPath path = IndexLoadPath::kStream) const;
-
-  /// Per-stage plan for one sample. Alignment is split at
-  /// `checkpoint_fraction`; with `stop_early` the post-checkpoint
-  /// remainder and the postprocess stage are zero-length. The upload
-  /// stage is zero-length (its bookkeeping lives in postprocess_secs);
-  /// it exists as a stage so upload faults have a place to land.
-  StagePlan plan_sample(ByteSize sra_bytes, ByteSize fastq_bytes,
-                        int genome_release, const InstanceType& type,
-                        double checkpoint_fraction, bool stop_early) const;
 
   /// Peak memory needed to run the aligner with a given index resident in
   /// shared memory (index + working set headroom).

@@ -97,6 +97,23 @@ std::vector<GtfFeature> Annotation::to_gtf(const Assembly& assembly) const {
 
 Annotation Annotation::from_gtf(const std::vector<GtfFeature>& features,
                                 const Assembly& assembly) {
+  std::vector<std::string> contig_names;
+  contig_names.reserve(assembly.num_contigs());
+  for (const Contig& contig : assembly.contigs()) {
+    contig_names.push_back(contig.name);
+  }
+  return from_gtf(features, contig_names);
+}
+
+Annotation Annotation::from_gtf(const std::vector<GtfFeature>& features,
+                                const std::vector<std::string>& contig_names) {
+  const auto contig_id = [&contig_names](const std::string& name) {
+    const auto it = std::find(contig_names.begin(), contig_names.end(), name);
+    if (it == contig_names.end()) {
+      throw InvalidArgument("no contig named '" + name + "'");
+    }
+    return static_cast<ContigId>(it - contig_names.begin());
+  };
   struct Builder {
     Gene gene;
     bool seen = false;
@@ -110,7 +127,7 @@ Annotation Annotation::from_gtf(const std::vector<GtfFeature>& features,
     if (!b.seen) {
       b.gene.id = f.gene_id;
       b.gene.name = f.gene_id;
-      b.gene.contig = assembly.contig_id(f.contig);
+      b.gene.contig = contig_id(f.contig);
       b.gene.strand = f.strand;
       b.seen = true;
     }

@@ -57,9 +57,14 @@ class Annotation {
   /// Serializes to GTF features (gene + transcript + exon rows).
   std::vector<GtfFeature> to_gtf(const Assembly& assembly) const;
 
-  /// Builds an annotation from GTF features, resolving contig names through
-  /// the assembly. Exons are grouped by gene_id; gene/transcript rows are
-  /// validated but exons define the structure. Throws on unknown contigs.
+  /// Builds an annotation from GTF features, resolving each contig name to
+  /// its position in `contig_names` (an assembly's or an index's contig
+  /// table, so no sequence is needed). Exons are grouped by gene_id;
+  /// gene/transcript rows are validated but exons define the structure.
+  /// Throws InvalidArgument on unknown contigs.
+  static Annotation from_gtf(const std::vector<GtfFeature>& features,
+                             const std::vector<std::string>& contig_names);
+  /// from_gtf over the assembly's contig names.
   static Annotation from_gtf(const std::vector<GtfFeature>& features,
                              const Assembly& assembly);
 

@@ -45,13 +45,6 @@ const Contig* Assembly::find_contig(const std::string& name) const {
   return nullptr;
 }
 
-ContigId Assembly::contig_id(const std::string& name) const {
-  for (usize i = 0; i < contigs_.size(); ++i) {
-    if (contigs_[i].name == name) return static_cast<ContigId>(i);
-  }
-  throw InvalidArgument("no contig named '" + name + "'");
-}
-
 u64 Assembly::total_length() const {
   u64 total = 0;
   for (const auto& c : contigs_) total += c.length();

@@ -53,8 +53,6 @@ class Assembly {
 
   /// Finds a contig by name; returns nullptr if absent.
   const Contig* find_contig(const std::string& name) const;
-  /// Index of a contig by name; throws InvalidArgument if absent.
-  ContigId contig_id(const std::string& name) const;
 
   /// Total residues across all contigs.
   u64 total_length() const;

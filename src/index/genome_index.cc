@@ -1171,8 +1171,8 @@ u64 GenomeIndex::fingerprint() const {
   // a raw-v3 load of the same genome must *not* cross-merge through the
   // JunctionCollector fingerprint guard — their collectors hold
   // different index representations even though the genome is the same.
-  // Deliberately not the raw version number, so v2 and v3 loads (both
-  // raw) keep merging as before.
+  // Deliberately not the raw version number: it says how the text is
+  // resident, not which file format carried it.
   mix_byte(storage_.has_packed() ? 1 : 0);
   return h;
 }
@@ -1181,52 +1181,11 @@ u64 GenomeIndex::fingerprint() const {
 // Serialization.
 
 void GenomeIndex::save(std::ostream& out, u32 version) const {
-  if (version == kVersionV2) {
-    save_v2(out);
-  } else if (version == kVersionV3 || version == kVersionV4) {
-    save_sectioned(out, version);
-  } else {
+  if (version != kVersionV3 && version != kVersionV4) {
     throw InvalidArgument("unsupported index save version " +
                           std::to_string(version));
   }
-}
-
-void GenomeIndex::save_v2(std::ostream& out) const {
-  BinaryWriter writer(out);
-  writer.write_u32(kIndexMagic);
-  writer.write_u32(kVersionV2);
-  writer.write_string(species_);
-  writer.write_u32(static_cast<u32>(release_));
-  writer.write_u8(type_ == AssemblyType::kToplevel ? 0 : 1);
-  writer.write_u64(contigs_.size());
-  for (const auto& meta : contigs_) {
-    writer.write_string(meta.name);
-    writer.write_u8(static_cast<u8>(meta.cls));
-    writer.write_u64(meta.text_offset);
-    writer.write_u64(meta.length);
-  }
-  // A packed (v4-loaded) index decodes its text for the raw formats, so
-  // v4 -> v2/v3 -> load round-trips land byte-identical.
-  const std::string raw_backing =
-      storage_.has_packed()
-          ? storage_.packed_view().decode(0, storage_.text_size())
-          : std::string();
-  const std::string_view text =
-      storage_.has_packed() ? std::string_view(raw_backing) : storage_.text();
-  writer.write_u64(text.size());
-  writer.write_blob(text.data(), text.size());
-  const std::span<const u32> sa = storage_.sa();
-  writer.write_u64(sa.size());
-  writer.write_blob(sa.data(), sa.size() * sizeof(u32));
-  writer.write_u32(lut_k_);
-  // v2 on-disk layout predates the interleaved in-memory LUT: split back
-  // into the lo array then the hi array so version 2 stays readable.
-  const std::span<const LutCell> lut = storage_.lut();
-  std::vector<u32> bound(lut.size());
-  for (usize i = 0; i < lut.size(); ++i) bound[i] = lut[i][0];
-  writer.write_pod_vector(bound);
-  for (usize i = 0; i < lut.size(); ++i) bound[i] = lut[i][1];
-  writer.write_pod_vector(bound);
+  save_sectioned(out, version);
 }
 
 std::string GenomeIndex::serialize_meta() const {
@@ -1364,11 +1323,10 @@ GenomeIndex GenomeIndex::load(std::istream& in) {
       throw ParseError("not a staratlas genome index (bad magic)");
     }
     const u32 version = reader.read_u32();
-    if (version == kVersionV2) return load_v2(reader);
-    if (version == kVersionV3 || version == kVersionV4) {
-      return load_sectioned_stream(reader, version);
+    if (version != kVersionV3 && version != kVersionV4) {
+      throw ParseError("unsupported index version " + std::to_string(version));
     }
-    throw ParseError("unsupported index version " + std::to_string(version));
+    return load_sectioned_stream(reader, version);
   } catch (const IoError& e) {
     // A corrupt length prefix or truncated file surfaces as a short read
     // deep in the reader; fold it into the one corruption exception type
@@ -1376,40 +1334,6 @@ GenomeIndex GenomeIndex::load(std::istream& in) {
     throw ParseError(std::string("index truncated or unreadable: ") +
                      e.what());
   }
-}
-
-GenomeIndex GenomeIndex::load_v2(BinaryReader& reader) {
-  GenomeIndex index;
-  index.species_ = reader.read_string();
-  index.release_ = static_cast<int>(reader.read_u32());
-  index.type_ = reader.read_u8() == 0 ? AssemblyType::kToplevel
-                                      : AssemblyType::kPrimaryAssembly;
-  const u64 num_contigs = reader.read_u64();
-  index.contigs_.reserve(std::min<u64>(num_contigs, 1 << 20));
-  for (u64 i = 0; i < num_contigs; ++i) {
-    ContigMeta meta;
-    meta.name = reader.read_string();
-    meta.cls = static_cast<ContigClass>(reader.read_u8());
-    meta.text_offset = reader.read_u64();
-    meta.length = reader.read_u64();
-    index.contigs_.push_back(std::move(meta));
-  }
-  reader.read_string_into(index.storage_.text_owned);
-  reader.read_pod_vector_into(index.storage_.sa_owned);
-  index.lut_k_ = reader.read_u32();
-  if (index.lut_k_ < 2 || index.lut_k_ > 14) corrupt("LUT k out of range");
-  const std::vector<u32> lo = reader.read_pod_vector<u32>();
-  const std::vector<u32> hi = reader.read_pod_vector<u32>();
-  if (lo.size() != hi.size()) corrupt("LUT bound size mismatch");
-  index.storage_.lut_owned.resize(lo.size());
-  for (usize i = 0; i < lo.size(); ++i) {
-    index.storage_.lut_owned[i] = {lo[i], hi[i]};
-  }
-  // v2 has no checksums: deep-validate before touching the data, then
-  // rebuild the mini-LUTs (v2 never stored them).
-  index.validate_loaded(/*deep=*/true);
-  index.build_mini_luts();
-  return index;
 }
 
 GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader,
@@ -1563,8 +1487,7 @@ GenomeIndex GenomeIndex::load_sectioned_mmap(MappedFile file,
     throw ParseError("not a staratlas genome index (bad magic): " + path);
   }
   if (version != kVersionV3 && version != kVersionV4) {
-    throw ParseError("index version " + std::to_string(version) +
-                     " cannot be memory-mapped; use stream load");
+    throw ParseError("unsupported index version " + std::to_string(version));
   }
   const usize num_sections = sections_for_version(version);
   u64 count = 0;
@@ -1729,17 +1652,8 @@ void GenomeIndex::save_file(const std::string& path, u32 version) const {
 GenomeIndex GenomeIndex::load_file(const std::string& path,
                                    IndexLoadMode mode) {
   if (mode == IndexLoadMode::kAuto) {
-    mode = IndexLoadMode::kStream;
-    if (MappedFile::supported()) {
-      std::ifstream probe(path, std::ios::binary);
-      if (!probe) throw IoError("cannot open index file: " + path);
-      u32 header[2] = {0, 0};
-      probe.read(reinterpret_cast<char*>(header), sizeof header);
-      if (probe.gcount() == sizeof header && header[0] == kIndexMagic &&
-          (header[1] == kVersionV3 || header[1] == kVersionV4)) {
-        mode = IndexLoadMode::kMmap;
-      }
-    }
+    mode = MappedFile::supported() ? IndexLoadMode::kMmap
+                                   : IndexLoadMode::kStream;
   }
   if (mode == IndexLoadMode::kMmap) {
     return load_sectioned_mmap(MappedFile::map(path), path);

@@ -6,13 +6,13 @@
 // suffix array and a k-mer prefix lookup table that jump-starts Maximal
 // Mappable Prefix searches. Construction is thread-pool parallel when
 // IndexParams::num_threads > 1 (bit-identical to the sequential SA-IS
-// reference path). On-disk formats: v2 (length-prefixed stream, mini-LUTs
-// recomputed on load), v3 (page-aligned checksummed sections, mini-LUTs
-// serialized, mmap-able for O(header) zero-copy loads via IndexStorage),
-// and v4 (v3 layout, but the genome text ships 2-bit packed with a paged
-// exception overlay — see index/packed_text.h — so the resident text is
-// ~4x smaller and every hot compare runs on packed words; searches and
-// stats stay bit-identical to a raw-text load of the same genome).
+// reference path). On-disk formats: v3 (page-aligned checksummed sections,
+// mini-LUTs serialized, mmap-able for O(header) zero-copy loads via
+// IndexStorage, or stream-loaded into owned memory), and v4 (v3 layout, but
+// the genome text ships 2-bit packed with a paged exception overlay — see
+// index/packed_text.h — so the resident text is ~4x smaller and every hot
+// compare runs on packed words; searches and stats stay bit-identical to a
+// raw-text load of the same genome). Any other version is a ParseError.
 #pragma once
 
 #include <array>
@@ -41,11 +41,11 @@ struct IndexParams {
   usize num_threads = 1;
 };
 
-/// How load_file materializes an index file.
+/// How load_file materializes a v3 or v4 index file.
 enum class IndexLoadMode : u8 {
-  kAuto = 0,  ///< mmap for v3/v4 files when available, else stream
-  kStream,    ///< copy every section through BinaryReader (v2, v3 or v4)
-  kMmap,      ///< zero-copy mmap; requires a v3 or v4 file
+  kAuto = 0,  ///< kMmap where the platform has mmap, else kStream
+  kStream,    ///< copy and checksum every section through BinaryReader
+  kMmap,      ///< zero-copy O(header) attach; verify_checksums() on demand
 };
 
 /// Half-open range [lo, hi) of suffix-array rows.
@@ -92,7 +92,6 @@ struct IndexStats {
 
 class GenomeIndex {
  public:
-  static constexpr u32 kVersionV2 = 2;
   static constexpr u32 kVersionV3 = 3;
   static constexpr u32 kVersionV4 = 4;
   /// Default interchange format. v4 (packed text) is opt-in: it changes
@@ -221,14 +220,14 @@ class GenomeIndex {
   /// without comparing full text. O(contigs).
   u64 fingerprint() const;
 
-  /// Serialization (binary, versioned). `version` is kVersionV2,
-  /// kVersionV3 or kVersionV4; v3/v4 are page-aligned/checksummed and
-  /// mmap-able, v4 additionally ships the text 2-bit packed. Any load can
-  /// save any version (packed text is decoded or packed on the fly).
+  /// Serialization (binary, versioned). `version` is kVersionV3 or
+  /// kVersionV4; both are page-aligned, checksummed and mmap-able, v4
+  /// additionally ships the text 2-bit packed. Any load can save either
+  /// version (packed text is decoded or packed on the fly).
   void save(std::ostream& out, u32 version = kVersionLatest) const;
   void save_file(const std::string& path, u32 version = kVersionLatest) const;
-  /// Stream load; accepts v2, v3 and v4. Corruption (including
-  /// truncation) surfaces as ParseError.
+  /// Stream load; accepts v3 and v4. Corruption (including truncation)
+  /// and any other version surface as ParseError.
   static GenomeIndex load(std::istream& in);
   static GenomeIndex load_file(const std::string& path,
                                IndexLoadMode mode = IndexLoadMode::kAuto);
@@ -253,17 +252,15 @@ class GenomeIndex {
   void build_lut_parallel(ThreadPool& pool);
   void build_mini_luts_parallel(ThreadPool& pool);
   /// Structural validation shared by every load path; `deep` additionally
-  /// scans SA entries and LUT cells for out-of-range values (the v2 path,
-  /// which has no checksums to catch corruption).
+  /// scans SA entries and LUT cells for out-of-range values (the stream
+  /// load, which has copied every byte anyway).
   void validate_loaded(bool deep) const;
-  void save_v2(std::ostream& out) const;
   /// v3 and v4 share the sectioned writer; v4 appends the packed-text
   /// sections and leaves the raw text section empty.
   void save_sectioned(std::ostream& out, u32 version) const;
   std::string serialize_meta() const;
   void parse_meta(const std::string& blob, u64& text_size, u64& sa_size,
                   u64& lut_cells);
-  static GenomeIndex load_v2(BinaryReader& reader);
   static GenomeIndex load_sectioned_stream(BinaryReader& reader, u32 version);
   static GenomeIndex load_sectioned_mmap(MappedFile file,
                                          const std::string& path);
@@ -288,8 +285,8 @@ class GenomeIndex {
   /// Backing memory: owned containers or mmap'd section views. The main
   /// LUT is interleaved ([lo, hi] per k-mer code) so a lookup touches one
   /// cache line — MMP calls are the aligner's hottest operation and each
-  /// one starts with this load. The v2 on-disk layout stays split (lo
-  /// array, hi array) for compatibility; v3 stores cells interleaved.
+  /// one starts with this load. v3/v4 files store the cells interleaved
+  /// too.
   /// Cascade mini-LUTs cover prefix lengths 1..4 (4^k cells each): when
   /// the main LUT cannot jump — query shorter than k, leading k-mer
   /// absent, or an early N — these pin the walk to a short-prefix SA block

@@ -1,11 +1,11 @@
 // IndexStorage: the backing memory of a GenomeIndex.
 //
 // Two modes. *Owned*: the index owns its containers — the build path and
-// the v2/v3 stream loaders fill these. *Mapped*: the big sections (text,
-// suffix array, LUT, mini-LUTs) are std::span views into an mmap'd v3
-// index file, so "loading" is O(header) and the kernel pages sections in
-// on first touch — the in-process analog of attaching to STAR's
-// `--genomeLoad LoadAndKeep` shared-memory segment. Accessors derive the
+// the v3/v4 stream load fill these. *Mapped*: the big sections (text,
+// suffix array, LUT, mini-LUTs, packed text) are std::span views into an
+// mmap'd v3/v4 index file, so "loading" is O(header) and the kernel pages
+// sections in on first touch — the in-process analog of attaching to
+// STAR's `--genomeLoad LoadAndKeep` shared-memory segment. Accessors derive the
 // view per call from whichever mode is active, which keeps moved-from
 // small-string/vector pitfalls out of the picture (mmap pointers and
 // vector heap buffers are stable across moves).

@@ -1,6 +1,5 @@
 #include "sim/read_simulator.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/error.h"
@@ -169,108 +168,6 @@ FastqRecord ReadSimulator::make_junk(const LibraryProfile& profile, Rng& rng,
   rec.quality = quality_string(seq.size(), rng);
   rec.sequence = std::move(seq);
   return rec;
-}
-
-std::string ReadSimulator::sample_fragment(
-    const LibraryProfile& profile, const FragmentModel& fragments, Rng& rng,
-    const std::vector<double>& expression) const {
-  const u64 min_len = profile.read_length + 10;
-  u64 frag_len = static_cast<u64>(std::max(
-      static_cast<double>(min_len),
-      rng.normal(static_cast<double>(fragments.mean_length),
-                 static_cast<double>(fragments.sd))));
-
-  const std::vector<double> mixture = {
-      profile.exonic_fraction, profile.intronic_fraction,
-      profile.intergenic_fraction, profile.repeat_fraction,
-      profile.junk_fraction};
-  switch (rng.weighted_index(mixture)) {
-    case 0: {  // exonic: fragment of a spliced transcript
-      const GeneId gene_id = usable_genes_[rng.weighted_index(expression)];
-      const Gene& gene = annotation_->gene(gene_id);
-      const std::string transcript = gene.transcript_sequence(*assembly_);
-      frag_len = std::min<u64>(frag_len, transcript.size());
-      if (frag_len < profile.read_length) return {};
-      const u64 pos = rng.uniform(transcript.size() - frag_len + 1);
-      std::string fragment = transcript.substr(pos, frag_len);
-      if (gene.strand == '-') fragment = reverse_complement(fragment);
-      return fragment;
-    }
-    case 1:    // intronic: genomic fragment inside a gene span
-    case 2: {  // intergenic: genomic fragment anywhere
-      const auto& contigs = assembly_->contigs();
-      std::vector<double> weights;
-      for (const auto& c : contigs) {
-        weights.push_back(c.cls == ContigClass::kChromosome
-                              ? static_cast<double>(c.length())
-                              : 0.0);
-      }
-      const auto contig = static_cast<ContigId>(rng.weighted_index(weights));
-      const u64 max_pos = contigs[contig].length() - frag_len;
-      return contigs[contig].sequence.substr(rng.uniform(max_pos), frag_len);
-    }
-    case 3: {  // repeat
-      const RepeatRegion& region = repeats_[rng.uniform(repeats_.size())];
-      const u64 region_len = region.end - region.start;
-      frag_len = std::min<u64>(frag_len, region_len);
-      const u64 pos = region.start + rng.uniform(region_len - frag_len + 1);
-      return assembly_->contig(region.contig).sequence.substr(pos, frag_len);
-    }
-    default:
-      return {};  // junk pair
-  }
-}
-
-ReadPairSet ReadSimulator::simulate_pairs(const LibraryProfile& profile,
-                                          usize num_pairs,
-                                          const FragmentModel& fragments,
-                                          Rng rng) const {
-  profile.validate();
-  STARATLAS_CHECK(!usable_genes_.empty());
-  STARATLAS_CHECK(fragments.mean_length >= profile.read_length);
-
-  Rng expr_rng = rng.fork("expression");
-  std::vector<double> expression(usable_genes_.size());
-  for (auto& level : expression) {
-    level = expr_rng.lognormal_median(1.0, profile.expression_ln_sigma);
-  }
-
-  ReadPairSet pairs;
-  pairs.mate1.reserve(num_pairs);
-  pairs.mate2.reserve(num_pairs);
-  const u64 read_len = profile.read_length;
-  for (usize p = 0; p < num_pairs; ++p) {
-    std::string fragment =
-        sample_fragment(profile, fragments, rng, expression);
-    FastqRecord r1;
-    FastqRecord r2;
-    if (fragment.size() >= read_len) {
-      // Random sequencing strand of the fragment.
-      if (rng.chance(0.5)) fragment = reverse_complement(fragment);
-      std::string seq1 = fragment.substr(0, read_len);
-      std::string seq2 =
-          reverse_complement(fragment.substr(fragment.size() - read_len));
-      apply_errors(seq1, profile.error_rate, rng);
-      apply_errors(seq2, profile.error_rate, rng);
-      r1.sequence = std::move(seq1);
-      r2.sequence = std::move(seq2);
-      r1.name = read_name("frag/1", p);
-      r2.name = read_name("frag/2", p);
-    } else {
-      // Junk pair: both mates unmappable.
-      r1 = make_junk(profile, rng, p);
-      r2 = make_junk(profile, rng, p);
-      r1.name = read_name("junk/1", p);
-      r2.name = read_name("junk/2", p);
-    }
-    r1.quality = quality_string(r1.sequence.size(), rng);
-    r2.quality = quality_string(r2.sequence.size(), rng);
-    pairs.mate1.push_back(std::move(r1));
-    pairs.mate2.push_back(std::move(r2));
-  }
-  pairs.fastq_bytes = fastq_serialized_size(pairs.mate1) +
-                      fastq_serialized_size(pairs.mate2);
-  return pairs;
 }
 
 ReadSet ReadSimulator::simulate(const LibraryProfile& profile, usize num_reads,

@@ -13,24 +13,6 @@
 
 namespace staratlas {
 
-/// Paired-end fragment-size model (FR orientation).
-struct FragmentModel {
-  u64 mean_length = 260;
-  u64 sd = 40;
-};
-
-/// A paired-end sample: mate1[i] and mate2[i] are ends of one fragment,
-/// mate2 reported in sequencing orientation (reverse complement of the
-/// fragment's 3' end).
-struct ReadPairSet {
-  std::vector<FastqRecord> mate1;
-  std::vector<FastqRecord> mate2;
-  ByteSize fastq_bytes;  ///< both FASTQ files combined
-
-  usize size() const { return mate1.size(); }
-  bool empty() const { return mate1.empty(); }
-};
-
 class ReadSimulator {
  public:
   /// `assembly` supplies the chromosomes (any release works — chromosomes
@@ -42,16 +24,7 @@ class ReadSimulator {
   ReadSet simulate(const LibraryProfile& profile, usize num_reads,
                    Rng rng) const;
 
-  /// Simulates `num_pairs` FR read pairs. Deterministic in `rng`.
-  ReadPairSet simulate_pairs(const LibraryProfile& profile, usize num_pairs,
-                             const FragmentModel& fragments, Rng rng) const;
-
  private:
-  /// Extracts a source fragment for a paired read according to the
-  /// profile mixture; empty string means "junk pair".
-  std::string sample_fragment(const LibraryProfile& profile,
-                              const FragmentModel& fragments, Rng& rng,
-                              const std::vector<double>& expression) const;
   FastqRecord make_exonic(const LibraryProfile& profile, Rng& rng,
                           const std::vector<double>& expression,
                           u64 ordinal) const;

@@ -149,7 +149,7 @@ TEST(JunctionCollector, MergeRejectsPackedUnpackedMix) {
   EXPECT_THROW(on_raw += on_packed, InternalError);
 
   // Two packed loads of the same genome still merge: shard fleets that
-  // uniformly use v4 behave exactly like the v2/v3 cross-load case above.
+  // uniformly use v4 behave exactly like the raw cross-load case above.
   std::stringstream packed_file2;
   w.index111.save(packed_file2, GenomeIndex::kVersionV4);
   const GenomeIndex packed_copy2 = GenomeIndex::load(packed_file2);

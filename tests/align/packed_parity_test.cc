@@ -264,13 +264,11 @@ TEST(PackedParity, WideBlockNarrowingOnRepetitiveGenome) {
 }
 
 TEST(PackedParity, PackedSaveRoundTripsToEveryVersion) {
-  // A packed load must be able to write v2/v3 (decoding on the fly) and
-  // v4 again, all byte-faithful to the original genome.
+  // A packed load must be able to write v3 (decoding on the fly) and v4
+  // again, both byte-faithful to the original genome.
   const GenomeIndex& packed = packed_index();
   const GenomeIndex& raw = world().index111;
-  for (const u32 version :
-       {GenomeIndex::kVersionV2, GenomeIndex::kVersionV3,
-        GenomeIndex::kVersionV4}) {
+  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
     const TempIndexFile file(packed, version);
     const GenomeIndex loaded =
         GenomeIndex::load_file(file.path, IndexLoadMode::kStream);

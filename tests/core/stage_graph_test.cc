@@ -1,13 +1,14 @@
 // Stage-graph executor: topological validity, cycle rejection, exact
 // equivalence of the alignment pipeline's GraphPlan with the legacy
-// StageTimeModel::plan_sample arithmetic, the variant-calling pipeline
-// running through the unmodified scheduler, and waste-partition
+// fixed-chain stage plan (kept here as an oracle), the variant-calling
+// pipeline running through the unmodified scheduler, and waste-partition
 // exactness under spot reclaims for arbitrary DAGs.
 #include "core/stage_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.h"
 #include "core/atlas_sim.h"
@@ -29,6 +30,49 @@ AtlasConfig base_config() {
   config.asg.max_size = 8;
   config.seed = 77;
   return config;
+}
+
+// The fixed prefetch->dump->align->postprocess chain the stage graph
+// replaced, over StageTimeModel's public stage times. Alignment is split
+// at `checkpoint_fraction`; with `stop_early` the post-checkpoint
+// remainder and the postprocess stage are zero-length, and the upload
+// stage is always zero-length.
+struct LegacyStagePlan {
+  std::array<VirtualDuration, kNumSampleStages> durations{};
+  VirtualDuration align_full;
+
+  VirtualDuration align_actual() const {
+    return durations[static_cast<usize>(SampleStage::kAlignCheckpoint)] +
+           durations[static_cast<usize>(SampleStage::kAlignRest)];
+  }
+  VirtualDuration total() const {
+    VirtualDuration sum;
+    for (const VirtualDuration& d : durations) sum += d;
+    return sum;
+  }
+};
+
+LegacyStagePlan legacy_plan_sample(const StageTimeModel& model,
+                                   ByteSize sra_bytes, ByteSize fastq_bytes,
+                                   int genome_release,
+                                   const InstanceType& type,
+                                   double checkpoint_fraction,
+                                   bool stop_early) {
+  LegacyStagePlan plan;
+  plan.align_full = model.align_time(fastq_bytes, genome_release, type);
+  auto set = [&plan](SampleStage stage, VirtualDuration d) {
+    plan.durations[static_cast<usize>(stage)] = d;
+  };
+  set(SampleStage::kPrefetch, model.prefetch_time(sra_bytes, type));
+  set(SampleStage::kDump, model.dump_time(fastq_bytes, type));
+  set(SampleStage::kAlignCheckpoint, plan.align_full * checkpoint_fraction);
+  set(SampleStage::kAlignRest,
+      stop_early ? VirtualDuration::zero()
+                 : plan.align_full * (1.0 - checkpoint_fraction));
+  set(SampleStage::kPostprocess,
+      stop_early ? VirtualDuration::zero() : model.postprocess_time());
+  set(SampleStage::kUpload, VirtualDuration::zero());
+  return plan;
 }
 
 StageCostFn fixed_cost(double secs) {
@@ -125,7 +169,7 @@ TEST(StageGraph, DiamondDagPlansEveryNodeOnce) {
 }
 
 // The graph-planned alignment pipeline must reproduce the legacy
-// plan_sample arithmetic stage for stage, bit for bit — this is the
+// chain's arithmetic stage for stage, bit for bit — this is the
 // equivalence on which the golden sim replays rest.
 TEST(StageGraph, AlignmentPlanMatchesLegacyStagePlanExactly) {
   const AtlasConfig config = base_config();
@@ -135,9 +179,10 @@ TEST(StageGraph, AlignmentPlanMatchesLegacyStagePlanExactly) {
 
   for (const SraSample& sample : small_catalog(30)) {
     for (bool stop_early : {false, true}) {
-      const StagePlan legacy = config.stages.plan_sample(
-          sample.sra_bytes, sample.fastq_bytes, config.genome_release, type,
-          config.early_stop.checkpoint_fraction, stop_early);
+      const LegacyStagePlan legacy = legacy_plan_sample(
+          config.stages, sample.sra_bytes, sample.fastq_bytes,
+          config.genome_release, type, config.early_stop.checkpoint_fraction,
+          stop_early);
       const GraphPlan plan = graph.plan(
           stage_context_for(config, sample, type), stop_early);
       for (usize s = 0; s < kNumSampleStages; ++s) {

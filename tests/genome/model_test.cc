@@ -31,10 +31,8 @@ TEST(Assembly, CountsAndLengths) {
 
 TEST(Assembly, Lookup) {
   const Assembly assembly = make_test_assembly();
-  EXPECT_EQ(assembly.contig_id("2"), 1u);
   EXPECT_NE(assembly.find_contig("KI270001.1"), nullptr);
   EXPECT_EQ(assembly.find_contig("nope"), nullptr);
-  EXPECT_THROW(assembly.contig_id("nope"), InvalidArgument);
 }
 
 TEST(Assembly, PrimaryAssemblyDropsScaffolds) {

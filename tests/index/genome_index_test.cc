@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -22,6 +23,7 @@ bool same_range(const A& a, const B& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
+using staratlas::testing::TempBytesFile;
 using staratlas::testing::TempIndexFile;
 
 Assembly two_contig_assembly() {
@@ -247,7 +249,6 @@ TEST(GenomeIndex, RoundTripMatrixSearchesIdentically) {
     IndexLoadMode mode;
   };
   const Case cases[] = {
-      {"v2-stream", GenomeIndex::kVersionV2, IndexLoadMode::kStream},
       {"v3-stream", GenomeIndex::kVersionV3, IndexLoadMode::kStream},
       {"v3-mmap", GenomeIndex::kVersionV3, IndexLoadMode::kMmap},
       {"v4-stream", GenomeIndex::kVersionV4, IndexLoadMode::kStream},
@@ -291,8 +292,8 @@ TEST(GenomeIndex, RoundTripMatrixSearchesIdentically) {
       EXPECT_EQ(a.interval.lo, b.interval.lo) << "query " << q;
       EXPECT_EQ(a.interval.hi, b.interval.hi) << "query " << q;
     }
-    // kAuto picks mmap for v3/v4 (when supported) and stream for v2;
-    // either way the result must match too.
+    // kAuto picks mmap (when supported), else stream; either way the
+    // result must match too.
     const GenomeIndex auto_loaded = GenomeIndex::load_file(file.path);
     EXPECT_EQ(auto_loaded.text_substr(0, original.text().size()),
               original.text());
@@ -314,16 +315,31 @@ TEST(GenomeIndex, MmapChecksumVerificationPasses) {
   EXPECT_NO_THROW(index.verify_checksums());
 }
 
-TEST(GenomeIndex, MmapRejectsV2Files) {
-  if (!MappedFile::supported()) GTEST_SKIP();
-  const GenomeIndex index = GenomeIndex::build(two_contig_assembly());
-  const TempIndexFile file(index, GenomeIndex::kVersionV2);
-  EXPECT_THROW(GenomeIndex::load_file(file.path, IndexLoadMode::kMmap),
-               ParseError);
-  // kAuto must quietly fall back to the stream loader for v2.
-  const GenomeIndex loaded = GenomeIndex::load_file(file.path);
-  EXPECT_FALSE(loaded.memory_mapped());
-  EXPECT_EQ(loaded.text(), index.text());
+TEST(GenomeIndex, LoadRejectsUnsupportedVersionsAndShortFiles) {
+  // A valid magic ("STAR") followed by version 2, the retired split-LUT
+  // format, padded well past any header read.
+  std::string v2_header(64, '\0');
+  const u32 magic_and_version[2] = {0x53544152, 2};
+  std::memcpy(v2_header.data(), magic_and_version, sizeof magic_and_version);
+  const TempBytesFile v2_file(v2_header);
+  for (const IndexLoadMode mode :
+       {IndexLoadMode::kStream, IndexLoadMode::kMmap, IndexLoadMode::kAuto}) {
+    if (mode == IndexLoadMode::kMmap && !MappedFile::supported()) continue;
+    try {
+      (void)GenomeIndex::load_file(v2_file.path, mode);
+      ADD_FAILURE() << "version 2 file loaded";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported index version 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // kAuto no longer probes the header: an empty file and one too short
+  // for the version word are clean ParseErrors from the loader itself.
+  const TempBytesFile empty_file("");
+  EXPECT_THROW((void)GenomeIndex::load_file(empty_file.path), ParseError);
+  const TempBytesFile magic_only(v2_header.substr(0, 4));
+  EXPECT_THROW((void)GenomeIndex::load_file(magic_only.path), ParseError);
 }
 
 TEST(GenomeIndex, CustomLutK) {

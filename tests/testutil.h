@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -48,6 +49,22 @@ struct TempIndexFile {
   ~TempIndexFile() { std::remove(path.c_str()); }
   TempIndexFile(const TempIndexFile&) = delete;
   TempIndexFile& operator=(const TempIndexFile&) = delete;
+  const std::string path;
+};
+
+/// Writes `bytes` verbatim to a file in the test temp dir (hand-made or
+/// patched index files) and removes it on scope exit.
+struct TempBytesFile {
+  explicit TempBytesFile(const std::string& bytes)
+      : path(::testing::TempDir() + "staratlas_bytes_" +
+             std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
+             ".bin") {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ~TempBytesFile() { std::remove(path.c_str()); }
+  TempBytesFile(const TempBytesFile&) = delete;
+  TempBytesFile& operator=(const TempBytesFile&) = delete;
   const std::string path;
 };
 
