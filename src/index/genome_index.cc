@@ -346,95 +346,6 @@ ContigLocus GenomeIndex::locate(GenomePos text_pos) const {
   return {static_cast<ContigId>(lo), text_pos - meta.text_offset};
 }
 
-namespace {
-
-/// Byte-order rank of a packed (code, exception) pair: '#' < 'A' < 'C' <
-/// 'G' < 'N' < 'T' — the order raw-text suffix comparison sees, so block
-/// compares over packed text narrow exactly like byte compares.
-inline u32 packed_char_rank(u32 code, u32 exc) {
-  static constexpr u32 kBase[4] = {1, 2, 3, 5};  // A C G T
-  return exc ? (code == 0 ? 4 : 0) : kBase[code];  // N / '#'
-}
-
-/// Compresses a XOR of two 2-bit code words to a per-base mismatch mask
-/// (bit i set iff base i's codes differ) — packed_mismatch_mask32's fold.
-inline u32 fold_code_mismatch32(u64 x) {
-  u64 m = (x | (x >> 1)) & 0x5555555555555555ULL;
-  m = (m | (m >> 1)) & 0x3333333333333333ULL;
-  m = (m | (m >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
-  m = (m | (m >> 4)) & 0x00FF00FF00FF00FFULL;
-  m = (m | (m >> 8)) & 0x0000FFFF0000FFFFULL;
-  m = (m | (m >> 16)) & 0x00000000FFFFFFFFULL;
-  return static_cast<u32>(m);
-}
-
-/// Three-way byte-order compare of text block [pos, pos+len) against
-/// packed query bases [qpos, qpos+len), len <= 32, in one code-word +
-/// overlay extraction per side. A block truncated by the text end sorts
-/// first (the char_at == -1 convention of extend_interval). Guard words
-/// make the end-of-array extractions safe; bases past min(len, text end)
-/// are masked out of the decision.
-inline int packed_block_compare(const PackedTextView& ptext, u64 tsize,
-                                u64 pos, const u64* qcodes, const u64* qexc,
-                                u64 qpos, u32 len) {
-  if (pos >= tsize) return -1;
-  const u32 n = static_cast<u32>(std::min<u64>(len, tsize - pos));
-  const u64 tc = ptext.extract_codes(pos);
-  const u32 te = ptext.extract_exc(pos);
-  const u64 qc = packed_extract_codes(qcodes, qpos);
-  const u32 qe = packed_extract_bits32(qexc, qpos);
-  const u32 mismatch = fold_code_mismatch32(tc ^ qc) | (te ^ qe);
-  const u32 first =
-      mismatch == 0 ? 32 : static_cast<u32>(std::countr_zero(mismatch));
-  if (first >= n) return n == len ? 0 : -1;
-  const u32 trank = packed_char_rank((tc >> (2 * first)) & 3u,
-                                     (te >> first) & 1u);
-  const u32 qrank = packed_char_rank((qc >> (2 * first)) & 3u,
-                                     (qe >> first) & 1u);
-  return trank < qrank ? -1 : 1;
-}
-
-}  // namespace
-
-SaInterval GenomeIndex::extend_interval_packed_block(SaInterval interval,
-                                                     usize depth,
-                                                     const u64* qcodes,
-                                                     const u64* qexc,
-                                                     u32 len) const {
-  STARATLAS_CHECK(storage_.has_packed());
-  STARATLAS_CHECK(len >= 1 && len <= kPackedBasesPerWord);
-  if (interval.empty()) return interval;
-  const std::span<const u32> sa = storage_.sa();
-  const u64 tsize = storage_.text_size();
-  const PackedTextView ptext = storage_.packed_view();
-  const auto compare = [&](u32 row) {
-    return packed_block_compare(ptext, tsize,
-                                static_cast<u64>(sa[row]) + depth, qcodes,
-                                qexc, depth, len);
-  };
-  u32 a = interval.lo;
-  u32 b = interval.hi;
-  while (a < b) {
-    const u32 mid = a + (b - a) / 2;
-    if (compare(mid) < 0) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  const u32 lo = a;
-  b = interval.hi;
-  while (a < b) {
-    const u32 mid = a + (b - a) / 2;
-    if (compare(mid) <= 0) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  return {lo, a};
-}
-
 SaInterval GenomeIndex::extend_interval(SaInterval interval, usize depth,
                                         char c) const {
   if (interval.empty()) return interval;
@@ -493,7 +404,6 @@ MmpResult GenomeIndex::mmp(std::string_view query) const {
 }
 
 void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
-  const std::string_view text = storage_.text();
   const std::span<const u32> sa = storage_.sa();
   const std::span<const LutCell> lut = storage_.lut();
   SaInterval interval{0, static_cast<u32>(sa.size())};
@@ -548,100 +458,16 @@ void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
     }
   }
 
-  if (storage_.has_packed()) {
-    // Packed text: same walk, but the single-candidate scan runs the
-    // wide-word packed LCP kernel (32/64/128 bases per compare) instead
-    // of byte words. Queries that exceed the stack packing budget or
-    // contain non-ACGTN characters take the per-base decode fallback,
-    // which preserves exact byte semantics for arbitrary input.
-    const PackedTextView ptext = storage_.packed_view();
-    constexpr usize kMaxPacked = 512;
-    u64 qc[kMaxPacked / 32 + 1];
-    u64 qe[kMaxPacked / 64 + 1];
-    const bool packable =
-        query.size() <= kMaxPacked && pack_query(query, qc, qe);
-    while (depth < query.size()) {
-      if (interval.count() == 1) {
-        const u64 pos = sa[interval.lo];
-        const u64 limit = std::min<u64>(query.size(), ptext.size - pos);
-        if (packable) {
-          depth = packed_lcp(ptext, pos, qc, qe, depth, limit);
-        } else {
-          while (depth < limit && ptext.at(pos + depth) == query[depth]) {
-            ++depth;
-          }
-        }
-        break;
-      }
-      if (packable) {
-        // Wide-block narrowing: consume up to 32 characters per
-        // equal-range pass, one code-word extraction per probe instead of
-        // one decoded base. An empty block range means the walk ends
-        // strictly inside the block — the per-char fallback below finds
-        // the exact end (or pins a single candidate for the scan above),
-        // so results are bit-identical to the per-char walk.
-        const u32 len = static_cast<u32>(
-            std::min<u64>(kPackedBasesPerWord, query.size() - depth));
-        if (len > 1) {
-          const SaInterval block =
-              extend_interval_packed_block(interval, depth, qc, qe, len);
-          if (!block.empty()) {
-            interval = block;
-            depth += len;
-            continue;
-          }
-          while (interval.count() > 1 && depth < query.size()) {
-            const SaInterval narrowed =
-                extend_interval(interval, depth, query[depth]);
-            if (narrowed.empty()) {
-              result.length = depth;
-              result.interval = depth > 0 ? interval : SaInterval{};
-              return;
-            }
-            interval = narrowed;
-            ++depth;
-          }
-          continue;
-        }
-      }
-      const SaInterval narrowed =
-          extend_interval(interval, depth, query[depth]);
-      if (narrowed.empty()) break;
-      interval = narrowed;
-      ++depth;
-    }
-    result.length = depth;
-    result.interval = depth > 0 ? interval : SaInterval{};
-    return;
-  }
-
+  // Narrow one query character per equal-range pass until the next
+  // character is absent or a single candidate suffix is left. A single
+  // candidate is compared against the text directly: narrowing further
+  // would only re-confirm its row, and the compare turns O(log n) SA
+  // probes per character into word compares. Unique reads spend most of
+  // their walk in that scan. The batch walker's binary search is tested
+  // against this walk.
   while (depth < query.size()) {
     if (interval.count() == 1) {
-      // Single candidate suffix: extending by binary search would just
-      // re-confirm this row, so compare against the text directly. This
-      // is the common case for unique reads once the LUT (or a few
-      // narrowing steps) pins the interval, and it turns O(log n) SA
-      // probes per character into one text byte. Compare a word at a
-      // time: the matched stretch is most of the read for unique reads.
-      const u64 pos = sa[interval.lo];
-      const u64 limit = std::min<u64>(query.size(), text.size() - pos);
-      const char* t = text.data() + pos;
-      const char* q = query.data();
-      while (depth + sizeof(u64) <= limit) {
-        u64 tw;
-        u64 qw;
-        std::memcpy(&tw, t + depth, sizeof(u64));
-        std::memcpy(&qw, q + depth, sizeof(u64));
-        if (tw != qw) {
-          // First differing byte within the word (little-endian).
-          depth += static_cast<u64>(std::countr_zero(tw ^ qw)) / 8;
-          result.length = depth;
-          result.interval = depth > 0 ? interval : SaInterval{};
-          return;
-        }
-        depth += sizeof(u64);
-      }
-      while (depth < limit && t[depth] == q[depth]) ++depth;
+      depth = single_candidate_lcp(query, sa[interval.lo], depth);
       break;
     }
     const SaInterval narrowed = extend_interval(interval, depth, query[depth]);
@@ -651,6 +477,43 @@ void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
   }
   result.length = depth;
   result.interval = depth > 0 ? interval : SaInterval{};
+}
+
+usize GenomeIndex::single_candidate_lcp(std::string_view query, u64 pos,
+                                        usize depth) const {
+  if (storage_.has_packed()) {
+    // Wide-word packed LCP kernel (32/64/128 bases per compare). Queries
+    // over the stack packing budget or with non-ACGTN characters take the
+    // per-base decode, which keeps exact byte semantics for any input.
+    const PackedTextView ptext = storage_.packed_view();
+    const u64 limit = std::min<u64>(query.size(), ptext.size - pos);
+    constexpr usize kMaxPacked = 512;
+    u64 qc[kMaxPacked / 32 + 1];
+    u64 qe[kMaxPacked / 64 + 1];
+    if (query.size() <= kMaxPacked && pack_query(query, qc, qe)) {
+      return packed_lcp(ptext, pos, qc, qe, depth, limit);
+    }
+    while (depth < limit && ptext.at(pos + depth) == query[depth]) ++depth;
+    return depth;
+  }
+  // Raw text: a word at a time, first differing byte by ctz
+  // (little-endian).
+  const std::string_view text = storage_.text();
+  const u64 limit = std::min<u64>(query.size(), text.size() - pos);
+  const char* t = text.data() + pos;
+  const char* q = query.data();
+  while (depth + sizeof(u64) <= limit) {
+    u64 tw;
+    u64 qw;
+    std::memcpy(&tw, t + depth, sizeof(u64));
+    std::memcpy(&qw, q + depth, sizeof(u64));
+    if (tw != qw) {
+      return depth + static_cast<u64>(std::countr_zero(tw ^ qw)) / 8;
+    }
+    depth += sizeof(u64);
+  }
+  while (depth < limit && t[depth] == q[depth]) ++depth;
+  return depth;
 }
 
 namespace {
@@ -663,36 +526,42 @@ namespace {
 ///   claim:   the feed hands the free lane a query; its leading k-mer code
 ///            is computed and the LUT cell prefetched.
 ///   jump:    one step later the cell is read (mini-LUT cascade fallback,
-///            exactly as mmp()), leaving the lane narrowing, direct or
+///            exactly as mmp()), leaving the lane searching, direct or
 ///            finished.
-///   narrow:  a wide interval is binary-searched by the next query block
-///            (the lower-then-upper bound passes of extend_interval), one
-///            probe per step. Each step first issues every narrowing
-///            lane's sa[mid] load and prefetches the text it points at,
-///            then consumes them, so lane A's DRAM miss hides behind lanes
-///            B..Z instead of stalling the walk.
-///   direct:  once the interval fits kT rows, one step reads the rows'
-///            text positions and prefetches them all; the next compares
-///            each row against the query (LCP, a word at a time). The
-///            maximal rows form a contiguous block (LCP over a sorted
-///            suffix block is unimodal), which becomes the result interval.
+///   search:  an interval [lo, hi) of more than kT rows, all sharing the
+///            jump depth d with the query, is searched the way STAR finds
+///            an MMP, one SA probe per step:
+///            1. Insertion search. Bisect [lo, hi) for the query's
+///               insertion point, comparing the rest of the query against
+///               each probed suffix from min(LCP with the lower bound, LCP
+///               with the upper bound): every suffix between two bounds
+///               shares that prefix. A suffix whose next character sorts
+///               below the query's, or that ends first (text end; a '#'
+///               sorts below every base), lies left of the query. A probe
+///               matching the whole query ends the search. Otherwise the
+///               maximal length L is the larger LCP of the two rows around
+///               the insertion point, and L == d leaves [lo, hi) whole.
+///            2. Block search. The rows reaching L are contiguous (LCP
+///               over a sorted block is unimodal), so from the row known
+///               to reach L, each edge is found by galloping outward and
+///               then bisecting against the nearest row known to fall
+///               short. Each probe starts comparing past the prefix it
+///               shares with that short row.
+///            Each step first issues every searching lane's sa[mid] load
+///            and prefetches the text it points at, then consumes them,
+///            so lane A's DRAM miss hides behind lanes B..Z instead of
+///            stalling the walk.
+///   direct:  an interval of at most kT rows is read in one step (rows'
+///            text positions, all prefetched); the next step compares
+///            each row against the query (LCP, a word at a time) and the
+///            contiguous block of maximal rows becomes the result.
 ///   deliver: the result goes to the feed and the lane is free again.
 /// Every step runs each phase once over the lanes in it, then delivers the
 /// finished lanes and refills them (and any lane left idle while the feed
 /// was dry) at the top of the next step, so a lane never waits for slower
-/// lanes to resolve.
-///
-/// Narrow blocks (packed text only; raw text narrows per character). A
-/// lane narrows one query character per equal-range pass until a pass
-/// past the main LUT depth leaves its interval whole: every suffix agrees
-/// on the next character, the mark of repeat copies. From then on it
-/// consumes up to kPackedBasesPerWord characters per pass, one code-word
-/// extraction per probe. An empty block range means the walk ends
-/// strictly inside the block; the lane then finishes per character, which
-/// locates the exact end. Blocks from the start cost more than they save:
-/// most intervals shrink below kT within a character or two of the LUT
-/// jump, and a block the walk ends inside wastes a whole equal-range
-/// search.
+/// lanes to resolve. Results equal mmp()'s per-character narrowing: both
+/// find the longest prefix any suffix of [lo, hi) shares with the query
+/// and every row that shares it.
 struct MmpBatchWalker {
   static constexpr u32 kT = 24;       ///< direct-scan row threshold
   static constexpr usize kLanes = 64; ///< in-flight queries
@@ -701,6 +570,9 @@ struct MmpBatchWalker {
   static constexpr usize kMaxPackedQuery = 512;
   static constexpr usize kQWords = kMaxPackedQuery / 32 + 1;
   static constexpr usize kEWords = kMaxPackedQuery / 64 + 1;
+
+  /// Search phases: the insertion search, then the block's two edges.
+  enum : u8 { kInsert, kLowEdge, kHighEdge };
 
   const std::string_view text;
   const std::span<const u32> sa;
@@ -722,36 +594,35 @@ struct MmpBatchWalker {
   bool qpacked[kLanes];
   u64 code[kLanes];  ///< leading k-mer code, ~0 when the main LUT can't jump
   u32 ilo[kLanes], ihi[kLanes], depth[kLanes];
-  // Narrow state: current bounds [a, b), probe row, lower-bound result,
-  // and whether we are in the lower (0) or upper (1) bound pass.
-  u32 a[kLanes], b[kLanes], mid[kLanes], nlo[kLanes];
-  u8 nmode[kLanes];
-  i32 target[kLanes];
-  // Characters consumed per equal-range pass; 1 = per-char probes.
-  u32 blen[kLanes];
-  // Set once a per-char pass past the main LUT depth left the lane's
-  // interval whole: its suffixes agree on the next character (repeat
-  // copies), so wide blocks now pay.
-  bool stalled[kLanes];
-  // Set once a lane's block found no matching suffix: the walk ends within
-  // that block, so the lane finishes it per-char (retrying wider blocks
-  // would re-fail and waste probes).
-  bool single[kLanes];
+  // Search state. Insertion: the insertion point lies in [a, b]; la / lb
+  // are the query's LCPs with rows a-1 / b, or the jump depth while that
+  // row lies outside [ilo, ihi). Edges: `inner` is the outermost row known
+  // to reach `best` (= L) and `outer` the nearest row beyond it known to
+  // fall short (ilo-1 / ihi until one is probed), with LCP `lout`; `step`
+  // is the gallop stride, 0 once bisecting.
+  u8 phase[kLanes];
+  u32 a[kLanes], b[kLanes], la[kLanes], lb[kLanes];
+  u32 best[kLanes], anchor[kLanes], inner[kLanes], lout[kLanes];
+  i64 outer[kLanes];
+  u64 step[kLanes];
+  u32 mid[kLanes];   ///< row probed this step
+  u32 skip[kLanes];  ///< query chars the probed suffix is known to match
   // Gathered text positions of a small interval's rows (row 0 doubles as
-  // the narrow probe's position).
+  // the search probe's position).
   u64 rpos[kLanes][kT];
   u32 rn[kLanes];
   u32 tag[kLanes];  ///< feed tag of the query the lane is resolving
+  u64 rows_read = 0;  ///< SA rows read by probes and direct scans
 
   // Lane lists, one per phase.
   u8 free_lanes[kLanes];
   u8 claimed[kLanes];
-  u8 narrow[kLanes];
-  u8 started[kLanes];  ///< lanes that began narrowing this step
+  u8 search[kLanes];
+  u8 started[kLanes];  ///< lanes that began searching this step
   u8 direct[kLanes];
   u8 gathered[kLanes];
   u8 done[kLanes];
-  usize n_free = 0, n_claimed = 0, n_narrow = 0, n_started = 0, n_direct = 0,
+  usize n_free = 0, n_claimed = 0, n_search = 0, n_started = 0, n_direct = 0,
         n_gathered = 0, n_done = 0;
 
   explicit MmpBatchWalker(const GenomeIndex& idx)
@@ -763,8 +634,8 @@ struct MmpBatchWalker {
         ptext(idx.packed_view()),
         tsize(idx.text_size()) {}
 
-  /// Text character for the narrow probes: raw byte or packed decode.
-  i32 probe_char(u64 pos) const {
+  /// Text character at `pos` (raw byte or packed decode), -1 past the end.
+  i32 text_char(u64 pos) const {
     if (pos >= tsize) return -1;
     return static_cast<unsigned char>(ptext.active() ? ptext.at(pos)
                                                      : text[pos]);
@@ -789,8 +660,6 @@ struct MmpBatchWalker {
     q[i] = query.data();
     qlen[i] = static_cast<u32>(query.size());
     tag[i] = t;
-    stalled[i] = false;
-    single[i] = false;
     if (ptext.active()) {
       qpacked[i] = query.size() <= kMaxPackedQuery &&
                    pack_query(query, qcodes[i], qexc[i]);
@@ -845,76 +714,132 @@ struct MmpBatchWalker {
     }
   }
 
-  /// Starts narrowing lane `i` by its next block at the current depth,
-  /// prefetching the first probe's SA row.
-  void start_block(usize i) {
-    const bool wide =
-        stalled[i] && !single[i] && ptext.active() && qpacked[i];
-    blen[i] = wide ? std::min<u32>(static_cast<u32>(kPackedBasesPerWord),
-                                   qlen[i] - depth[i])
-                   : 1;
-    target[i] = static_cast<unsigned char>(q[i][depth[i]]);
-    a[i] = ilo[i];
-    b[i] = ihi[i];
-    nmode[i] = 0;
-    mid[i] = a[i] + (b[i] - a[i]) / 2;
-    __builtin_prefetch(&sa[mid[i]]);
+  /// Sets lane `i`'s next probe row, prefetching its SA entry.
+  void probe(usize i, u32 row, u32 known) {
+    mid[i] = row;
+    skip[i] = known;
+    __builtin_prefetch(&sa[row]);
   }
 
   /// Routes lane `i`, whose interval matches `depth` query chars, to its
-  /// next phase: finished, direct scan (next step), or a new block.
+  /// next phase: finished, direct scan (next step), or the search.
   void route(usize i) {
     if (depth[i] >= qlen[i]) {
       done[n_done++] = static_cast<u8>(i);
     } else if (ihi[i] - ilo[i] > kT) {
-      start_block(i);
+      phase[i] = kInsert;
+      a[i] = ilo[i];
+      b[i] = ihi[i];
+      la[i] = lb[i] = depth[i];
+      probe(i, a[i] + (b[i] - a[i]) / 2, depth[i]);
       started[n_started++] = static_cast<u8>(i);
     } else {
       direct[n_direct++] = static_cast<u8>(i);
     }
   }
 
-  /// Consumes lane `i`'s probe result. Returns true while the lane keeps
-  /// narrowing the same block; otherwise the lane was routed onward.
-  bool consume_probe(usize i, bool go_right) {
-    if (go_right) {
-      a[i] = mid[i] + 1;
-    } else {
-      b[i] = mid[i];
-    }
-    if (a[i] >= b[i] && nmode[i] == 0) {
-      // Lower bound done; run the upper bound over [lower, ihi).
-      nlo[i] = a[i];
-      b[i] = ihi[i];
-      nmode[i] = 1;
-    }
-    if (a[i] < b[i]) {
-      mid[i] = a[i] + (b[i] - a[i]) / 2;
-      __builtin_prefetch(&sa[mid[i]]);
-      return true;
-    }
-    // Both bounds done: the narrowed interval is [nlo, a).
-    if (nlo[i] == a[i]) {
-      if (blen[i] > 1) {
-        // No suffix matches the whole block: the walk terminates within
-        // it. Re-narrow the same depth one character at a time to find
-        // exactly where (bit-identical to a per-char walk).
-        single[i] = true;
-        start_block(i);
-        return true;
+  /// Starts the search for one block edge from row `in` (reaches best)
+  /// toward `out` (falls short, LCP `lcp_out`). Returns false when the
+  /// two are adjacent: `in` is the edge.
+  bool start_edge(usize i, u32 in, i64 out, u32 lcp_out) {
+    inner[i] = in;
+    outer[i] = out;
+    lout[i] = lcp_out;
+    step[i] = 1;
+    return next_edge_probe(i);
+  }
+
+  /// Picks lane `i`'s next edge probe: `step` rows beyond `inner` while
+  /// galloping (never past `outer`), the midpoint once bisecting. Every
+  /// row between the two shares `lout` characters with the query. Returns
+  /// false when `inner` is the edge.
+  bool next_edge_probe(usize i) {
+    const i64 in = inner[i];
+    const u64 dist = static_cast<u64>(outer[i] > in ? outer[i] - in
+                                                    : in - outer[i]);
+    if (dist <= 1) return false;
+    const u64 off = step[i] ? std::min(step[i], dist - 1) : dist / 2;
+    const i64 row = phase[i] == kLowEdge ? in - static_cast<i64>(off)
+                                         : in + static_cast<i64>(off);
+    probe(i, static_cast<u32>(row), lout[i]);
+    return true;
+  }
+
+  /// The insertion search is over: finds the block's low edge, then its
+  /// high edge. A bound row of the insertion search that reaches best is
+  /// already inside the block; one that falls short bounds the gallop.
+  /// Returns true while the lane has a probe pending.
+  bool start_block(usize i) {
+    phase[i] = kLowEdge;
+    const bool low_pending =
+        la[i] >= best[i]
+            ? start_edge(i, a[i] - 1, static_cast<i64>(ilo[i]) - 1, depth[i])
+            : start_edge(i, anchor[i], static_cast<i64>(a[i]) - 1, la[i]);
+    return low_pending || finish_low_edge(i);
+  }
+
+  /// Records the low edge and starts the high one. Returns true while the
+  /// lane has a probe pending.
+  bool finish_low_edge(usize i) {
+    ilo[i] = inner[i];
+    phase[i] = kHighEdge;
+    const bool high_pending =
+        lb[i] >= best[i] ? start_edge(i, b[i], ihi[i], depth[i])
+                         : start_edge(i, anchor[i], b[i], lb[i]);
+    if (high_pending) return true;
+    finish(i);
+    return false;
+  }
+
+  /// The block [ilo, inner] reaches best: the lane's result.
+  void finish(usize i) {
+    ihi[i] = inner[i] + 1;
+    depth[i] = best[i];
+    done[n_done++] = static_cast<u8>(i);
+  }
+
+  /// Consumes lane `i`'s probe: the probed suffix at text position `pos`
+  /// shares `l` characters with the query. Returns true while the lane
+  /// keeps searching (its next probe set); otherwise it was routed to
+  /// done.
+  bool consume_probe(usize i, u64 pos, u32 l) {
+    if (phase[i] != kInsert) {
+      if (l >= best[i]) {
+        inner[i] = mid[i];
+        step[i] *= 2;
+      } else {
+        outer[i] = mid[i];
+        lout[i] = l;
+        step[i] = 0;
       }
-      done[n_done++] = static_cast<u8>(i);  // next char absent: finish
+      if (next_edge_probe(i)) return true;
+      if (phase[i] == kLowEdge) return finish_low_edge(i);
+      finish(i);
       return false;
     }
-    if (blen[i] == 1 && a[i] - nlo[i] == ihi[i] - ilo[i] &&
-        depth[i] >= lut_k) {
-      stalled[i] = true;
+    if (l == qlen[i]) {  // the whole query matches: L is its length
+      best[i] = l;
+      anchor[i] = mid[i];
+      return start_block(i);
     }
-    ilo[i] = nlo[i];
-    ihi[i] = a[i];
-    depth[i] += blen[i];
-    route(i);
-    return false;
+    if (text_char(pos + l) < static_cast<unsigned char>(q[i][l])) {
+      a[i] = mid[i] + 1;
+      la[i] = l;
+    } else {
+      b[i] = mid[i];
+      lb[i] = l;
+    }
+    if (a[i] < b[i]) {
+      probe(i, a[i] + (b[i] - a[i]) / 2, std::min(la[i], lb[i]));
+      return true;
+    }
+    best[i] = std::max(la[i], lb[i]);
+    if (best[i] == depth[i]) {  // no suffix extends the jump: keep [lo, hi)
+      done[n_done++] = static_cast<u8>(i);
+      return false;
+    }
+    anchor[i] = la[i] >= lb[i] ? a[i] - 1 : b[i];
+    return start_block(i);
   }
 
   /// LCP of the query in lane `i` against the suffix at `pos`, starting
@@ -923,10 +848,19 @@ struct MmpBatchWalker {
     const u64 limit = std::min<u64>(qlen[i], tsize - pos);
     const char* qq = q[i];
     if (ptext.active()) {
-      // Packed text: wide-word kernel (32/64/128 bases per XOR) when the
-      // lane's query packed; per-base decode otherwise.
+      // Packed text: one inline 32-base mismatch mask first: most search
+      // probes mismatch within a few bases of what they skip; only a
+      // longer match pays for the dispatched wide-word kernel. Per-base
+      // decode when the lane's query did not pack.
       if (qpacked[i]) {
-        return packed_lcp(ptext, pos, qcodes[i], qexc[i], d, limit);
+        if (d >= limit) return d;
+        const u64 rem = limit - d;
+        u32 mismatch =
+            packed_mismatch_mask32(ptext, pos + d, qcodes[i], qexc[i], d);
+        if (rem < 32) mismatch &= (u32{1} << rem) - 1;
+        if (mismatch != 0) return d + std::countr_zero(mismatch);
+        if (rem <= 32) return limit;
+        return packed_lcp(ptext, pos, qcodes[i], qexc[i], d + 32, limit);
       }
       while (d < limit && ptext.at(pos + d) == qq[d]) ++d;
       return d;
@@ -948,23 +882,23 @@ struct MmpBatchWalker {
   /// contiguous block becomes the result.
   void compare_rows(usize i) {
     u32 lens[kT];
-    u32 best = depth[i];
+    u32 max_len = depth[i];
     for (u32 r = 0; r < rn[i]; ++r) {
       lens[r] = static_cast<u32>(row_lcp(i, rpos[i][r], depth[i]));
-      if (lens[r] > best) best = lens[r];
+      if (lens[r] > max_len) max_len = lens[r];
     }
-    if (best > depth[i]) {
+    if (max_len > depth[i]) {
       u32 lo = 0;
-      while (lens[lo] < best) ++lo;
+      while (lens[lo] < max_len) ++lo;
       u32 hi = rn[i];
-      while (lens[hi - 1] < best) --hi;
+      while (lens[hi - 1] < max_len) --hi;
       ilo[i] += lo;
       ihi[i] = ilo[i] + (hi - lo);
-      depth[i] = best;
+      depth[i] = max_len;
     }
   }
 
-  void run(GenomeIndex::MmpFeed& feed) {
+  u64 run(GenomeIndex::MmpFeed& feed) {
     for (usize i = 0; i < kLanes; ++i) {
       free_lanes[i] = static_cast<u8>(kLanes - 1 - i);
     }
@@ -983,20 +917,22 @@ struct MmpBatchWalker {
         --n_free;
         claimed[n_claimed++] = static_cast<u8>(i);
       }
-      if (n_free == kLanes) return;  // nothing in flight, nothing pending
+      if (n_free == kLanes) return rows_read;  // nothing in flight or pending
 
-      // Narrow, issue half: every lane's SA probe, prefetching its text.
-      for (usize k = 0; k < n_narrow; ++k) {
-        const usize i = narrow[k];
+      // Search, issue half: every lane's SA probe, prefetching its text.
+      for (usize k = 0; k < n_search; ++k) {
+        const usize i = search[k];
         rpos[i][0] = sa[mid[i]];
-        prefetch_text(rpos[i][0] + depth[i]);
+        prefetch_text(rpos[i][0] + skip[i]);
       }
+      rows_read += n_search;
       // Direct, gather half: read the rows, prefetch their text.
       n_gathered = n_direct;
       for (usize k = 0; k < n_direct; ++k) {
         const usize i = direct[k];
         gathered[k] = static_cast<u8>(i);
         rn[i] = ihi[i] - ilo[i];
+        rows_read += rn[i];
         for (u32 r = 0; r < rn[i]; ++r) {
           rpos[i][r] = sa[ilo[i] + r];
           prefetch_text(rpos[i][r] + depth[i]);
@@ -1011,24 +947,16 @@ struct MmpBatchWalker {
         jump(i);
         route(i);
       }
-      // Narrow, consume half.
+      // Search, consume half.
       usize kept = 0;
-      for (usize k = 0; k < n_narrow; ++k) {
-        const usize i = narrow[k];
-        const u64 pos = rpos[i][0] + depth[i];
-        bool go_right;
-        if (blen[i] > 1) {
-          const int cmp = packed_block_compare(ptext, tsize, pos, qcodes[i],
-                                               qexc[i], depth[i], blen[i]);
-          go_right = nmode[i] == 0 ? cmp < 0 : cmp <= 0;
-        } else {
-          const i32 c = probe_char(pos);
-          go_right = nmode[i] == 0 ? (c < target[i]) : (c <= target[i]);
-        }
-        if (consume_probe(i, go_right)) narrow[kept++] = static_cast<u8>(i);
+      for (usize k = 0; k < n_search; ++k) {
+        const usize i = search[k];
+        const u64 pos = rpos[i][0];
+        const u32 l = static_cast<u32>(row_lcp(i, pos, skip[i]));
+        if (consume_probe(i, pos, l)) search[kept++] = static_cast<u8>(i);
       }
-      for (usize k = 0; k < n_started; ++k) narrow[kept++] = started[k];
-      n_narrow = kept;
+      for (usize k = 0; k < n_started; ++k) search[kept++] = started[k];
+      n_search = kept;
       // Direct, compare half.
       for (usize k = 0; k < n_gathered; ++k) {
         const usize i = gathered[k];
@@ -1079,9 +1007,9 @@ class SpanFeed final : public GenomeIndex::MmpFeed {
 
 }  // namespace
 
-void GenomeIndex::mmp_batch_stream(MmpFeed& feed) const {
+u64 GenomeIndex::mmp_batch_stream(MmpFeed& feed) const {
   MmpBatchWalker walker(*this);
-  walker.run(feed);
+  return walker.run(feed);
 }
 
 void GenomeIndex::mmp_batch(std::span<const std::string_view> queries,

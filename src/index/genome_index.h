@@ -151,18 +151,17 @@ class GenomeIndex {
 
   /// Batched mmp(): resolves queries[i] into results[i] for every i, with
   /// results identical to per-query mmp() calls. Internally up to 64
-  /// queries walk the suffix array in lockstep lanes. Each step issues
-  /// every narrowing lane's SA probe with a software prefetch before any
-  /// lane consumes one, so the dependent DRAM loads that serialize a lone
-  /// walk overlap across lanes instead. On packed text, a lane whose
-  /// interval a per-character pass past the main LUT depth left whole
-  /// (repeat copies) narrows by up to 32 query characters per binary
-  /// search. Small intervals (<= 24 rows) skip the narrowing entirely:
-  /// the rows' suffixes are gathered, prefetched, and LCP-compared
-  /// directly, which is exact because the LCP against a sorted suffix
-  /// block is unimodal, so the maximal-prefix rows form the contiguous
-  /// block this scan extracts. A lane is refilled the step after its
-  /// query resolves, so no lane waits on slower ones. Performs no heap
+  /// queries walk the suffix array in lockstep lanes. After the LUT jump,
+  /// a lane whose interval holds more than 24 rows finds the MMP the way
+  /// STAR does: one binary search for the query's insertion point, each
+  /// probe comparing the rest of the query against the probed suffix
+  /// from the prefix both search bounds already share, then a gallop and
+  /// bisection outward for the rows that reach the maximal length. A
+  /// smaller interval is compared row by row. Each step issues every
+  /// lane's SA probe with a software prefetch before any lane consumes
+  /// one, so the dependent DRAM loads that serialize a lone walk overlap
+  /// across lanes instead. A lane is refilled the step after its query
+  /// resolves, so no lane waits on slower ones. Performs no heap
   /// allocation. `queries.size()` must equal `results.size()`.
   void mmp_batch(std::span<const std::string_view> queries,
                  std::span<MmpResult> results) const;
@@ -190,26 +189,14 @@ class GenomeIndex {
   /// Pull-driven mmp_batch: keeps up to 64 lockstep lanes full from
   /// `feed` until it runs dry with no query in flight. Each query's result
   /// is identical to a per-query mmp() call. Performs no heap allocation.
-  void mmp_batch_stream(MmpFeed& feed) const;
+  /// Returns the suffix-array rows the walk read: one per binary-search
+  /// probe plus every row of each row-by-row compare (the LUT jumps are
+  /// not counted).
+  u64 mmp_batch_stream(MmpFeed& feed) const;
 
   /// Narrows `interval` (matching `depth` query chars) to suffixes whose
   /// next character equals `c`. Exposed for the aligner's seed logic.
   SaInterval extend_interval(SaInterval interval, usize depth, char c) const;
-
-  /// Wide-block form of extend_interval for packed (v4) indexes: narrows
-  /// by the next `len` (1..32) query characters in ONE equal-range pass.
-  /// Each SA probe funnel-shift-extracts a whole 32-base code word plus
-  /// its overlay strip and compares the block at once, instead of
-  /// decoding one base per probe per character — 2 log|interval| probes
-  /// for `len` characters rather than 2·len·log|interval|. `qcodes` /
-  /// `qexc` are the pack_query() form of the query; the block is query
-  /// bases [depth, depth+len). An empty result means no suffix matches
-  /// the whole block, i.e. the walk terminates strictly within it — fall
-  /// back to per-char extend_interval to locate the exact end (results
-  /// stay bit-identical to the per-char walk). Requires has_packed().
-  SaInterval extend_interval_packed_block(SaInterval interval, usize depth,
-                                          const u64* qcodes, const u64* qexc,
-                                          u32 len) const;
 
   IndexStats stats() const;
 
@@ -255,6 +242,10 @@ class GenomeIndex {
   /// scans SA entries and LUT cells for out-of-range values (the stream
   /// load, which has copied every byte anyway).
   void validate_loaded(bool deep) const;
+  /// LCP of `query` with the suffix at text position `pos`, given that
+  /// the first `depth` characters match: mmp()'s single-candidate scan.
+  usize single_candidate_lcp(std::string_view query, u64 pos,
+                             usize depth) const;
   /// v3 and v4 share the sectioned writer; v4 appends the packed-text
   /// sections and leaves the raw text section empty.
   void save_sectioned(std::ostream& out, u32 version) const;

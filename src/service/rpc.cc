@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <exception>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -52,6 +55,31 @@ bool recv_all(int fd, char* data, usize len) {
   return true;
 }
 
+/// Receives a `len`-byte payload into `out` in bounded chunks, so the
+/// buffer grows only with the bytes that actually arrive: a forged length
+/// costs nothing until the peer sends that much. False if the peer hangs
+/// up first.
+bool recv_payload(int fd, u64 len, std::string& out) {
+  constexpr u64 kChunk = u64{1} << 20;
+  out.clear();
+  while (out.size() < len) {
+    const usize have = out.size();
+    const usize n = static_cast<usize>(std::min<u64>(kChunk, len - have));
+    out.resize(have + n);
+    if (!recv_all(fd, out.data() + have, n)) return false;
+  }
+  return true;
+}
+
+/// Parses a payload length: decimal digits only, with no sign, no
+/// trailing text and no overflow (the rule Args::get_u64 applies to CLI
+/// numbers).
+bool parse_length(std::string_view token, u64& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return !token.empty() && ec == std::errc() && ptr == end;
+}
+
 /// Reads up to (and including) '\n'; false on EOF before any byte.
 /// Headers are tens of bytes, so byte-at-a-time reads are fine here.
 bool recv_line(int fd, std::string& line, usize max_len = 4096) {
@@ -78,7 +106,11 @@ bool send_ok(int fd, const std::string& body) {
   return send_all(fd, header) && send_all(fd, body);
 }
 
-bool send_err(int fd, const std::string& code, const std::string& message) {
+bool send_err(int fd, const std::string& code, std::string message) {
+  // One line per frame: a line break inside the message would be read as
+  // the next response.
+  std::replace(message.begin(), message.end(), '\n', ' ');
+  std::replace(message.begin(), message.end(), '\r', ' ');
   return send_all(fd, "ERR " + code + " " + message + "\n");
 }
 
@@ -196,59 +228,14 @@ void ServiceServer::accept_loop() {
 }
 
 void ServiceServer::serve_connection(int fd) {
-  std::string line;
-  while (recv_line(fd, line)) {
-    std::istringstream header(line);
-    std::string verb;
-    header >> verb;
-    if (verb == "PING") {
-      if (!send_ok(fd, "pong\n")) break;
-    } else if (verb == "STATS") {
-      if (!send_ok(fd, render_metrics(service_->metrics()))) break;
-    } else if (verb == "DRAIN") {
-      service_->drain();
-      if (!send_ok(fd, "")) break;
-    } else if (verb == "SUBMIT") {
-      std::string tenant;
-      std::string name;
-      u64 nbytes = 0;
-      header >> tenant >> name >> nbytes;
-      if (header.fail() || !token_ok(tenant) || !token_ok(name)) {
-        send_err(fd, "internal", "malformed SUBMIT header");
-        break;  // framing is lost: drop the connection
-      }
-      std::string payload(nbytes, '\0');
-      if (!recv_all(fd, payload.data(), payload.size())) break;
-      SampleSubmission submission;
-      submission.tenant = std::move(tenant);
-      submission.name = std::move(name);
-      try {
-        std::istringstream fastq(std::move(payload));
-        submission.reads = make_read_set(read_fastq(fastq));
-      } catch (const Error& e) {
-        if (!send_err(fd, "parse_error", e.what())) break;
-        continue;
-      }
-      AlignmentService::Ticket ticket = service_->submit(std::move(submission));
-      if (ticket.status != SubmitStatus::kAccepted) {
-        if (!send_err(fd, submit_status_name(ticket.status),
-                      "submission rejected")) {
-          break;
-        }
-        continue;
-      }
-      const SampleResult result = ticket.result.get();
-      if (result.rejected_at_drain) {
-        if (!send_err(fd, "draining", "sample rejected at drain")) break;
-        continue;
-      }
-      const std::string body = render_sample_artifacts(
-          result, service_->index(), annotation_);
-      if (!send_ok(fd, body)) break;
-    } else {
-      send_err(fd, "internal", "unknown verb: " + verb);
-      break;
-    }
+  try {
+    serve_requests(fd);
+  } catch (const std::exception& e) {
+    // An exception leaving this thread would std::terminate the daemon
+    // and every tenant with it: answer it, then drop only this connection.
+    send_err(fd, "internal", e.what());
+  } catch (...) {
+    send_err(fd, "internal", "unknown error");
   }
   {
     // Deregister before closing so stop() never shutdown()s a closed
@@ -258,6 +245,65 @@ void ServiceServer::serve_connection(int fd) {
                     open_fds_.end());
   }
   ::close(fd);
+}
+
+void ServiceServer::serve_requests(int fd) {
+  std::string line;
+  while (recv_line(fd, line)) {
+    std::istringstream header(line);
+    std::string verb;
+    header >> verb;
+    if (verb == "PING") {
+      if (!send_ok(fd, "pong\n")) return;
+    } else if (verb == "STATS") {
+      if (!send_ok(fd, render_metrics(service_->metrics()))) return;
+    } else if (verb == "DRAIN") {
+      service_->drain();
+      if (!send_ok(fd, "")) return;
+    } else if (verb == "SUBMIT") {
+      std::string tenant;
+      std::string name;
+      std::string length;
+      u64 nbytes = 0;
+      header >> tenant >> name >> length;
+      if (header.fail() || !token_ok(tenant) || !token_ok(name) ||
+          !parse_length(length, nbytes)) {
+        send_err(fd, "internal", "malformed SUBMIT header");
+        return;  // framing is lost: drop the connection
+      }
+      std::string payload;
+      if (!recv_payload(fd, nbytes, payload)) return;
+      SampleSubmission submission;
+      submission.tenant = std::move(tenant);
+      submission.name = std::move(name);
+      try {
+        std::istringstream fastq(std::move(payload));
+        submission.reads = make_read_set(read_fastq(fastq));
+      } catch (const Error& e) {
+        if (!send_err(fd, "parse_error", e.what())) return;
+        continue;
+      }
+      AlignmentService::Ticket ticket = service_->submit(std::move(submission));
+      if (ticket.status != SubmitStatus::kAccepted) {
+        if (!send_err(fd, submit_status_name(ticket.status),
+                      "submission rejected")) {
+          return;
+        }
+        continue;
+      }
+      const SampleResult result = ticket.result.get();
+      if (result.rejected_at_drain) {
+        if (!send_err(fd, "draining", "sample rejected at drain")) return;
+        continue;
+      }
+      const std::string body = render_sample_artifacts(
+          result, service_->index(), annotation_);
+      if (!send_ok(fd, body)) return;
+    } else {
+      send_err(fd, "internal", "unknown verb: " + verb);
+      return;
+    }
+  }
 }
 
 // ---- client ----------------------------------------------------------

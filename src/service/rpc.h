@@ -15,7 +15,10 @@
 //
 // <code> is a submit_status_name (backpressure propagates to the client
 // verbatim: tenant_queue_full means THIS tenant is over its share),
-// "parse_error" for malformed FASTQ, or "internal".
+// "parse_error" for malformed FASTQ, or "internal". <nbytes> is decimal
+// digits only; a malformed header gets ERR internal and the connection is
+// dropped (its framing is lost), as is any request that fails inside the
+// server. The payload buffer grows only as its bytes arrive.
 #pragma once
 
 #include <atomic>
@@ -56,7 +59,11 @@ class ServiceServer {
 
  private:
   void accept_loop();
+  /// Runs serve_requests and closes `fd`; no exception leaves it.
   void serve_connection(int fd);
+  /// The request loop of one connection; returns when the peer hangs up
+  /// or the framing is lost.
+  void serve_requests(int fd);
 
   AlignmentService* service_;
   const Annotation* annotation_;

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "genome/model.h"
 #include "index/genome_index.h"
-#include "index/packed_text.h"
 #include "sim/library_profile.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
@@ -154,57 +153,14 @@ TEST(PackedParity, AlignmentRunBitIdentical) {
   }
 }
 
-TEST(PackedParity, BlockNarrowMatchesPerCharNarrow) {
-  // extend_interval_packed_block must equal len iterated per-char
-  // extend_interval steps: the final interval when all len characters
-  // match, the empty interval when the walk dies anywhere inside the
-  // block. Checked at every depth of real walks so both outcomes occur.
-  const GenomeIndex& packed = packed_index();
-  const std::string& chrom = world().r111.contig(0).sequence;
-
-  Rng rng(53);
-  for (int iter = 0; iter < 60; ++iter) {
-    const u64 len = 24 + rng.uniform(64);
-    std::string q = chrom.substr(rng.uniform(chrom.size() - len), len);
-    if (rng.uniform(2) == 0) {
-      q[rng.uniform(q.size())] = "ACGTN"[rng.uniform(5)];
-    }
-    u64 qc[512 / 32 + 1];
-    u64 qe[512 / 64 + 1];
-    ASSERT_TRUE(pack_query(q, qc, qe));
-
-    SaInterval interval{0, static_cast<u32>(packed.suffix_array().size())};
-    usize depth = 0;
-    while (depth < q.size() && !interval.empty()) {
-      const u32 block_len = static_cast<u32>(
-          std::min<u64>(kPackedBasesPerWord, q.size() - depth));
-      const SaInterval block =
-          packed.extend_interval_packed_block(interval, depth, qc, qe,
-                                              block_len);
-      SaInterval expect = interval;
-      for (u32 j = 0; j < block_len && !expect.empty(); ++j) {
-        expect = packed.extend_interval(expect, depth + j, q[depth + j]);
-      }
-      ASSERT_EQ(block.empty(), expect.empty())
-          << "query " << q << " depth " << depth;
-      if (!expect.empty()) {
-        ASSERT_EQ(block.lo, expect.lo) << "query " << q << " depth " << depth;
-        ASSERT_EQ(block.hi, expect.hi) << "query " << q << " depth " << depth;
-      }
-      interval = block;
-      depth += block_len;
-    }
-  }
-}
-
 TEST(PackedParity, WideBlockNarrowingOnRepetitiveGenome) {
   // A highly repetitive genome keeps SA intervals wider than the batch
   // walker's direct-scan threshold (kT = 24) deep into every walk, so
-  // the packed index narrows through many consecutive wide-block
-  // equal-range passes — including blocks that come up empty mid-walk
-  // (the per-char fallback) — before the direct scan takes over. Results
-  // must match the raw-text index exactly. Runs under the
-  // align_force_scalar job too, pinning the scalar packed kernels.
+  // the batch walker's insertion and block searches run long compares
+  // over packed words, against suffixes that diverge anywhere in the
+  // motif (planted substitutions and N). Results must match the raw-text
+  // index exactly. Runs under the align_force_scalar job too, pinning
+  // the scalar packed kernels.
   const std::string motif = "ACGTTGCAACGGATCCTAGG";
   Rng rng(77);
   std::string seq;
@@ -230,8 +186,8 @@ TEST(PackedParity, WideBlockNarrowingOnRepetitiveGenome) {
   for (int i = 0; i < 250; ++i) {
     const u64 len = 40 + rng.uniform(200);
     std::string q = seq.substr(rng.uniform(seq.size() - len), len);
-    // Mutated tails end walks at varied depths, exercising the
-    // empty-block fallback at many interval widths.
+    // Mutated tails end walks at varied depths, so searches end inside
+    // intervals of many widths.
     if (rng.uniform(3) == 0) {
       q[q.size() - 1 - rng.uniform(std::min<u64>(8, q.size()))] =
           "ACGTN"[rng.uniform(5)];

@@ -6,6 +6,8 @@
 // steady state must be allocation-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "index/genome_index.h"
 #include "index/index_storage.h"
+#include "index/packed_sequence.h"
 #include "io/fasta.h"
 #include "testutil.h"
 
@@ -398,11 +401,11 @@ TEST(MmpBatch, StreamSchedulingMatchesPerQueryMmp) {
 TEST(MmpBatch, RepeatCopiesNarrowByWideBlocks) {
   // 60 copies of one 300 bp element in a random background, a third of
   // them carrying one substitution. A query from the element keeps all
-  // copies past the LUT depth, so per-char narrowing stalls and packed
-  // lanes switch to 32-base blocks; the mutated copies then drop out
-  // inside a block, which forces the per-char fallback. Raw text stays
-  // per-char. Raw and packed text, stream and mmap, must all equal
-  // per-query mmp().
+  // copies past the LUT depth, so the walker's insertion search compares
+  // far past the jump depth and the block search must drop the mutated
+  // copies wherever their substitution falls. Raw and packed text,
+  // stream and mmap, must all equal per-query mmp(), which narrows one
+  // character at a time.
   Rng rng(515);
   const auto random_bases = [&](usize n) {
     std::string out;
@@ -448,6 +451,250 @@ TEST(MmpBatch, RepeatCopiesNarrowByWideBlocks) {
       }
     }
   }
+}
+
+
+// --- The walker's binary search against per-character narrowing. --------
+
+/// Feed of one query; the walk's return value is then that query's SA
+/// row count.
+class OneQueryFeed final : public GenomeIndex::MmpFeed {
+ public:
+  explicit OneQueryFeed(std::string_view query) : query_(query) {}
+  bool next(std::string_view& query, u32& tag) override {
+    if (issued_) return false;
+    issued_ = true;
+    query = query_;
+    tag = 0;
+    return true;
+  }
+  void done(u32, const MmpResult& result) override { result_ = result; }
+  const MmpResult& result() const { return result_; }
+
+ private:
+  std::string_view query_;
+  bool issued_ = false;
+  MmpResult result_;
+};
+
+/// Width of the interval `query`'s walk jumps to before any search: the
+/// main LUT cell of its leading k-mer, else the longest nonempty mini-LUT
+/// cell, else the whole suffix array (mmp()'s jump).
+u32 jump_width(const GenomeIndex& index, std::string_view query) {
+  const u32 k = index.prefix_lut_k();
+  u64 code = 0;
+  u32 pure = 0;
+  while (pure < query.size() && pure < k) {
+    const u8 base = base_code(query[pure]);
+    if (base == 0xff) break;
+    code = (code << 2) | base;
+    ++pure;
+  }
+  if (pure == k) {
+    const LutCell& cell = index.prefix_lut()[code];
+    if (cell[0] != cell[1]) return cell[1] - cell[0];
+  }
+  const u32 mini = std::min<u32>(pure, 4);
+  code >>= 2 * (pure - mini);
+  for (u32 kk = mini; kk >= 1; --kk) {
+    const LutCell& cell = index.mini_lut(kk)[code >> (2 * (mini - kk))];
+    if (cell[0] != cell[1]) return cell[1] - cell[0];
+  }
+  return static_cast<u32>(index.suffix_array().size());
+}
+
+/// A repeat family the bench genome's 11-mer LUT leaves whole: 33 copies
+/// of one 160 bp element that share its first 64 bases (53 past the LUT
+/// depth), then each carry one substitution at its own offset (two bases
+/// apart), so the copies diverge from the element one after another.
+/// Around them: a copy with an N inside the shared part, truncated copies
+/// that run into a '#' separator and into the end of the text, and random
+/// background.
+struct RepeatFamily {
+  static constexpr usize kLutK = 11;
+  static constexpr usize kShared = 64;
+  static constexpr usize kCopies = 32;
+  std::string element;
+  Assembly assembly;
+  GenomeIndex index;
+
+  static RepeatFamily make() {
+    Rng rng(20261018);
+    const auto random_bases = [&](usize n) {
+      std::string out;
+      for (usize i = 0; i < n; ++i) out.push_back("ACGT"[rng.uniform(4)]);
+      return out;
+    };
+    RepeatFamily f;
+    f.element = random_bases(160);
+    std::string chrom_a;
+    for (usize copy = 0; copy < kCopies; ++copy) {
+      chrom_a += random_bases(300);
+      std::string inserted = f.element;
+      const usize at = kShared + 2 * copy;
+      inserted[at] = inserted[at] == 'A' ? 'C' : 'A';
+      chrom_a += inserted;
+    }
+    std::string with_n = f.element;
+    with_n[kLutK + 20] = 'N';
+    chrom_a += random_bases(300) + with_n + random_bases(300);
+    // Contig A ends in a truncated copy (its suffixes run into '#'); the
+    // last contig ends in one too (they run into the end of the text).
+    chrom_a += f.element.substr(0, kLutK + 30);
+    std::string late = f.element;
+    late[150] = late[150] == 'A' ? 'C' : 'A';
+    const std::string chrom_b = random_bases(2000) + late +
+                                random_bases(700) +
+                                f.element.substr(0, kLutK + 35);
+    f.assembly = Assembly::from_fasta("repeat_family", 1,
+                                      AssemblyType::kToplevel,
+                                      {{"chrA", "", chrom_a},
+                                       {"chrB", "", chrom_b}});
+    f.index = GenomeIndex::build(
+        f.assembly, IndexParams{.prefix_lut_k = static_cast<u32>(kLutK)});
+    return f;
+  }
+
+  /// Queries for every search shape; see SearchMatchesPerCharNarrowing.
+  std::vector<std::string> queries() const {
+    Rng rng(77);
+    std::vector<std::string> out;
+    // Into the family: each copy's divergence ends a different walk, and
+    // 100 bases match the copies that diverge later whole.
+    for (usize start = 0; start + kLutK + 8 < kShared; start += 5) {
+      out.push_back(element.substr(start));
+      out.push_back(element.substr(start, 100));
+      for (usize copy = 0; copy < kCopies; copy += 7) {
+        std::string q = element.substr(start);
+        const usize at = kShared + 2 * copy - start;
+        q[at] = q[at] == 'A' ? 'C' : 'A';
+        out.push_back(q.substr(0, std::min<usize>(q.size(), at + 30)));
+      }
+    }
+    // Whole-query matches inside the wide interval: every copy, the
+    // truncated ones included, or only the copies long enough.
+    for (const usize len : {kLutK + 10, kLutK + 30, kLutK + 35, kShared}) {
+      out.push_back(element.substr(0, len));
+    }
+    // One base longer than the truncated copies: those suffixes end first
+    // (at '#' or the text end) and sort left of the query.
+    out.push_back(element.substr(0, kLutK + 31));
+    out.push_back(element.substr(0, kLutK + 36));
+    // N: the copy that carries it, and N where no copy has one.
+    std::string n_copy = element;
+    n_copy[kLutK + 20] = 'N';
+    out.push_back(n_copy.substr(0, 90));
+    std::string n_absent = element;
+    n_absent[kLutK + 12] = 'N';
+    out.push_back(n_absent.substr(0, 90));
+    out.push_back("N" + element.substr(0, 60));
+    // Cascade lanes: the leading 11-mer is absent, so the walk jumps by a
+    // mini-LUT (a wide short-prefix block) and searches from depth <= 4.
+    usize cascades = 0;
+    while (cascades < 40) {
+      std::string q;
+      if (cascades % 2 == 0) {
+        for (int j = 0; j < 50; ++j) q.push_back("ACGT"[rng.uniform(4)]);
+      } else {
+        const std::string& chrom = assembly.contig(0).sequence;
+        q = chrom.substr(rng.uniform(chrom.size() - 60), 60);
+        q[5 + rng.uniform(5)] = 'T';
+      }
+      u64 code = 0;
+      for (u32 j = 0; j < kLutK; ++j) code = (code << 2) | base_code(q[j]);
+      const LutCell& cell = index.prefix_lut()[code];
+      if (cell[0] != cell[1]) continue;
+      out.push_back(std::move(q));
+      ++cascades;
+    }
+    return out;
+  }
+};
+
+TEST(MmpBatch, SearchMatchesPerCharNarrowing) {
+  const RepeatFamily family = RepeatFamily::make();
+  const std::vector<std::string> queries = family.queries();
+  const GenomeIndex& built = family.index;
+
+  // The fixture reaches what it claims to: a family interval wider than
+  // the direct scan that stays whole at the LUT depth, matches ending at
+  // a divergence, whole-query matches of more than kT rows, and cascade
+  // jumps wider than kT.
+  const std::string& element = family.element;
+  ASSERT_GT(jump_width(built, element), 24u);
+  const MmpResult family_block =
+      built.mmp(element.substr(0, RepeatFamily::kLutK + 10));
+  EXPECT_EQ(family_block.length, RepeatFamily::kLutK + 10);
+  EXPECT_EQ(family_block.interval.count(), jump_width(built, element));
+  EXPECT_GE(family_block.interval.count(), 30u);
+  const MmpResult into_copy = built.mmp(element);
+  EXPECT_GT(into_copy.length, RepeatFamily::kShared);
+  EXPECT_LT(into_copy.length, element.size());
+  const MmpResult late_copies = built.mmp(element.substr(0, 100));
+  EXPECT_EQ(late_copies.length, 100u);
+  EXPECT_GT(late_copies.interval.count(), 1u);
+  EXPECT_LT(late_copies.interval.count(), family_block.interval.count());
+  usize wide_cascades = 0;
+  for (const std::string& q : queries) {
+    if (built.mmp(q).length < RepeatFamily::kLutK &&
+        jump_width(built, q) > 24) {
+      ++wide_cascades;
+    }
+  }
+  EXPECT_GE(wide_cascades, 20u);
+
+  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
+    const TempIndexFile file(built, version);
+    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+    for (const IndexLoadMode mode : modes) {
+      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+      const std::string what = "v" + std::to_string(version) +
+                               (mode == IndexLoadMode::kMmap ? " mmap"
+                                                             : " stream");
+      std::vector<std::string_view> views(queries.begin(), queries.end());
+      std::vector<MmpResult> results(views.size());
+      index.mmp_batch(views, results);
+      for (usize i = 0; i < views.size(); ++i) {
+        SCOPED_TRACE(what + " query " + queries[i]);
+        expect_same(results[i], index.mmp(views[i]), i);
+
+        // One query alone: the walk reads O(log W) rows, where W is the
+        // jump interval's width (the direct scan reads at most kT).
+        OneQueryFeed feed(views[i]);
+        const u64 rows = index.mmp_batch_stream(feed);
+        expect_same(feed.result(), results[i], i);
+        const u32 width = jump_width(index, views[i]);
+        const u64 log_w = std::bit_width(width - 1);  // ceil(log2 W)
+        EXPECT_LE(rows, 4 * log_w + 24) << "W = " << width;
+      }
+    }
+  }
+}
+
+TEST(MmpBatch, StreamReturnsRowsRead) {
+  const RepeatFamily family = RepeatFamily::make();
+  const GenomeIndex& index = family.index;
+  // An empty query and a query whose jump lands past its end read no row.
+  OneQueryFeed empty("");
+  EXPECT_EQ(index.mmp_batch_stream(empty), 0u);
+  const std::string three = family.element.substr(0, 3);
+  OneQueryFeed short_query(three);
+  EXPECT_EQ(index.mmp_batch_stream(short_query), 0u);
+  // A jump interval of at most kT rows is read row by row, once.
+  const std::string& chrom = family.assembly.contig(1).sequence;
+  const std::string unique = chrom.substr(100, 60);
+  ASSERT_LE(jump_width(index, unique), 24u);
+  OneQueryFeed direct(unique);
+  EXPECT_EQ(index.mmp_batch_stream(direct), jump_width(index, unique));
+  // A whole-query match of the full family interval: one insertion probe
+  // that matches, then a gallop to each edge of the interval.
+  const std::string block = family.element.substr(0, RepeatFamily::kLutK + 5);
+  OneQueryFeed wide(block);
+  const u64 rows = index.mmp_batch_stream(wide);
+  EXPECT_EQ(wide.result().interval.count(), jump_width(index, block));
+  EXPECT_GT(rows, 2u);
+  EXPECT_LE(rows, 2 * std::bit_width(jump_width(index, block)) + 1);
 }
 
 }  // namespace

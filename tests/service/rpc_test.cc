@@ -1,12 +1,16 @@
 // ServiceServer / ServiceClient over a loopback Unix-domain socket: a
 // SUBMIT round-trip returns exactly the in-process artifacts, errors
-// travel as ERR frames with the admission status names, and STATS/PING/
-// DRAIN behave per the protocol comment in rpc.h.
+// travel as ERR frames with the admission status names, STATS/PING/
+// DRAIN behave per the protocol comment in rpc.h, and a forged frame
+// costs only its own connection.
 #include "service/rpc.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -181,6 +185,61 @@ TEST(ServiceRpc, DrainStopsAdmissionAndCompletesInFlight) {
   const auto after = submitter.submit("t", "after", fastq_text(reads));
   EXPECT_FALSE(after.ok);
   EXPECT_EQ(after.error_code, "draining");
+}
+
+/// Sends `bytes` on a fresh raw connection, closes the sending side and
+/// returns everything the server answers before it closes its side.
+std::string raw_exchange(const std::string& path, const std::string& bytes) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // The server may drop the connection before reading everything, so a
+  // short send is not a failure here.
+  ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[256];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<usize>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(ServiceRpc, ForgedSubmitLengthsDropOnlyTheirConnection) {
+  ServerFixture fx("lengths");
+  const std::string& path = fx.server->socket_path();
+  const std::string kMalformed = "ERR internal malformed SUBMIT header\n";
+  struct Case {
+    const char* frame;
+    const std::string expect;  ///< the server's whole answer
+  };
+  const Case cases[] = {
+      // Not decimal digits: an ERR frame, then the server drops the
+      // connection. "-1" used to wrap to 2^64-1 and abort the daemon
+      // with std::length_error.
+      {"SUBMIT a b -1\n", kMalformed},
+      {"SUBMIT a b 12x\n", kMalformed},
+      // Well-formed lengths whose sender hangs up early: the server
+      // buffers only what arrived and drops the connection unanswered.
+      {"SUBMIT a b 18446744073709551615\n", ""},
+      {"SUBMIT a b 1099511627776\nAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.frame);
+    EXPECT_EQ(raw_exchange(path, c.frame), c.expect);
+    ServiceClient client(path);
+    const auto pong = client.ping();
+    ASSERT_TRUE(pong.ok);
+    EXPECT_EQ(pong.body, "pong\n");
+  }
+  EXPECT_EQ(fx.service->metrics().samples_completed, 0u);
 }
 
 TEST(ServiceRpc, ConnectToMissingSocketThrows) {
