@@ -71,20 +71,6 @@ inline ScaleModel index_scale_model() {
                                ByteSize::from_gib(kPaperIndexGib111));
 }
 
-/// Measured v4/v3 resident-footprint ratio of the bench index (packed
-/// 2-bit text + unchanged SA/LUT over the raw-text total), via a real v4
-/// round-trip. The economics benches scale the paper's 29.5 GiB anchor by
-/// this ratio for their packed-index scenario — measured, not the ideal
-/// 4x text shrink, because the SA/LUT sections do not pack.
-inline double packed_index_footprint_ratio() {
-  const BenchWorld& w = bench_world();
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  w.index111.save(buf, GenomeIndex::kVersionV4);
-  const GenomeIndex packed = GenomeIndex::load(buf);
-  return static_cast<double>(packed.stats().total().bytes()) /
-         static_cast<double>(w.index111.stats().total().bytes());
-}
-
 /// Aligns a read set on the given index with n threads; real work.
 inline AlignmentRun align_reads(const GenomeIndex& index, const ReadSet& reads,
                                 usize threads = 4) {

@@ -13,12 +13,7 @@
 //      pooled engine reused across runs vs a freshly constructed engine
 //      per run (pre-change behavior: thread spawn + GeneCounter build
 //      every run);
-//   4. packed-text (v4) A/B: the same MMP probe corpus resolved through a
-//      raw-text (v3) load and a 2-bit packed (v4) load of the same index
-//      — the packed/raw throughput ratio is the wide-word LCP speedup,
-//      and the packed/raw text-bytes ratio is the footprint shrink the
-//      economics layer consumes. Both are in-process ratios;
-//   5. seed-walk work counters on the reused-mode reads: MMP calls and
+//   4. seed-walk work counters on the reused-mode reads: MMP calls and
 //      seeds per read (both strands). They are deterministic, so they
 //      show a seed-phase change that timing noise would hide; reported,
 //      not gated.
@@ -37,7 +32,6 @@
 #include <chrono>
 #include <iostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,8 +40,6 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "common/alloc_counter.h"
-#include "common/simd.h"
-#include "index/packed_text.h"
 #include "sim/catalog.h"
 
 using namespace staratlas;
@@ -234,87 +226,13 @@ EngineResult run_engine_dispatch(const HotpathConfig& cfg) {
   return out;
 }
 
-struct PackedResult {
-  double queries_per_sec_raw = 0;
-  double queries_per_sec_packed = 0;
-  double packed_mmp_speedup = 0;
-  double text_ratio = 0;  ///< raw text bytes / packed resident bytes
-};
-
-/// MMP throughput A/B on raw vs packed loads of the same index. The
-/// corpus is BM_MmpProbe-shaped (read prefixes over all contigs, sliced
-/// so suffix-array paths are not resident from the previous iteration);
-/// outcomes are asserted equal, so the ratio compares identical work.
-PackedResult run_packed_ab(const HotpathConfig& cfg) {
-  const BenchWorld& w = bench_world();
-  // Round-trip through v4 bytes; stream load keeps the A/B apples-to-
-  // apples (both sides resident, no page-cache asymmetry).
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  w.index111.save(buf, GenomeIndex::kVersionV4);
-  const GenomeIndex packed = GenomeIndex::load(buf);
-
-  constexpr usize kSlice = 256;
-  const usize corpus_size = cfg.smoke ? 4'096 : 16'384;
-  Rng rng(95);
-  std::vector<std::string> corpus;
-  for (usize i = 0; i < corpus_size; ++i) {
-    const std::string& chrom = w.r111.contig(i % w.r111.num_contigs()).sequence;
-    const u64 len = 30 + rng.uniform(90);
-    std::string q = chrom.substr(rng.uniform(chrom.size() - len), len);
-    if (i % 3 == 0) q[rng.uniform(q.size())] = 'N';
-    corpus.push_back(std::move(q));
-  }
-  std::vector<std::string_view> views(corpus.begin(), corpus.end());
-  std::vector<MmpResult> results(kSlice);
-
-  auto throughput = [&](const GenomeIndex& index) {
-    double best_elapsed = 1e30;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      for (usize begin = 0; begin + kSlice <= views.size(); begin += kSlice) {
-        index.mmp_batch(std::span(views).subspan(begin, kSlice), results);
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-    }
-    return static_cast<double>(views.size()) / best_elapsed;
-  };
-
-  // Outcome parity first — a fast wrong kernel must not post a speedup.
-  std::vector<MmpResult> raw_results(kSlice);
-  for (usize begin = 0; begin + kSlice <= views.size(); begin += kSlice) {
-    const auto slice = std::span(views).subspan(begin, kSlice);
-    w.index111.mmp_batch(slice, raw_results);
-    packed.mmp_batch(slice, results);
-    for (usize i = 0; i < kSlice; ++i) {
-      if (raw_results[i].length != results[i].length ||
-          raw_results[i].interval.lo != results[i].interval.lo ||
-          raw_results[i].interval.hi != results[i].interval.hi) {
-        std::cerr << "FATAL: packed mmp diverged from raw at query "
-                  << begin + i << "\n";
-        std::exit(1);
-      }
-    }
-  }
-
-  PackedResult out;
-  out.queries_per_sec_raw = throughput(w.index111);
-  out.queries_per_sec_packed = throughput(packed);
-  out.packed_mmp_speedup =
-      out.queries_per_sec_packed / out.queries_per_sec_raw;
-  out.text_ratio =
-      static_cast<double>(w.index111.stats().text_bytes.bytes()) /
-      static_cast<double>(packed.stats().text_bytes.bytes());
-  return out;
-}
-
 int check_against_baseline(const std::string& baseline_path,
                            const SingleThreadResult& st,
-                           const EngineResult& eng,
-                           const PackedResult& packed) {
+                           const EngineResult& eng) {
   static const char* kRequiredKeys[] = {
       "reads_per_sec_reused", "reads_per_sec_fresh",  "workspace_speedup",
       "allocs_per_read_steady", "runs_per_sec_pooled", "runs_per_sec_spawn",
-      "dispatch_speedup", "packed_mmp_speedup", "packed_text_ratio"};
+      "dispatch_speedup"};
   const auto baseline = read_json_numbers(baseline_path);
   int failures = 0;
   for (const char* key : kRequiredKeys) {
@@ -343,21 +261,6 @@ int check_against_baseline(const std::string& baseline_path,
     std::cerr << "SMOKE FAIL: dispatch_speedup " << eng.dispatch_speedup
               << " regressed >30% vs baseline "
               << baseline.at("dispatch_speedup") << "\n";
-    ++failures;
-  }
-  if (baseline.count("packed_mmp_speedup") &&
-      packed.packed_mmp_speedup <
-          kKeep * baseline.at("packed_mmp_speedup")) {
-    std::cerr << "SMOKE FAIL: packed_mmp_speedup "
-              << packed.packed_mmp_speedup << " regressed >30% vs baseline "
-              << baseline.at("packed_mmp_speedup") << "\n";
-    ++failures;
-  }
-  // The footprint ratio is structural (no timing): ~4x on a genome whose
-  // N's cluster, so anything under 3.5x means the overlay regressed.
-  if (packed.text_ratio < 3.5) {
-    std::cerr << "SMOKE FAIL: packed text ratio " << packed.text_ratio
-              << " < 3.5\n";
     ++failures;
   }
   return failures;
@@ -424,16 +327,6 @@ int main(int argc, char** argv) {
             << "\n  dispatch speedup           : " << eng.dispatch_speedup
             << "x\n";
 
-  const PackedResult packed = run_packed_ab(cfg);
-  std::cout << "packed text A/B (v3 raw vs v4 packed, same MMP corpus)\n"
-            << "  queries/sec raw text       : " << packed.queries_per_sec_raw
-            << "\n  queries/sec packed text    : "
-            << packed.queries_per_sec_packed
-            << "\n  packed MMP speedup         : " << packed.packed_mmp_speedup
-            << "x\n  resident text shrink       : " << packed.text_ratio
-            << "x\n  LCP kernel (calibrated)    : "
-            << simd_level_name(packed_lcp_active_level()) << "\n";
-
   JsonObject config_json;
   config_json.add("num_reads", static_cast<u64>(cfg.num_reads))
       .add("engine_reads", static_cast<u64>(cfg.engine_reads))
@@ -459,24 +352,18 @@ int main(int argc, char** argv) {
   engine_json.add("runs_per_sec_pooled", eng.runs_per_sec_pooled)
       .add("runs_per_sec_spawn", eng.runs_per_sec_spawn)
       .add("dispatch_speedup", eng.dispatch_speedup);
-  JsonObject packed_json;
-  packed_json.add("queries_per_sec_raw", packed.queries_per_sec_raw)
-      .add("queries_per_sec_packed", packed.queries_per_sec_packed)
-      .add("packed_mmp_speedup", packed.packed_mmp_speedup)
-      .add("packed_text_ratio", packed.text_ratio);
   JsonObject root;
   root.add("bench", "hotpath")
-      .add("schema_version", 3)
+      .add("schema_version", 4)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("single_thread", single_json)
-      .add("engine", engine_json)
-      .add("packed", packed_json);
+      .add("engine", engine_json);
   root.write_file(out_path);
   std::cout << "wrote " << out_path << "\n";
 
   if (!baseline_path.empty()) {
-    const int failures = check_against_baseline(baseline_path, st, eng, packed);
+    const int failures = check_against_baseline(baseline_path, st, eng);
     if (failures) {
       std::cerr << failures << " smoke check(s) failed\n";
       return 1;

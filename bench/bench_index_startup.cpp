@@ -5,11 +5,9 @@
 //   1. index build wall time at 1/2/4/8 threads (prefix-bucketed parallel
 //      builder vs the sequential SA-IS reference; outputs are
 //      property-tested bit-identical, so this is a pure perf knob);
-//   2. cold-load throughput of the load paths: v3 stream, v4 (packed-text)
-//      stream, and v3/v4 mmap attach (the zero-copy
-//      O(header) path — the in-process analog of attaching to STAR's shm
-//      segment), plus the packed resident-text shrink the v4 sections
-//      deliver;
+//   2. cold-load throughput of the load paths: v3 stream and v3 mmap
+//      attach (the zero-copy O(header) path — the in-process analog of
+//      attaching to STAR's shm segment);
 //   3. SharedIndexCache contention: N workers hammering 2 keys with a
 //      slow loader — duplicate loads must be zero (single-flight) and
 //      loads for distinct keys must overlap rather than serialize.
@@ -94,7 +92,7 @@ BuildResult run_build(const StartupConfig& cfg) {
       const auto start = std::chrono::steady_clock::now();
       const GenomeIndex index = GenomeIndex::build(assembly, params);
       best = std::min(best, seconds_since(start));
-      out.text_bytes = index.text_size();
+      out.text_bytes = index.text().size();
     }
     return best;
   };
@@ -108,24 +106,18 @@ BuildResult run_build(const StartupConfig& cfg) {
 
 struct ColdLoadResult {
   double file_mb_v3 = 0;
-  double file_mb_v4 = 0;
   double v3_stream_mb_s = 0;
-  double v4_stream_mb_s = 0;
   double v3_mmap_attach_mb_s = 0;
   double v3_mmap_attach_secs = 0;
-  double v4_mmap_attach_secs = 0;
   double v3_stream_secs = 0;
   double mmap_vs_stream_speedup = 0;
-  double packed_text_ratio = 0;  ///< resident text: raw / packed
 };
 
 ColdLoadResult run_cold_load(const StartupConfig& cfg) {
   const BenchWorld& w = bench_world();
   const std::string dir = "/tmp";
   const std::string v3_path = dir + "/staratlas_bench_index_v3.bin";
-  const std::string v4_path = dir + "/staratlas_bench_index_v4.bin";
   w.index111.save_file(v3_path, GenomeIndex::kVersionV3);
-  w.index111.save_file(v4_path, GenomeIndex::kVersionV4);
 
   const auto file_mb = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -133,7 +125,6 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
   };
   ColdLoadResult out;
   out.file_mb_v3 = file_mb(v3_path);
-  out.file_mb_v4 = file_mb(v4_path);
 
   // "Cold" here means a fresh load into a new GenomeIndex each pass; the
   // page cache stays warm for every path alike, so the comparison
@@ -149,29 +140,15 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
     return best;
   };
   out.v3_stream_secs = timed_load(v3_path, IndexLoadMode::kStream);
-  const double v4_stream_secs = timed_load(v4_path, IndexLoadMode::kStream);
   out.v3_mmap_attach_secs =
       MappedFile::supported() ? timed_load(v3_path, IndexLoadMode::kMmap) : 0;
-  out.v4_mmap_attach_secs =
-      MappedFile::supported() ? timed_load(v4_path, IndexLoadMode::kMmap) : 0;
 
   out.v3_stream_mb_s = out.file_mb_v3 / out.v3_stream_secs;
-  out.v4_stream_mb_s = out.file_mb_v4 / v4_stream_secs;
   if (out.v3_mmap_attach_secs > 0) {
     out.v3_mmap_attach_mb_s = out.file_mb_v3 / out.v3_mmap_attach_secs;
     out.mmap_vs_stream_speedup = out.v3_stream_secs / out.v3_mmap_attach_secs;
   }
-  // Packed resident footprint vs raw — what IndexStats feeds the
-  // rightsizing/faas models.
-  {
-    const GenomeIndex packed =
-        GenomeIndex::load_file(v4_path, IndexLoadMode::kStream);
-    out.packed_text_ratio =
-        static_cast<double>(w.index111.stats().text_bytes.bytes()) /
-        static_cast<double>(packed.stats().text_bytes.bytes());
-  }
   std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
   return out;
 }
 
@@ -258,13 +235,6 @@ int check_results(const std::string& baseline_path, const BuildResult& build,
               << "x the v3 stream load (need >= 5x)\n";
     ++failures;
   }
-  // Structural, not timing: the paged overlay must keep the packed
-  // resident text close to the ideal 4x under 1 byte/base.
-  if (cold.packed_text_ratio < 3.5) {
-    std::cerr << "SMOKE FAIL: packed text ratio " << cold.packed_text_ratio
-              << " < 3.5\n";
-    ++failures;
-  }
   // >30% regression vs the committed same-box baseline fails. Both are
   // in-process ratios, so they transfer across machines. The mmap attach
   // speedup is deliberately NOT baseline-gated: the attach is
@@ -325,17 +295,11 @@ int main(int argc, char** argv) {
             << "  speedup@4 : " << build.speedup_4t << "x\n";
 
   const ColdLoadResult cold = run_cold_load(cfg);
-  std::cout << "cold load (v3 " << cold.file_mb_v3 << " MB, v4 "
-            << cold.file_mb_v4 << " MB)\n"
+  std::cout << "cold load (v3 " << cold.file_mb_v3 << " MB)\n"
             << "  v3 stream      : " << cold.v3_stream_mb_s << " MB/s\n"
-            << "  v4 stream      : " << cold.v4_stream_mb_s << " MB/s\n"
             << "  v3 mmap attach : " << cold.v3_mmap_attach_mb_s << " MB/s ("
             << cold.v3_mmap_attach_secs * 1e3 << " ms)\n"
-            << "  v4 mmap attach : " << cold.v4_mmap_attach_secs * 1e3
-            << " ms\n"
             << "  mmap vs v3 stream speedup: " << cold.mmap_vs_stream_speedup
-            << "x\n"
-            << "  packed resident text shrink: " << cold.packed_text_ratio
             << "x\n";
 
   const CacheResult cache = run_cache(cfg);
@@ -367,15 +331,11 @@ int main(int argc, char** argv) {
       .add("text_bytes", build.text_bytes);
   JsonObject cold_json;
   cold_json.add("file_mb_v3", cold.file_mb_v3)
-      .add("file_mb_v4", cold.file_mb_v4)
       .add("v3_stream_mb_s", cold.v3_stream_mb_s)
-      .add("v4_stream_mb_s", cold.v4_stream_mb_s)
       .add("v3_mmap_attach_mb_s", cold.v3_mmap_attach_mb_s)
       .add("v3_mmap_attach_secs", cold.v3_mmap_attach_secs)
-      .add("v4_mmap_attach_secs", cold.v4_mmap_attach_secs)
       .add("v3_stream_secs", cold.v3_stream_secs)
-      .add("mmap_vs_stream_speedup", cold.mmap_vs_stream_speedup)
-      .add("packed_text_ratio", cold.packed_text_ratio);
+      .add("mmap_vs_stream_speedup", cold.mmap_vs_stream_speedup);
   JsonObject cache_json;
   cache_json.add("loader_invocations", cache.loader_invocations)
       .add("duplicate_loads", cache.duplicate_loads)
@@ -384,7 +344,7 @@ int main(int argc, char** argv) {
       .add("concurrency_ratio", cache.concurrency_ratio);
   JsonObject root;
   root.add("bench", "index_startup")
-      .add("schema_version", 3)
+      .add("schema_version", 4)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("build", build_json)

@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "align/aligner.h"
@@ -18,7 +17,6 @@
 #include "bench_common.h"
 #include "cloud/event_sim.h"
 #include "common/simd.h"
-#include "index/packed_text.h"
 #include "index/suffix_array.h"
 #include "io/fastq.h"
 #include "quant/deseq2.h"
@@ -196,159 +194,6 @@ BENCHMARK(BM_XdropExtend)
     ->Args({1, 1})
     ->Args({2, 0})
     ->Args({2, 1});
-
-/// Packed text of the bench genome, shared by the packed-kernel rows.
-const PackedText& bench_packed_text() {
-  static const PackedText packed = [] {
-    const BenchWorld& w = bench_world();
-    std::string text;
-    for (usize c = 0; c < w.r111.num_contigs(); ++c) {
-      if (c > 0) text += '#';
-      text += w.r111.contig(c).sequence;
-    }
-    return PackedText::pack(text);
-  }();
-  return packed;
-}
-
-/// Wide-word LCP over 2-bit packed text, isolated per SIMD level (Arg =
-/// 0/1/2 = scalar/sse2/avx2). Queries are genome slices with 3%
-/// mutations so LCPs of every length occur — the distribution the MMP
-/// suffix probes see. items == LCP calls, bytes == bases matched,
-/// bytes_per_cycle == comparator throughput (compare the BM_XdropExtend
-/// byte-kernel rows: the packed kernels compare 32 bases per word op).
-void BM_PackedLcp(benchmark::State& state) {
-  const auto level = static_cast<SimdLevel>(state.range(0));
-  const PackedLcpFn kernel = packed_lcp_kernel(level);
-  if (kernel == nullptr || level > detected_simd_level()) {
-    state.SkipWithError("SIMD level not available on this machine");
-    return;
-  }
-  const PackedTextView view = bench_packed_text().view();
-  const std::string text = view.decode(0, view.size);
-
-  constexpr usize kQueries = 1'024;
-  constexpr u64 kQlen = 150;
-  Rng rng(31);
-  std::vector<std::vector<u64>> qcodes;
-  std::vector<std::vector<u64>> qexc;
-  std::vector<u64> tpos;
-  for (usize i = 0; i < kQueries; ++i) {
-    const u64 pos = rng.uniform(text.size() - kQlen);
-    std::string q = text.substr(pos, kQlen);
-    for (auto& c : q) {
-      if (c == '#') c = 'A';
-      if (rng.uniform(100) < 3) c = "ACGTN"[rng.uniform(5)];
-    }
-    std::vector<u64> codes(packed_code_words(q.size()));
-    std::vector<u64> exc(q.size() / 64 + 2);
-    if (!pack_query(q, codes.data(), exc.data())) continue;
-    qcodes.push_back(std::move(codes));
-    qexc.push_back(std::move(exc));
-    tpos.push_back(pos);
-  }
-
-  u64 matched = 0;
-  u64 cycles = 0;
-  u64 calls = 0;
-  for (auto _ : state) {
-    const u64 t0 = cycle_stamp();
-    u64 acc = 0;
-    for (usize i = 0; i < tpos.size(); ++i) {
-      acc += kernel(view, tpos[i], qcodes[i].data(), qexc[i].data(), 0, kQlen);
-    }
-    cycles += cycle_stamp() - t0;
-    matched += acc;
-    calls += tpos.size();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<i64>(calls));
-  state.SetBytesProcessed(static_cast<i64>(matched));
-  if (cycles > 0) {
-    state.counters["bytes_per_cycle"] =
-        static_cast<double>(matched) / static_cast<double>(cycles);
-  }
-  state.SetLabel(simd_level_name(level));
-}
-BENCHMARK(BM_PackedLcp)->Arg(0)->Arg(1)->Arg(2);
-
-/// The striped extension strip primitive: 32-base mismatch-mask + ctz
-/// consume against packed text, i.e. the inner loop of the multi-window
-/// X-drop DP, vs the per-base cost the BM_XdropExtend rows report. Scans
-/// kLen-base windows with 5% mutations (the "banded" shape). items ==
-/// window scans, bytes == bases compared.
-void BM_XdropStriped(benchmark::State& state) {
-  const PackedTextView view = bench_packed_text().view();
-  const std::string text = view.decode(0, view.size);
-  constexpr u64 kLen = 160;  // 5 full strips per scan
-  constexpr usize kWindows = 512;
-  Rng rng(37);
-  std::vector<std::vector<u64>> qcodes;
-  std::vector<std::vector<u64>> qexc;
-  std::vector<u64> tpos;
-  for (usize i = 0; i < kWindows; ++i) {
-    const u64 pos = rng.uniform(text.size() - kLen);
-    std::string q = text.substr(pos, kLen);
-    for (auto& c : q) {
-      if (c == '#') c = 'A';
-      if (rng.chance(0.05)) c = "ACGT"[rng.uniform(4)];
-    }
-    std::vector<u64> codes(packed_code_words(q.size()));
-    std::vector<u64> exc(q.size() / 64 + 2);
-    if (!pack_query(q, codes.data(), exc.data())) continue;
-    qcodes.push_back(std::move(codes));
-    qexc.push_back(std::move(exc));
-    tpos.push_back(pos);
-  }
-
-  u64 compared = 0;
-  u64 cycles = 0;
-  u64 scans = 0;
-  for (auto _ : state) {
-    const u64 t0 = cycle_stamp();
-    u64 acc = 0;
-    for (usize i = 0; i < tpos.size(); ++i) {
-      // X-drop strip consume: +1 match / -2 mismatch, break when the
-      // score falls kXdrop under the best — the driver's scoring.
-      constexpr int kXdrop = 100;
-      int score = 0;
-      int best = 0;
-      for (u64 strip = 0; strip + 32 <= kLen; strip += 32) {
-        u32 m = packed_mismatch_mask32(view, tpos[i] + strip,
-                                       qcodes[i].data(), qexc[i].data(),
-                                       strip);
-        u32 pos_in = 0;
-        while (pos_in < 32) {
-          const u32 rest = m >> pos_in;
-          const u32 run =
-              rest == 0 ? 32 - pos_in
-                        : static_cast<u32>(std::countr_zero(rest));
-          score += static_cast<int>(run);
-          best = std::max(best, score);
-          pos_in += run;
-          if (pos_in >= 32) break;
-          score -= 2;
-          ++pos_in;
-          if (score < best - kXdrop) break;
-        }
-        acc += pos_in;
-        if (score < best - kXdrop) break;
-      }
-    }
-    cycles += cycle_stamp() - t0;
-    compared += acc;
-    scans += tpos.size();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<i64>(scans));
-  state.SetBytesProcessed(static_cast<i64>(compared));
-  if (cycles > 0) {
-    state.counters["bytes_per_cycle"] =
-        static_cast<double>(compared) / static_cast<double>(cycles);
-  }
-  state.SetLabel("striped/packed");
-}
-BENCHMARK(BM_XdropStriped);
 
 /// The full seed phase per-read vs batched — the composite the MMP probe
 /// interleaving is meant to move. items == reads seeded.

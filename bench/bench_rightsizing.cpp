@@ -17,13 +17,12 @@ using namespace staratlas::bench;
 
 namespace {
 
-void report_release(int release, double index_gib, double slowdown,
-                    const char* label = "") {
+void report_release(int release, double index_gib, double slowdown) {
   RightSizingQuery query;
   query.cloud.genome_release = release;
   query.cloud.index_bytes = ByteSize::from_gib(index_gib);
   query.cloud.stages.release_slowdown_108 = slowdown;
-  std::cout << "release " << release << label << " (index " << index_gib
+  std::cout << "release " << release << " (index " << index_gib
             << " GiB):\n";
   Table table({"instance", "vCPU", "RAM", "feasible", "sample time",
                "$/sample", "samples/h"});
@@ -51,19 +50,9 @@ int main() {
   const double slowdown = align_reads(w.index108, reads).wall_seconds /
                           align_reads(w.index111, reads).wall_seconds;
 
-  // Packed-index (v4) scenario: the 29.5 GiB anchor scaled by the
-  // measured packed/raw footprint ratio of a real v4 round-trip of the
-  // bench index. Only the text section packs (SA/LUT are unchanged), so
-  // the shrink is the text share of the total, not the ideal 4x.
-  const double packed_ratio = packed_index_footprint_ratio();
-  const double packed_gib_111 = kPaperIndexGib111 * packed_ratio;
-
-  std::cout << "RSIZE: instance right-sizing by genome release\n"
-            << "measured packed(v4)/raw index footprint ratio: "
-            << strf("%.3f", packed_ratio) << "\n\n";
+  std::cout << "RSIZE: instance right-sizing by genome release\n\n";
   report_release(108, kPaperIndexGib108, slowdown);
   report_release(111, kPaperIndexGib111, slowdown);
-  report_release(111, packed_gib_111, slowdown, " packed (v4)");
 
   RightSizingQuery q108;
   q108.cloud.genome_release = 108;
@@ -72,11 +61,8 @@ int main() {
   RightSizingQuery q111;
   q111.cloud.genome_release = 111;
   q111.cloud.index_bytes = ByteSize::from_gib(kPaperIndexGib111);
-  RightSizingQuery q111p = q111;
-  q111p.cloud.index_bytes = ByteSize::from_gib(packed_gib_111);
   const auto best108 = best_option(evaluate_instances(q108));
   const auto best111 = best_option(evaluate_instances(q111));
-  const auto best111p = best_option(evaluate_instances(q111p));
 
   Table result({"metric", "paper claim", "measured/modeled"});
   result.add_row({"smaller instances usable with r111 index",
@@ -89,15 +75,6 @@ int main() {
                        best108.cost_per_sample_usd / best111.cost_per_sample_usd,
                        best108.cost_per_sample_usd,
                        best111.cost_per_sample_usd)});
-  result.add_row(
-      {"packed (v4) index footprint", "beyond the paper",
-       strf("%.1f GiB -> %.1f GiB (measured %.3fx ratio)", kPaperIndexGib111,
-            packed_gib_111, packed_ratio)});
-  result.add_row(
-      {"cheapest instance with packed index", "beyond the paper",
-       strf("%s ($%.3f/sample) vs %s ($%.3f/sample)",
-            best111p.type->name.c_str(), best111p.cost_per_sample_usd,
-            best111.type->name.c_str(), best111.cost_per_sample_usd)});
   result.print(std::cout);
   return 0;
 }

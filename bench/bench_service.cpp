@@ -107,12 +107,11 @@ ServiceConfig make_service_config(const ServiceBenchConfig& cfg) {
   return config;
 }
 
-/// Single-flight loader: a v4 save/load round-trip of the bench index
-/// (same content, and exercises the packed on-disk path the daemon would
-/// really attach).
+/// Single-flight loader: a v3 save/load round-trip of the bench index
+/// (same content, and exercises the on-disk format the daemon attaches).
 GenomeIndex load_bench_index() {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  bench_world().index111.save(buf, GenomeIndex::kVersionV4);
+  bench_world().index111.save(buf);
   return GenomeIndex::load(buf);
 }
 

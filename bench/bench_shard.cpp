@@ -12,10 +12,7 @@
 //      beats one r6a.4xlarge (boot + S3 index download + stream load) on
 //      latency and on cost. With Lambda-style per-GB-second pricing the
 //      scatter path wins latency from well under 1 GiB but stays above
-//      the r6a on cost — the crossover table quantifies both. A second
-//      sweep reruns the model with the packed (v4) index footprint —
-//      the 29.5 GiB anchor scaled by the measured packed/raw ratio — so
-//      the index-download/-load share of both columns shrinks.
+//      the r6a on cost — the crossover table quantifies both.
 //
 // Emits machine-readable BENCH_shard.json (schema in EXPERIMENTS.md).
 //
@@ -302,16 +299,6 @@ int main(int argc, char** argv) {
             << kPaperIndexGib111 << " GiB)\n";
   print_sweep(sweep);
 
-  // Packed-index (v4) scenario: the same sweep with the index anchor
-  // scaled by the measured packed/raw footprint ratio — less to download
-  // and load per worker boot and per instance, so both columns shift.
-  const double packed_ratio = packed_index_footprint_ratio();
-  const double packed_gib = kPaperIndexGib111 * packed_ratio;
-  const SweepResult sweep_packed = run_sweep(packed_gib);
-  std::printf("crossover sweep, packed v4 index (%.1f GiB, measured %.3fx "
-              "ratio)\n",
-              packed_gib, packed_ratio);
-  print_sweep(sweep_packed);
 
   JsonObject config_json;
   config_json.add("reads", static_cast<u64>(cfg.reads))
@@ -347,17 +334,13 @@ int main(int argc, char** argv) {
     }
     return json;
   };
-  JsonObject packed_json = sweep_to_json(sweep_packed);
-  packed_json.add("packed_index_gib", packed_gib)
-      .add("packed_footprint_ratio", packed_ratio);
   JsonObject root;
   root.add("bench", "shard")
-      .add("schema_version", 2)
+      .add("schema_version", 3)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("measured", measured_json)
-      .add("sweep", sweep_to_json(sweep))
-      .add("sweep_packed", packed_json);
+      .add("sweep", sweep_to_json(sweep));
   root.write_file(out_path);
   std::cout << "wrote " << out_path << "\n";
 

@@ -25,6 +25,7 @@
 // Run without arguments for usage. Exit code 0 on success, 1 on usage
 // errors, 2 on runtime failures.
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <filesystem>
@@ -58,7 +59,8 @@ using namespace staratlas;
 
 namespace {
 
-/// A malformed flag value: reported with the usage text, exit code 1.
+/// An unknown flag or a malformed flag value: reported with the usage
+/// text, exit code 1.
 class UsageError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -66,13 +68,18 @@ class UsageError : public std::runtime_error {
 
 class Args {
  public:
-  Args(int argc, char** argv) {
+  /// Parses argv[2..]. A flag not in `allowed` (the command's flag set)
+  /// is a UsageError.
+  Args(int argc, char** argv, const std::vector<std::string>& allowed) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw InvalidArgument("expected --flag, got '" + key + "'");
       }
       key = key.substr(2);
+      if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+        throw UsageError("unknown flag --" + key + " for " + argv[1]);
+      }
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -118,7 +125,6 @@ int usage() {
       "usage: staratlas_cli <command> [flags]\n"
       "  synthesize --out-dir DIR [--release 108|111] [--seed N]\n"
       "  index      --fasta FILE --out FILE [--release N] [--threads N]\n"
-      "             [--format v3|v4]   (v4 = 2-bit packed genome text)\n"
       "  simulate   --fasta FILE --gtf FILE --out FILE\n"
       "             [--profile bulk|single_cell] [--reads N] [--seed N]\n"
       "  align      --index FILE --fastq FILE --out-prefix P\n"
@@ -172,20 +178,12 @@ int cmd_index(const Args& args) {
   params.num_threads = args.get_u64("threads", 1);  // 0 = one per core
   const Assembly assembly = Assembly::from_fasta(
       "cli", release, AssemblyType::kToplevel, read_fasta_file(fasta));
-  const std::string format = args.get("format", "v3");
-  u32 version = GenomeIndex::kVersionLatest;
-  if (format == "v4") {
-    version = GenomeIndex::kVersionV4;
-  } else if (format != "v3") {
-    std::cerr << "error: --format must be v3 or v4, got '" << format << "'\n";
-    return 2;
-  }
   const GenomeIndex index = GenomeIndex::build(assembly, params);
-  index.save_file(out, version);
+  index.save_file(out);
   const IndexStats stats = index.stats();
   std::cout << "indexed " << stats.genome_length << " bp into " << out << " ("
             << stats.total().str() << ", LUT k=" << stats.prefix_lut_k
-            << (format == "v4" ? ", packed v4" : "") << ")\n";
+            << ")\n";
   return 0;
 }
 
@@ -409,21 +407,43 @@ int cmd_submit(const Args& args) {
   return 0;
 }
 
+/// Each command with the flags it accepts (the ones usage() lists).
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const Command kCommands[] = {
+    {"synthesize", cmd_synthesize, {"out-dir", "release", "seed"}},
+    {"index", cmd_index, {"fasta", "out", "release", "threads"}},
+    {"simulate",
+     cmd_simulate,
+     {"fasta", "gtf", "out", "profile", "reads", "seed"}},
+    {"align",
+     cmd_align,
+     {"index", "fastq", "out-prefix", "gtf", "threads", "shards",
+      "early-stop", "no-sam"}},
+    {"serve", cmd_serve, {"index", "socket", "gtf", "workers", "chunk"}},
+    {"submit",
+     cmd_submit,
+     {"socket", "fastq", "tenant", "name", "out-prefix", "drain"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  try {
-    const Args args(argc, argv);
-    if (command == "synthesize") return cmd_synthesize(args);
-    if (command == "index") return cmd_index(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "align") return cmd_align(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "submit") return cmd_submit(args);
+  const auto it = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return command == c.name; });
+  if (it == std::end(kCommands)) {
     std::cerr << "unknown command: " << command << "\n";
     return usage();
+  }
+  try {
+    return it->run(Args(argc, argv, it->flags));
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return usage();

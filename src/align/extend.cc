@@ -420,11 +420,9 @@ namespace {
 // several genomic windows' cache misses overlap instead of queuing.
 //
 // Each strip is one mismatch bitmap (bit i = base i of the strip differs),
-// built from whichever representation the index carries:
-//   - raw text:    byte compares (scalar SWAR / SSE2 / AVX2 movemask);
-//   - packed text: packed_mismatch_mask32 over 2-bit codes + overlay.
-// The bitmap is consumed with the same ctz/clz run loop as the scan
-// kernels above, so the monotone +1/-2 argument carries over unchanged:
+// built by byte compares (scalar SWAR / SSE2 / AVX2 movemask). The bitmap
+// is consumed with the same ctz/clz run loop as the scan kernels above,
+// so the monotone +1/-2 argument carries over unchanged:
 // strip-boundary best updates are superseded at true run ends, the x-drop
 // break only fires at mismatches, and per-base `compared` accounting is
 // the sum of run lengths plus mismatches either way. Results are therefore
@@ -544,46 +542,29 @@ bool consume_strip_bwd(ScanTask& t, u32 m, int xdrop) {
 /// All read/text context one driver pass needs; tasks hold positions only.
 struct StripedDriver {
   std::string_view read;
-  std::string_view text;   ///< raw text bytes; empty when packed
-  PackedTextView ptext;    ///< packed view; inactive when raw
-  const u64* qcodes = nullptr;  ///< packed read codes (packed mode)
-  const u64* qexc = nullptr;    ///< packed read overlay bits
-  bool packed = false;     ///< text is 2-bit packed
-  bool qpacked = false;    ///< read packed successfully (ACGTN only)
+  std::string_view text;
   int xdrop = 0;
-
-  char text_at(u64 pos) const { return packed ? ptext.at(pos) : text[pos]; }
-
-  /// Strips need both a wide text window and a wide read window; a read
-  /// that failed to pack (rare non-ACGTN chars) falls back to the exact
-  /// per-base decode loop for the whole task.
-  bool can_strip() const { return !packed || qpacked; }
 
   u32 strip_mask(const ScanTask& t) const {
     const u64 tp = t.fwd ? t.text_pos + t.len : t.text_pos - t.len - 32;
     const u64 qp = t.fwd ? t.read_pos + t.len : t.read_pos - t.len - 32;
-    if (packed) return packed_mismatch_mask32(ptext, tp, qcodes, qexc, qp);
     return strip_kernel()(read.data() + qp, text.data() + tp);
   }
 
   void prefetch(const ScanTask& t) const {
     const u64 tp = t.fwd ? t.text_pos + t.len : t.text_pos - t.len - 32;
-    if (packed) {
-      __builtin_prefetch(ptext.codes + (tp >> 5));
-    } else {
-      __builtin_prefetch(text.data() + tp);
-    }
+    __builtin_prefetch(text.data() + tp);
   }
 
-  /// Finishes a task per-base: the sub-strip tail, and whole tasks in
-  /// decode mode. Identical outcomes to the run loops — the incremental
-  /// best update is superseded exactly like a strip-boundary update.
+  /// Finishes a task per-base: the sub-strip tail shorter than a strip.
+  /// Identical outcomes to the run loops — the incremental best update is
+  /// superseded exactly like a strip-boundary update.
   void finish_per_base(ScanTask& t) const {
     while (t.len < t.limit) {
       const bool match =
-          t.fwd ? read[t.read_pos + t.len] == text_at(t.text_pos + t.len)
+          t.fwd ? read[t.read_pos + t.len] == text[t.text_pos + t.len]
                 : read[t.read_pos - t.len - 1] ==
-                      text_at(t.text_pos - t.len - 1);
+                      text[t.text_pos - t.len - 1];
       ++t.compared;
       ++t.len;
       if (match) {
@@ -607,28 +588,26 @@ struct StripedDriver {
   /// strip. `live` is caller scratch, reused across reads.
   void run(ScanTask* tasks, usize n, std::vector<u32>& live) const {
     live.clear();
-    if (can_strip()) {
-      for (usize i = 0; i < n; ++i) {
-        if (tasks[i].len + 32 <= tasks[i].limit) {
-          live.push_back(static_cast<u32>(i));
-        }
+    for (usize i = 0; i < n; ++i) {
+      if (tasks[i].len + 32 <= tasks[i].limit) {
+        live.push_back(static_cast<u32>(i));
       }
-      while (!live.empty()) {
-        usize out = 0;
-        for (usize k = 0; k < live.size(); ++k) {
-          ScanTask& t = tasks[live[k]];
-          if (k + 1 < live.size()) prefetch(tasks[live[k + 1]]);
-          const u32 m = strip_mask(t);
-          const bool broke = t.fwd ? consume_strip_fwd(t, m, xdrop)
-                                   : consume_strip_bwd(t, m, xdrop);
-          if (broke) {
-            t.done = true;
-            continue;
-          }
-          if (t.len + 32 <= t.limit) live[out++] = live[k];
+    }
+    while (!live.empty()) {
+      usize out = 0;
+      for (usize k = 0; k < live.size(); ++k) {
+        ScanTask& t = tasks[live[k]];
+        if (k + 1 < live.size()) prefetch(tasks[live[k + 1]]);
+        const u32 m = strip_mask(t);
+        const bool broke = t.fwd ? consume_strip_fwd(t, m, xdrop)
+                                 : consume_strip_bwd(t, m, xdrop);
+        if (broke) {
+          t.done = true;
+          continue;
         }
-        live.resize(out);
+        if (t.len + 32 <= t.limit) live[out++] = live[k];
       }
+      live.resize(out);
     }
     for (usize i = 0; i < n; ++i) {
       if (!tasks[i].done) finish_per_base(tasks[i]);
@@ -695,24 +674,7 @@ void score_windows(const GenomeIndex& index, std::string_view read,
                    const AlignerParams& params, ExtendStats& stats,
                    ExtendWorkspace& ws, std::vector<AlignmentHit>& hits) {
   const std::string_view text = index.text();
-  const u64 tsize = index.text_size();
-
-  StripedDriver driver;
-  driver.read = read;
-  driver.text = text;
-  driver.packed = index.packed_text();
-  driver.xdrop = params.xdrop;
-  if (driver.packed) {
-    driver.ptext = index.packed_view();
-    // Pack the read once per call; both orientations and every window's
-    // strips reuse the same buffers.
-    ws.read_codes.resize(packed_code_words(read.size()));
-    ws.read_exc.resize(read.size() / 64 + 2);
-    driver.qpacked =
-        pack_query(read, ws.read_codes.data(), ws.read_exc.data());
-    driver.qcodes = ws.read_codes.data();
-    driver.qexc = ws.read_exc.data();
-  }
+  const StripedDriver driver{read, text, params.xdrop};
 
   // 1. Enumerate loci (capped per seed for hyper-repetitive seeds).
   ws.loci.clear();
@@ -794,7 +756,7 @@ void score_windows(const GenomeIndex& index, std::string_view read,
       const GenomePos gap_text = locus.text_start - read_gap;
       u64 gap_matched = 0;
       for (u64 g = 0; g < read_gap; ++g) {
-        if (read[prior.read_end() + g] == driver.text_at(gap_text + g)) {
+        if (read[prior.read_end() + g] == text[gap_text + g]) {
           ++gap_matched;
         }
       }
@@ -818,8 +780,8 @@ void score_windows(const GenomeIndex& index, std::string_view read,
     ScanTask right;
     right.read_pos = last.read_end();
     right.text_pos = last.text_end();
-    right.limit =
-        std::min<u64>(read.size() - last.read_end(), tsize - last.text_end());
+    right.limit = std::min<u64>(read.size() - last.read_end(),
+                                text.size() - last.text_end());
     right.fwd = true;
     plan.right_task = static_cast<u32>(ws.tasks.size());
     ws.tasks.push_back(right);

@@ -123,8 +123,6 @@ struct ExtendWorkspace {
   std::vector<AlignedSegment> plan_segments;  ///< all plans' segments
   std::vector<ScanTask> tasks;   ///< two extension tasks per plan
   std::vector<u32> live;         ///< driver round-robin scratch
-  std::vector<u64> read_codes;   ///< packed read (packed-text mode)
-  std::vector<u64> read_exc;     ///< packed read overlay bits
 };
 
 /// Scores all candidate windows implied by `seeds` for `read` (already

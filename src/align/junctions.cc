@@ -42,18 +42,9 @@ void JunctionCollector::add(const ReadAlignment& alignment) {
     const GenomePos donor = a.text_start + a.length;
     const ContigLocus locus = index_->locate(donor);
     const ContigMeta& meta = index_->contigs()[locus.contig];
-    // Same normalization as left_shift_intron, but through the index's
-    // encoding-agnostic per-char accessor: packed (v4) indexes carry no
-    // raw text to take a contig view of, and the shift only ever touches
-    // a handful of bases around the boundary.
-    u64 start = locus.offset;
-    u64 end = locus.offset + intron;
-    while (start > 0 &&
-           index_->text_char(meta.text_offset + start - 1) ==
-               index_->text_char(meta.text_offset + end - 1)) {
-      --start;
-      --end;
-    }
+    const u64 start = left_shift_intron(
+        index_->text().substr(meta.text_offset, meta.length), locus.offset,
+        locus.offset + intron);
     // Junctions never span contigs (windows are per-contig).
     Key key{locus.contig, start, start + intron};
     Support& support = table_[key];

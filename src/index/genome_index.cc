@@ -21,39 +21,18 @@ constexpr char kSeparator = '#';
 constexpr u32 kIndexMagic = 0x53544152;  // "STAR"
 constexpr u64 kSectionAlign = 4096;      // page size: mmap'd sections start here
 
-// v3/v4 section ids, in file order. v4 appends the packed-text sections
-// and writes the raw text section with length 0 (the packed form *is*
-// the text), which is what makes a v4 file both smaller on disk and
-// smaller resident after an mmap attach.
+// v3 section ids, in file order.
 enum SectionId : u32 {
   kSecMeta = 1,
   kSecText = 2,
   kSecSa = 3,
   kSecLut = 4,
   kSecMini1 = 5,  // 5..8 = cascade LUTs k=1..4
-  kSecPackedCodes = 9,
-  kSecPackedSlots = 10,
-  kSecPackedExc = 11,
 };
-constexpr usize kNumSectionsV3 = 8;
-constexpr usize kNumSectionsV4 = 11;
+constexpr usize kNumSections = 8;
 // Header: magic u32, version u32, count u64, then per section
 // {id u32, reserved u32, offset u64, length u64, checksum u64}.
 constexpr u64 kSectionEntryBytes = 32;
-
-usize sections_for_version(u32 version) {
-  return version == GenomeIndex::kVersionV4 ? kNumSectionsV4 : kNumSectionsV3;
-}
-
-// Expected serialized lengths of the packed-text sections for a genome of
-// `text_size` bases (guard words/slots included — mmap views borrow them
-// straight from the file).
-u64 packed_codes_bytes(u64 text_size) {
-  return packed_code_words(text_size) * sizeof(u64);
-}
-u64 packed_slots_bytes(u64 text_size) {
-  return (packed_pages(text_size) + 1) * sizeof(u32);
-}
 
 u32 auto_lut_k(u64 text_size) {
   // Aim for 4^k ~ text_size / 16 so the LUT is dense but small.
@@ -74,21 +53,29 @@ u64 align_up(u64 v, u64 alignment) {
   throw ParseError("index corrupt: " + what);
 }
 
-// Slot-table integrity shared by the v4 load paths: every referenced
-// block must exist and the guard slot must be clean, or exc_word() would
-// read out of bounds on a corrupt file. O(pages) = ~1/1000 of the text,
-// cheap enough even for the O(header) mmap attach.
-void validate_packed_slots(std::span<const u32> slots, u64 pages,
-                           u64 num_blocks) {
-  if (slots.size() != pages + 1) corrupt("packed slot table size mismatch");
-  for (u64 p = 0; p < slots.size(); ++p) {
-    const u32 slot = slots[p];
-    if (slot == kPackedNoExc) continue;
-    if (p == pages || slot >= num_blocks) {
-      corrupt("packed slot out of range");
+// LCP of `query` with the suffix at text position `pos`, given that the
+// first `depth` characters match: a word at a time, first differing byte
+// by ctz (little-endian). mmp()'s single-candidate scan and every compare
+// of the batch walker.
+u64 suffix_lcp(std::string_view text, u64 pos, std::string_view query,
+               u64 depth) {
+  const u64 limit = std::min<u64>(query.size(), text.size() - pos);
+  const char* t = text.data() + pos;
+  const char* q = query.data();
+  while (depth + sizeof(u64) <= limit) {
+    u64 tw;
+    u64 qw;
+    std::memcpy(&tw, t + depth, sizeof(u64));
+    std::memcpy(&qw, q + depth, sizeof(u64));
+    if (tw != qw) {
+      return depth + static_cast<u64>(std::countr_zero(tw ^ qw)) / 8;
     }
+    depth += sizeof(u64);
   }
+  while (depth < limit && t[depth] == q[depth]) ++depth;
+  return depth;
 }
+
 }  // namespace
 
 GenomeIndex GenomeIndex::build(const Assembly& assembly,
@@ -327,7 +314,7 @@ void GenomeIndex::build_mini_luts_parallel(ThreadPool& pool) {
 }
 
 ContigLocus GenomeIndex::locate(GenomePos text_pos) const {
-  STARATLAS_CHECK(text_pos < storage_.text_size());
+  STARATLAS_CHECK(text_pos < storage_.text().size());
   // Binary search for the contig whose [text_offset, text_offset+length)
   // contains text_pos.
   usize lo = 0;
@@ -351,17 +338,13 @@ SaInterval GenomeIndex::extend_interval(SaInterval interval, usize depth,
   if (interval.empty()) return interval;
   const std::string_view text = storage_.text();
   const std::span<const u32> sa = storage_.sa();
-  const u64 tsize = storage_.text_size();
-  const bool packed = storage_.has_packed();
-  const PackedTextView ptext = storage_.packed_view();
   // Among suffixes in [lo, hi) — all sharing the same `depth`-char prefix —
   // find the subrange whose next character is `c`. Suffixes shorter than
-  // depth+1 sort first within the range. Packed decode preserves byte
-  // order ('#' < ACGT < beyond), so the narrowing is encoding-independent.
+  // depth+1 sort first within the range.
   const auto char_at = [&](u32 row) -> int {
     const u64 pos = static_cast<u64>(sa[row]) + depth;
-    if (pos >= tsize) return -1;
-    return static_cast<unsigned char>(packed ? ptext.at(pos) : text[pos]);
+    if (pos >= text.size()) return -1;
+    return static_cast<unsigned char>(text[pos]);
   };
   const int target = static_cast<unsigned char>(c);
   u32 lo = interval.lo;
@@ -467,7 +450,7 @@ void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
   // against this walk.
   while (depth < query.size()) {
     if (interval.count() == 1) {
-      depth = single_candidate_lcp(query, sa[interval.lo], depth);
+      depth = suffix_lcp(storage_.text(), sa[interval.lo], query, depth);
       break;
     }
     const SaInterval narrowed = extend_interval(interval, depth, query[depth]);
@@ -477,43 +460,6 @@ void GenomeIndex::mmp(std::string_view query, MmpResult& result) const {
   }
   result.length = depth;
   result.interval = depth > 0 ? interval : SaInterval{};
-}
-
-usize GenomeIndex::single_candidate_lcp(std::string_view query, u64 pos,
-                                        usize depth) const {
-  if (storage_.has_packed()) {
-    // Wide-word packed LCP kernel (32/64/128 bases per compare). Queries
-    // over the stack packing budget or with non-ACGTN characters take the
-    // per-base decode, which keeps exact byte semantics for any input.
-    const PackedTextView ptext = storage_.packed_view();
-    const u64 limit = std::min<u64>(query.size(), ptext.size - pos);
-    constexpr usize kMaxPacked = 512;
-    u64 qc[kMaxPacked / 32 + 1];
-    u64 qe[kMaxPacked / 64 + 1];
-    if (query.size() <= kMaxPacked && pack_query(query, qc, qe)) {
-      return packed_lcp(ptext, pos, qc, qe, depth, limit);
-    }
-    while (depth < limit && ptext.at(pos + depth) == query[depth]) ++depth;
-    return depth;
-  }
-  // Raw text: a word at a time, first differing byte by ctz
-  // (little-endian).
-  const std::string_view text = storage_.text();
-  const u64 limit = std::min<u64>(query.size(), text.size() - pos);
-  const char* t = text.data() + pos;
-  const char* q = query.data();
-  while (depth + sizeof(u64) <= limit) {
-    u64 tw;
-    u64 qw;
-    std::memcpy(&tw, t + depth, sizeof(u64));
-    std::memcpy(&qw, q + depth, sizeof(u64));
-    if (tw != qw) {
-      return depth + static_cast<u64>(std::countr_zero(tw ^ qw)) / 8;
-    }
-    depth += sizeof(u64);
-  }
-  while (depth < limit && t[depth] == q[depth]) ++depth;
-  return depth;
 }
 
 namespace {
@@ -565,11 +511,6 @@ namespace {
 struct MmpBatchWalker {
   static constexpr u32 kT = 24;       ///< direct-scan row threshold
   static constexpr usize kLanes = 64; ///< in-flight queries
-  /// Stack budget for per-lane packed queries; longer (or non-ACGTN)
-  /// queries fall back to the per-base decode compare.
-  static constexpr usize kMaxPackedQuery = 512;
-  static constexpr usize kQWords = kMaxPackedQuery / 32 + 1;
-  static constexpr usize kEWords = kMaxPackedQuery / 64 + 1;
 
   /// Search phases: the insertion search, then the block's two edges.
   enum : u8 { kInsert, kLowEdge, kHighEdge };
@@ -579,19 +520,10 @@ struct MmpBatchWalker {
   const std::span<const LutCell> lut;
   const u32 lut_k;
   const GenomeIndex& index;
-  /// Inactive (null codes) for raw-text indexes; when active, `text` is
-  /// empty and every text access below goes through the packed view.
-  const PackedTextView ptext;
-  const u64 tsize;
 
   // Lane state (index = lane).
   const char* q[kLanes];
   u32 qlen[kLanes];
-  // Per-lane packed query (filled at claim when the text is packed, so
-  // the packing cost amortizes over the lane's whole walk).
-  u64 qcodes[kLanes][kQWords];
-  u64 qexc[kLanes][kEWords];
-  bool qpacked[kLanes];
   u64 code[kLanes];  ///< leading k-mer code, ~0 when the main LUT can't jump
   u32 ilo[kLanes], ihi[kLanes], depth[kLanes];
   // Search state. Insertion: the insertion point lies in [a, b]; la / lb
@@ -630,25 +562,12 @@ struct MmpBatchWalker {
         sa(idx.suffix_array()),
         lut(idx.prefix_lut()),
         lut_k(idx.prefix_lut_k()),
-        index(idx),
-        ptext(idx.packed_view()),
-        tsize(idx.text_size()) {}
+        index(idx) {}
 
-  /// Text character at `pos` (raw byte or packed decode), -1 past the end.
+  /// Text character at `pos`, -1 past the end.
   i32 text_char(u64 pos) const {
-    if (pos >= tsize) return -1;
-    return static_cast<unsigned char>(ptext.active() ? ptext.at(pos)
-                                                     : text[pos]);
-  }
-
-  /// Prefetch of the text backing position `pos` (the code word when
-  /// packed — the overlay's slot table is tiny and stays cache-resident).
-  void prefetch_text(u64 pos) const {
-    if (ptext.active()) {
-      __builtin_prefetch(&ptext.codes[pos >> 5]);
-    } else {
-      __builtin_prefetch(text.data() + pos);
-    }
+    if (pos >= text.size()) return -1;
+    return static_cast<unsigned char>(text[pos]);
   }
 
   /// Claims the next query from the feed into lane `i` and starts its
@@ -660,10 +579,6 @@ struct MmpBatchWalker {
     q[i] = query.data();
     qlen[i] = static_cast<u32>(query.size());
     tag[i] = t;
-    if (ptext.active()) {
-      qpacked[i] = query.size() <= kMaxPackedQuery &&
-                   pack_query(query, qcodes[i], qexc[i]);
-    }
     code[i] = ~u64{0};
     if (query.size() >= lut_k) {
       u64 c = 0;
@@ -845,37 +760,7 @@ struct MmpBatchWalker {
   /// LCP of the query in lane `i` against the suffix at `pos`, starting
   /// from the `d` characters already known to match.
   u64 row_lcp(usize i, u64 pos, u64 d) const {
-    const u64 limit = std::min<u64>(qlen[i], tsize - pos);
-    const char* qq = q[i];
-    if (ptext.active()) {
-      // Packed text: one inline 32-base mismatch mask first: most search
-      // probes mismatch within a few bases of what they skip; only a
-      // longer match pays for the dispatched wide-word kernel. Per-base
-      // decode when the lane's query did not pack.
-      if (qpacked[i]) {
-        if (d >= limit) return d;
-        const u64 rem = limit - d;
-        u32 mismatch =
-            packed_mismatch_mask32(ptext, pos + d, qcodes[i], qexc[i], d);
-        if (rem < 32) mismatch &= (u32{1} << rem) - 1;
-        if (mismatch != 0) return d + std::countr_zero(mismatch);
-        if (rem <= 32) return limit;
-        return packed_lcp(ptext, pos, qcodes[i], qexc[i], d + 32, limit);
-      }
-      while (d < limit && ptext.at(pos + d) == qq[d]) ++d;
-      return d;
-    }
-    const char* t = text.data() + pos;
-    while (d + sizeof(u64) <= limit) {
-      u64 tw, qw;
-      std::memcpy(&tw, t + d, sizeof(u64));
-      std::memcpy(&qw, qq + d, sizeof(u64));
-      const u64 x = tw ^ qw;
-      if (x != 0) return d + static_cast<u64>(std::countr_zero(x)) / 8;
-      d += sizeof(u64);
-    }
-    while (d < limit && t[d] == qq[d]) ++d;
-    return d;
+    return suffix_lcp(text, pos, std::string_view(q[i], qlen[i]), d);
   }
 
   /// Direct scan of a gathered lane: per-row LCP, then the maximal
@@ -923,7 +808,7 @@ struct MmpBatchWalker {
       for (usize k = 0; k < n_search; ++k) {
         const usize i = search[k];
         rpos[i][0] = sa[mid[i]];
-        prefetch_text(rpos[i][0] + skip[i]);
+        __builtin_prefetch(text.data() + rpos[i][0] + skip[i]);
       }
       rows_read += n_search;
       // Direct, gather half: read the rows, prefetch their text.
@@ -935,7 +820,7 @@ struct MmpBatchWalker {
         rows_read += rn[i];
         for (u32 r = 0; r < rn[i]; ++r) {
           rpos[i][r] = sa[ilo[i] + r];
-          prefetch_text(rpos[i][r] + depth[i]);
+          __builtin_prefetch(text.data() + rpos[i][r] + depth[i]);
         }
       }
       n_direct = 0;
@@ -1023,19 +908,7 @@ void GenomeIndex::mmp_batch(std::span<const std::string_view> queries,
 
 IndexStats GenomeIndex::stats() const {
   IndexStats stats;
-  if (storage_.has_packed()) {
-    // Resident packed text: 2-bit codes + per-page slot table + dirty
-    // overlay blocks — ~0.25 bytes/base vs 1 byte/base raw, the ~4x the
-    // footprint/rightsizing layer consumes.
-    const PackedTextView v = storage_.packed_view();
-    stats.text_bytes =
-        ByteSize(packed_code_words(v.size) * sizeof(u64) +
-                 (v.num_pages + 1) * sizeof(u32) +
-                 v.num_exc_blocks * kPackedPageWords * sizeof(u64));
-    stats.packed_text = true;
-  } else {
-    stats.text_bytes = ByteSize(storage_.text().size());
-  }
+  stats.text_bytes = ByteSize(storage_.text().size());
   stats.suffix_array_bytes = ByteSize(storage_.sa().size() * sizeof(u32));
   stats.lut_bytes = ByteSize(storage_.lut().size() * sizeof(LutCell));
   u64 mini_bytes = 0;
@@ -1043,20 +916,15 @@ IndexStats GenomeIndex::stats() const {
     mini_bytes += storage_.mini(k).size() * sizeof(LutCell);
   }
   stats.mini_lut_bytes = ByteSize(mini_bytes);
-  stats.genome_length = storage_.text_size() - (contigs_.size() - 1);
+  stats.genome_length = storage_.text().size() - (contigs_.size() - 1);
   stats.num_contigs = contigs_.size();
   stats.prefix_lut_k = lut_k_;
   return stats;
 }
 
 std::string GenomeIndex::text_substr(u64 pos, u64 len) const {
-  const u64 tsize = storage_.text_size();
-  STARATLAS_CHECK(pos <= tsize);
-  len = std::min(len, tsize - pos);
-  if (!storage_.has_packed()) {
-    return std::string(storage_.text().substr(pos, len));
-  }
-  return storage_.packed_view().decode(pos, len);
+  STARATLAS_CHECK(pos <= storage_.text().size());
+  return std::string(storage_.text().substr(pos, len));
 }
 
 u64 GenomeIndex::fingerprint() const {
@@ -1080,8 +948,8 @@ u64 GenomeIndex::fingerprint() const {
   mix_u64(static_cast<u64>(release_));
   mix_byte(static_cast<u8>(type_));
   mix_u64(lut_k_);
-  const u64 tsize = storage_.text_size();
-  mix_u64(tsize);
+  const std::string_view text = storage_.text();
+  mix_u64(text.size());
   mix_u64(contigs_.size());
   for (const ContigMeta& contig : contigs_) {
     mix_str(contig.name);
@@ -1090,31 +958,15 @@ u64 GenomeIndex::fingerprint() const {
     mix_u64(contig.length);
   }
   // Sampled content guards against same-shaped but different genomes.
-  // text_substr decodes to the original bytes, so the content mix is
-  // encoding-independent.
-  const usize sample = static_cast<usize>(std::min<u64>(tsize, 64));
-  mix_str(text_substr(0, sample));
-  mix_str(text_substr(tsize - sample, sample));
-  // Text-encoding tag (0 = raw bytes, 1 = 2-bit packed): a packed-v4 and
-  // a raw-v3 load of the same genome must *not* cross-merge through the
-  // JunctionCollector fingerprint guard — their collectors hold
-  // different index representations even though the genome is the same.
-  // Deliberately not the raw version number: it says how the text is
-  // resident, not which file format carried it.
-  mix_byte(storage_.has_packed() ? 1 : 0);
+  const usize sample = std::min<usize>(text.size(), 64);
+  mix_str(text.substr(0, sample));
+  mix_str(text.substr(text.size() - sample));
   return h;
 }
 
 // ---------------------------------------------------------------------------
 // Serialization.
 
-void GenomeIndex::save(std::ostream& out, u32 version) const {
-  if (version != kVersionV3 && version != kVersionV4) {
-    throw InvalidArgument("unsupported index save version " +
-                          std::to_string(version));
-  }
-  save_sectioned(out, version);
-}
 
 std::string GenomeIndex::serialize_meta() const {
   std::ostringstream buf(std::ios::out | std::ios::binary);
@@ -1123,7 +975,7 @@ std::string GenomeIndex::serialize_meta() const {
   writer.write_u32(static_cast<u32>(release_));
   writer.write_u8(type_ == AssemblyType::kToplevel ? 0 : 1);
   writer.write_u32(lut_k_);
-  writer.write_u64(storage_.text_size());
+  writer.write_u64(storage_.text().size());
   writer.write_u64(storage_.sa().size());
   writer.write_u64(storage_.lut().size());
   writer.write_u64(contigs_.size());
@@ -1165,43 +1017,22 @@ void GenomeIndex::parse_meta(const std::string& blob, u64& text_size,
   }
 }
 
-void GenomeIndex::save_sectioned(std::ostream& out, u32 version) const {
+void GenomeIndex::save(std::ostream& out, u32 version) const {
+  if (version != kVersionV3) {
+    throw InvalidArgument("unsupported index save version " +
+                          std::to_string(version));
+  }
   const std::string meta = serialize_meta();
+  const std::string_view text = storage_.text();
   const std::span<const u32> sa = storage_.sa();
   const std::span<const LutCell> lut = storage_.lut();
-  const bool packed_out = version == kVersionV4;
-
-  // Raw text payload: empty for v4 (the packed sections carry the text);
-  // decoded on the fly when a packed index saves the raw v3 format.
-  std::string raw_backing;
-  std::string_view text;
-  if (!packed_out) {
-    if (storage_.has_packed()) {
-      raw_backing = storage_.packed_view().decode(0, storage_.text_size());
-      text = raw_backing;
-    } else {
-      text = storage_.text();
-    }
-  }
-  // Packed payload for v4: borrowed from storage when already packed,
-  // packed on the fly from a raw index otherwise.
-  PackedText packed_tmp;
-  PackedTextView pv;
-  if (packed_out) {
-    if (storage_.has_packed()) {
-      pv = storage_.packed_view();
-    } else {
-      packed_tmp = PackedText::pack(storage_.text());
-      pv = packed_tmp.view();
-    }
-  }
 
   struct Payload {
     u32 id;
     const void* data;
     u64 length;
   };
-  std::vector<Payload> payloads = {
+  Payload payloads[] = {
       {kSecMeta, meta.data(), meta.size()},
       {kSecText, text.data(), text.size()},
       {kSecSa, sa.data(), sa.size() * sizeof(u32)},
@@ -1215,19 +1046,11 @@ void GenomeIndex::save_sectioned(std::ostream& out, u32 version) const {
       {kSecMini1 + 3, storage_.mini(4).data(),
        storage_.mini(4).size() * sizeof(LutCell)},
   };
-  if (packed_out) {
-    payloads.push_back(
-        {kSecPackedCodes, pv.codes, packed_code_words(pv.size) * sizeof(u64)});
-    payloads.push_back(
-        {kSecPackedSlots, pv.page_slots, (pv.num_pages + 1) * sizeof(u32)});
-    payloads.push_back({kSecPackedExc, pv.exc_blocks,
-                        pv.num_exc_blocks * kPackedPageWords * sizeof(u64)});
-  }
 
   BinaryWriter writer(out);
   writer.write_u32(kIndexMagic);
   writer.write_u32(version);
-  writer.write_u64(payloads.size());
+  writer.write_u64(kNumSections);
   u64 offset = kSectionAlign;  // header page
   for (Payload& p : payloads) {
     if (p.length == 0) p.data = "";  // keep fnv/write off null pointers
@@ -1251,10 +1074,10 @@ GenomeIndex GenomeIndex::load(std::istream& in) {
       throw ParseError("not a staratlas genome index (bad magic)");
     }
     const u32 version = reader.read_u32();
-    if (version != kVersionV3 && version != kVersionV4) {
+    if (version != kVersionV3) {
       throw ParseError("unsupported index version " + std::to_string(version));
     }
-    return load_sectioned_stream(reader, version);
+    return load_sectioned_stream(reader);
   } catch (const IoError& e) {
     // A corrupt length prefix or truncated file surfaces as a short read
     // deep in the reader; fold it into the one corruption exception type
@@ -1264,14 +1087,12 @@ GenomeIndex GenomeIndex::load(std::istream& in) {
   }
 }
 
-GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader,
-                                               u32 version) {
-  const usize num_sections = sections_for_version(version);
+GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader) {
   const u64 count = reader.read_u64();
-  if (count != num_sections) corrupt("bad section count");
-  std::vector<SectionInfo> sections(num_sections);
+  if (count != kNumSections) corrupt("bad section count");
+  std::vector<SectionInfo> sections(kNumSections);
   u64 prev_end = 0;
-  for (usize i = 0; i < num_sections; ++i) {
+  for (usize i = 0; i < kNumSections; ++i) {
     SectionInfo& s = sections[i];
     s.id = reader.read_u32();
     reader.read_u32();  // reserved
@@ -1292,10 +1113,7 @@ GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader,
   u64 sa_size = 0;
   u64 lut_cells = 0;
   std::string meta_blob;
-  std::vector<u64> pcodes;
-  std::vector<u32> pslots;
-  std::vector<u64> pexc;
-  for (usize i = 0; i < num_sections; ++i) {
+  for (usize i = 0; i < kNumSections; ++i) {
     const SectionInfo& s = sections[i];
     STARATLAS_CHECK(s.offset >= reader.bytes_read());
     reader.skip(s.offset - reader.bytes_read());
@@ -1312,39 +1130,10 @@ GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader,
         break;
       }
       case kSecText: {
-        // v4 stores no raw text; the packed sections carry it.
-        const u64 expected = version == kVersionV4 ? 0 : text_size;
-        if (s.length != expected) corrupt("text section size mismatch");
+        if (s.length != text_size) corrupt("text section size mismatch");
         index.storage_.text_owned.resize(s.length);
         reader.read_blob(index.storage_.text_owned.data(), s.length);
         checksum = fnv1a64(index.storage_.text_owned.data(), s.length);
-        break;
-      }
-      case kSecPackedCodes: {
-        if (s.length != packed_codes_bytes(text_size)) {
-          corrupt("packed code section size mismatch");
-        }
-        pcodes.resize(s.length / sizeof(u64));
-        reader.read_blob(pcodes.data(), s.length);
-        checksum = fnv1a64(pcodes.data(), s.length);
-        break;
-      }
-      case kSecPackedSlots: {
-        if (s.length != packed_slots_bytes(text_size)) {
-          corrupt("packed slot section size mismatch");
-        }
-        pslots.resize(s.length / sizeof(u32));
-        reader.read_blob(pslots.data(), s.length);
-        checksum = fnv1a64(pslots.data(), s.length);
-        break;
-      }
-      case kSecPackedExc: {
-        if (s.length % (kPackedPageWords * sizeof(u64)) != 0) {
-          corrupt("packed exception section size mismatch");
-        }
-        pexc.resize(s.length / sizeof(u64));
-        reader.read_blob(pexc.data(), s.length);
-        checksum = fnv1a64(pexc.data(), s.length);
         break;
       }
       case kSecSa: {
@@ -1383,18 +1172,6 @@ GenomeIndex GenomeIndex::load_sectioned_stream(BinaryReader& reader,
       corrupt("checksum mismatch in section " + std::to_string(s.id));
     }
   }
-  if (version == kVersionV4) {
-    // from_raw re-validates array sizes and the slot table; surface its
-    // rejections as the one corruption exception type loads promise.
-    try {
-      index.storage_.packed_owned = PackedText::from_raw(
-          text_size, std::move(pcodes), std::move(pslots), std::move(pexc));
-    } catch (const InvalidArgument& e) {
-      corrupt(e.what());
-    }
-    index.storage_.packed_size = text_size;
-    index.storage_.packed = true;
-  }
   index.validate_loaded(/*deep=*/true);
   return index;
 }
@@ -1414,18 +1191,17 @@ GenomeIndex GenomeIndex::load_sectioned_mmap(MappedFile file,
   if (magic != kIndexMagic) {
     throw ParseError("not a staratlas genome index (bad magic): " + path);
   }
-  if (version != kVersionV3 && version != kVersionV4) {
+  if (version != kVersionV3) {
     throw ParseError("unsupported index version " + std::to_string(version));
   }
-  const usize num_sections = sections_for_version(version);
   u64 count = 0;
   read_at(8, count);
-  if (count != num_sections) corrupt("bad section count");
+  if (count != kNumSections) corrupt("bad section count");
 
   GenomeIndex index;
-  index.sections_.resize(num_sections);
+  index.sections_.resize(kNumSections);
   u64 prev_end = 0;
-  for (usize i = 0; i < num_sections; ++i) {
+  for (usize i = 0; i < kNumSections; ++i) {
     SectionInfo& s = index.sections_[i];
     const u64 entry = 16 + i * kSectionEntryBytes;
     read_at(entry, s.id);
@@ -1459,8 +1235,7 @@ GenomeIndex GenomeIndex::load_sectioned_mmap(MappedFile file,
   const SectionInfo& text = index.sections_[1];
   const SectionInfo& sa = index.sections_[2];
   const SectionInfo& lut = index.sections_[3];
-  const u64 expected_text = version == kVersionV4 ? 0 : text_size;
-  if (text.length != expected_text) corrupt("text section size mismatch");
+  if (text.length != text_size) corrupt("text section size mismatch");
   if (sa.length != sa_size * sizeof(u32)) corrupt("SA section size mismatch");
   if (lut.length != lut_cells * sizeof(LutCell)) {
     corrupt("LUT section size mismatch");
@@ -1483,37 +1258,6 @@ GenomeIndex GenomeIndex::load_sectioned_mmap(MappedFile file,
     index.storage_.mini_view[k - 1] = std::span<const LutCell>(
         reinterpret_cast<const LutCell*>(data + mini.offset), cells);
   }
-  if (version == kVersionV4) {
-    const SectionInfo& pc = index.sections_[8];
-    const SectionInfo& ps = index.sections_[9];
-    const SectionInfo& pe = index.sections_[10];
-    if (pc.length != packed_codes_bytes(text_size)) {
-      corrupt("packed code section size mismatch");
-    }
-    if (ps.length != packed_slots_bytes(text_size)) {
-      corrupt("packed slot section size mismatch");
-    }
-    if (pe.length % (kPackedPageWords * sizeof(u64)) != 0) {
-      corrupt("packed exception section size mismatch");
-    }
-    index.storage_.packed_codes_view = std::span<const u64>(
-        reinterpret_cast<const u64*>(data + pc.offset),
-        pc.length / sizeof(u64));
-    index.storage_.packed_slots_view = std::span<const u32>(
-        reinterpret_cast<const u32*>(data + ps.offset),
-        ps.length / sizeof(u32));
-    index.storage_.packed_exc_view = std::span<const u64>(
-        reinterpret_cast<const u64*>(data + pe.offset),
-        pe.length / sizeof(u64));
-    // The slot table is the one packed structure whose corruption turns
-    // into out-of-bounds reads rather than wrong answers, so it is
-    // validated even on the O(header) attach (it is ~1/1000 the text).
-    validate_packed_slots(index.storage_.packed_slots_view,
-                          packed_pages(text_size),
-                          pe.length / (kPackedPageWords * sizeof(u64)));
-    index.storage_.packed_size = text_size;
-    index.storage_.packed = true;
-  }
   // Structural checks only: a deep scan would fault in every page,
   // defeating the O(header) attach. verify_checksums() is the on-demand
   // integrity pass.
@@ -1522,7 +1266,7 @@ GenomeIndex GenomeIndex::load_sectioned_mmap(MappedFile file,
 }
 
 void GenomeIndex::validate_loaded(bool deep) const {
-  const u64 tsize = storage_.text_size();
+  const u64 tsize = storage_.text().size();
   const std::span<const u32> sa = storage_.sa();
   const std::span<const LutCell> lut = storage_.lut();
   if (lut_k_ < 2 || lut_k_ > 14) corrupt("LUT k out of range");

@@ -6,13 +6,11 @@
 // suffix array and a k-mer prefix lookup table that jump-starts Maximal
 // Mappable Prefix searches. Construction is thread-pool parallel when
 // IndexParams::num_threads > 1 (bit-identical to the sequential SA-IS
-// reference path). On-disk formats: v3 (page-aligned checksummed sections,
+// reference path). On-disk format: v3 (page-aligned checksummed sections,
 // mini-LUTs serialized, mmap-able for O(header) zero-copy loads via
-// IndexStorage, or stream-loaded into owned memory), and v4 (v3 layout, but
-// the genome text ships 2-bit packed with a paged exception overlay — see
-// index/packed_text.h — so the resident text is ~4x smaller and every hot
-// compare runs on packed words; searches and stats stay bit-identical to a
-// raw-text load of the same genome). Any other version is a ParseError.
+// IndexStorage, or stream-loaded into owned memory). The genome text is
+// one byte per base, as in STAR, in memory and on disk. Any other version
+// is a ParseError.
 #pragma once
 
 #include <array>
@@ -41,7 +39,7 @@ struct IndexParams {
   usize num_threads = 1;
 };
 
-/// How load_file materializes a v3 or v4 index file.
+/// How load_file materializes a v3 index file.
 enum class IndexLoadMode : u8 {
   kAuto = 0,  ///< kMmap where the platform has mmap, else kStream
   kStream,    ///< copy and checksum every section through BinaryReader
@@ -77,7 +75,7 @@ struct ContigMeta {
 };
 
 struct IndexStats {
-  ByteSize text_bytes;  ///< resident text: raw bytes, or packed words (v4)
+  ByteSize text_bytes;
   ByteSize suffix_array_bytes;
   ByteSize lut_bytes;
   ByteSize mini_lut_bytes;  ///< the four cascade LUTs (resident like the rest)
@@ -87,16 +85,12 @@ struct IndexStats {
   u64 genome_length = 0;  ///< residues (without separators)
   usize num_contigs = 0;
   u32 prefix_lut_k = 0;
-  bool packed_text = false;  ///< text_bytes counts the 2-bit representation
 };
 
 class GenomeIndex {
  public:
   static constexpr u32 kVersionV3 = 3;
-  static constexpr u32 kVersionV4 = 4;
-  /// Default interchange format. v4 (packed text) is opt-in: it changes
-  /// what text() returns (empty; use text_char/text_substr), so callers
-  /// ask for it explicitly via save(out, kVersionV4).
+  /// The one format save() writes and load() reads.
   static constexpr u32 kVersionLatest = kVersionV3;
 
   GenomeIndex() = default;
@@ -111,19 +105,9 @@ class GenomeIndex {
   AssemblyType assembly_type() const { return type_; }
 
   const std::vector<ContigMeta>& contigs() const { return contigs_; }
-  /// Raw concatenated text. Empty for v4 (packed) loads — use text_size /
-  /// text_char / text_substr, which work for every encoding.
+  /// Concatenated text: contigs separated by '#', one byte per base.
   std::string_view text() const { return storage_.text(); }
-  /// Genome text length (contigs + separators) regardless of encoding.
-  u64 text_size() const { return storage_.text_size(); }
-  /// True when the text is resident in 2-bit packed form (v4 load).
-  bool packed_text() const { return storage_.has_packed(); }
-  /// Packed-text view; inactive unless packed_text().
-  PackedTextView packed_view() const { return storage_.packed_view(); }
-  /// Character at `pos` in the concatenated text, decoding if packed.
-  char text_char(u64 pos) const { return text_at(pos); }
-  /// Decoded copy of text [pos, pos+len) — the encoding-independent form
-  /// of text().substr(pos, len).
+  /// Copy of text().substr(pos, len).
   std::string text_substr(u64 pos, u64 len) const;
   std::span<const u32> suffix_array() const { return storage_.sa(); }
   std::span<const LutCell> prefix_lut() const { return storage_.lut(); }
@@ -207,14 +191,12 @@ class GenomeIndex {
   /// without comparing full text. O(contigs).
   u64 fingerprint() const;
 
-  /// Serialization (binary, versioned). `version` is kVersionV3 or
-  /// kVersionV4; both are page-aligned, checksummed and mmap-able, v4
-  /// additionally ships the text 2-bit packed. Any load can save either
-  /// version (packed text is decoded or packed on the fly).
+  /// Serialization (binary, versioned). `version` must be kVersionV3:
+  /// page-aligned, checksummed, mmap-able sections.
   void save(std::ostream& out, u32 version = kVersionLatest) const;
   void save_file(const std::string& path, u32 version = kVersionLatest) const;
-  /// Stream load; accepts v3 and v4. Corruption (including truncation)
-  /// and any other version surface as ParseError.
+  /// Stream load; accepts v3. Corruption (including truncation) and any
+  /// other version surface as ParseError.
   static GenomeIndex load(std::istream& in);
   static GenomeIndex load_file(const std::string& path,
                                IndexLoadMode mode = IndexLoadMode::kAuto);
@@ -242,31 +224,12 @@ class GenomeIndex {
   /// scans SA entries and LUT cells for out-of-range values (the stream
   /// load, which has copied every byte anyway).
   void validate_loaded(bool deep) const;
-  /// LCP of `query` with the suffix at text position `pos`, given that
-  /// the first `depth` characters match: mmp()'s single-candidate scan.
-  usize single_candidate_lcp(std::string_view query, u64 pos,
-                             usize depth) const;
-  /// v3 and v4 share the sectioned writer; v4 appends the packed-text
-  /// sections and leaves the raw text section empty.
-  void save_sectioned(std::ostream& out, u32 version) const;
   std::string serialize_meta() const;
   void parse_meta(const std::string& blob, u64& text_size, u64& sa_size,
                   u64& lut_cells);
-  static GenomeIndex load_sectioned_stream(BinaryReader& reader, u32 version);
+  static GenomeIndex load_sectioned_stream(BinaryReader& reader);
   static GenomeIndex load_sectioned_mmap(MappedFile file,
                                          const std::string& path);
-
-  /// Character at `pos`, '\0' past the end. The scalar fallback every
-  /// search path shares: raw loads read the byte, packed loads decode it,
-  /// so byte-level comparison semantics are identical in both modes.
-  char text_at(u64 pos) const {
-    if (storage_.has_packed()) {
-      return pos < storage_.packed_size ? storage_.packed_view().at(pos)
-                                        : '\0';
-    }
-    const std::string_view text = storage_.text();
-    return pos < text.size() ? text[pos] : '\0';
-  }
 
   std::string species_;
   int release_ = 0;
@@ -276,8 +239,7 @@ class GenomeIndex {
   /// Backing memory: owned containers or mmap'd section views. The main
   /// LUT is interleaved ([lo, hi] per k-mer code) so a lookup touches one
   /// cache line — MMP calls are the aligner's hottest operation and each
-  /// one starts with this load. v3/v4 files store the cells interleaved
-  /// too.
+  /// one starts with this load. v3 files store the cells interleaved too.
   /// Cascade mini-LUTs cover prefix lengths 1..4 (4^k cells each): when
   /// the main LUT cannot jump — query shorter than k, leading k-mer
   /// absent, or an early N — these pin the walk to a short-prefix SA block

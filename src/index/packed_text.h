@@ -1,238 +1,15 @@
-// 2-bit packed genome text with a paged exception overlay — the v4 index
-// representation of the concatenated contig string.
-//
-// The raw text alphabet is A/C/G/T plus two rare exceptions: 'N'
-// (ambiguous base) and '#' (the inter-contig separator). Each base stores
-// a 2-bit code (A=0 C=1 G=2 T=3, 32 bases per u64 word); exceptional
-// positions additionally set one bit in an overlay bitmap and reuse the
-// code channel to disambiguate ('N' packs as code 0, '#' as code 1). The
-// (code, exception-bit) pair is therefore *injective* over the alphabet,
-// which is what makes the wide compares exact: two positions hold equal
-// characters iff their code pair AND their exception bits are equal, so a
-// 32-base LCP step is one 64-bit XOR of codes plus one 32-bit XOR of
-// overlay bits, and the first mismatch falls out of two ctz's — no byte
-// verification pass.
-//
-// The overlay is paged rather than dense so the resident footprint stays
-// at ~2 bits/base (the "~4x smaller than 1 byte/base" the economics layer
-// consumes): the text is split into 4096-base pages; a per-page u32 slot
-// table maps pages that contain at least one exception to a 512-byte
-// dense bitmap block, and all other pages (the overwhelming majority of a
-// genome) share the implicit all-zero block. Lookup stays O(1) and
-// branch-predictable: clean pages resolve to constant zero from the slot
-// table alone.
-//
-// Every word array carries one trailing zero guard word so the funnel-
-// shift extraction of an arbitrary-phase 32-base window may always read
-// word w and w+1 without bounds checks (the guard is serialized with the
-// section, so memory-mapped views inherit it).
+// The genome text has one encoding, one byte per base. This function
+// exists only for perfbench's environment stamp, which still records a
+// "packed_lcp" field. The one text compare left, suffix_lcp's u64 word
+// compare (genome_index.cc; mmp()'s single-candidate scan and the batch
+// walker), is scalar. The function goes together with that stamp field
+// in the next benchmark change.
 #pragma once
 
-#include <string>
-#include <string_view>
-#include <vector>
-
 #include "common/simd.h"
-#include "common/types.h"
 
 namespace staratlas {
 
-/// Bases per 64-bit code word.
-inline constexpr u64 kPackedBasesPerWord = 32;
-/// Bases per exception-overlay page.
-inline constexpr u64 kPackedPageBases = 4096;
-/// 64-bit overlay words per page (4096 bits).
-inline constexpr u64 kPackedPageWords = kPackedPageBases / 64;
-/// Slot value marking a page with no exceptions.
-inline constexpr u32 kPackedNoExc = 0xffffffffu;
-
-/// Code-word count for `size` bases, including the trailing guard word.
-constexpr u64 packed_code_words(u64 size) {
-  return (size + kPackedBasesPerWord - 1) / kPackedBasesPerWord + 1;
-}
-/// Overlay pages covering `size` bases (excluding the guard slot).
-constexpr u64 packed_pages(u64 size) {
-  return (size + kPackedPageBases - 1) / kPackedPageBases;
-}
-
-/// Extracts 32 consecutive 2-bit codes starting at base `pos` from a
-/// dense code array (little-endian within words: base pos+i occupies bits
-/// [2i, 2i+2) of the result). Requires a guard word past the last real
-/// word, which packed arrays always carry.
-inline u64 packed_extract_codes(const u64* words, u64 pos) {
-  const u64 w = pos >> 5;
-  const u32 shift = static_cast<u32>(pos & 31) * 2;
-  const u64 lo = words[w] >> shift;
-  // shift == 64 is UB, so the aligned phase short-circuits.
-  return shift == 0 ? lo : lo | (words[w + 1] << (64 - shift));
-}
-
-/// Extracts 32 overlay bits starting at bit `pos` from a dense bitmap
-/// (bit pos+i lands in bit i). Same guard-word requirement.
-inline u32 packed_extract_bits32(const u64* words, u64 pos) {
-  const u64 w = pos >> 6;
-  const u32 shift = static_cast<u32>(pos & 63);
-  const u64 lo = words[w] >> shift;
-  return static_cast<u32>(shift == 0 ? lo : lo | (words[w + 1] << (64 - shift)));
-}
-
-/// 64-bit variant of packed_extract_bits32 for the wider kernels.
-inline u64 packed_extract_bits64(const u64* words, u64 pos) {
-  const u64 w = pos >> 6;
-  const u32 shift = static_cast<u32>(pos & 63);
-  const u64 lo = words[w] >> shift;
-  return shift == 0 ? lo : lo | (words[w + 1] << (64 - shift));
-}
-
-/// Borrowed view over a packed text (owned vectors or a memory-mapped v4
-/// index section). Plain pointers: this is passed by value into the MMP
-/// and extension hot loops.
-struct PackedTextView {
-  const u64* codes = nullptr;       ///< 2-bit codes, +1 guard word
-  const u32* page_slots = nullptr;  ///< per page: block slot or kPackedNoExc
-  const u64* exc_blocks = nullptr;  ///< kPackedPageWords words per block
-  u64 size = 0;                     ///< bases
-  u64 num_pages = 0;                ///< excludes the trailing guard slot
-  u64 num_exc_blocks = 0;
-
-  bool active() const { return codes != nullptr; }
-
-  /// Overlay word `word_idx` (bit b = base word_idx*64+b is exceptional).
-  /// Clean pages cost one slot load; word_idx may extend one page past
-  /// the end (the guard slot is kPackedNoExc).
-  u64 exc_word(u64 word_idx) const {
-    const u32 slot = page_slots[word_idx >> 6];
-    return slot == kPackedNoExc
-               ? 0
-               : exc_blocks[u64{slot} * kPackedPageWords + (word_idx & 63)];
-  }
-
-  /// 32 codes starting at base `pos` (pos < size).
-  u64 extract_codes(u64 pos) const { return packed_extract_codes(codes, pos); }
-
-  /// 32 overlay bits starting at base `pos`.
-  u32 extract_exc(u64 pos) const {
-    const u64 w = pos >> 6;
-    const u32 shift = static_cast<u32>(pos & 63);
-    const u64 lo = exc_word(w) >> shift;
-    return static_cast<u32>(shift == 0 ? lo
-                                       : lo | (exc_word(w + 1) << (64 - shift)));
-  }
-
-  /// 64 overlay bits starting at base `pos`.
-  u64 extract_exc64(u64 pos) const {
-    const u64 w = pos >> 6;
-    const u32 shift = static_cast<u32>(pos & 63);
-    const u64 lo = exc_word(w) >> shift;
-    return shift == 0 ? lo : lo | (exc_word(w + 1) << (64 - shift));
-  }
-
-  /// Decoded character at `pos` — byte-equal to the raw text this view
-  /// was packed from. Total over arbitrary bit patterns (corrupt inputs
-  /// decode to *some* character; checksums, not decode, reject them).
-  char at(u64 pos) const {
-    const u32 code =
-        static_cast<u32>(codes[pos >> 5] >> ((pos & 31) * 2)) & 3u;
-    const bool exc = (exc_word(pos >> 6) >> (pos & 63)) & 1u;
-    if (exc) return code == 0 ? 'N' : '#';
-    return "ACGT"[code];
-  }
-
-  /// Decodes `len` characters starting at `pos` into `out`.
-  void decode_into(u64 pos, u64 len, char* out) const;
-  std::string decode(u64 pos, u64 len) const;
-};
-
-/// Owning packed text: built once at index build/save time or
-/// deserialized from a v4 index stream.
-class PackedText {
- public:
-  PackedText() = default;
-
-  /// Packs a concatenated genome text. Throws InvalidArgument on
-  /// characters outside ACGTN#.
-  static PackedText pack(std::string_view text);
-
-  /// Rebuilds from deserialized arrays, validating sizes and slot-table
-  /// integrity (every slot in range, guard slot clean). Throws
-  /// InvalidArgument on malformed input.
-  static PackedText from_raw(u64 size, std::vector<u64> codes,
-                             std::vector<u32> page_slots,
-                             std::vector<u64> exc_blocks);
-
-  PackedTextView view() const;
-
-  u64 size() const { return size_; }
-  /// Resident bytes of the packed representation (codes + slot table +
-  /// exception blocks) — what IndexStats::text_bytes reports for v4.
-  u64 resident_bytes() const;
-
-  const std::vector<u64>& codes() const { return codes_; }
-  const std::vector<u32>& page_slots() const { return page_slots_; }
-  const std::vector<u64>& exc_blocks() const { return exc_blocks_; }
-
- private:
-  u64 size_ = 0;
-  std::vector<u64> codes_;       ///< packed_code_words(size_) words
-  std::vector<u32> page_slots_;  ///< packed_pages(size_) + 1 slots
-  std::vector<u64> exc_blocks_;  ///< kPackedPageWords words per dirty page
-};
-
-/// Packs a query (read or read suffix) into caller-provided buffers:
-/// `codes` must hold packed_code_words(q.size()) words and `exc`
-/// (q.size() + 63) / 64 + 1 words; both are fully written including the
-/// guard words. Returns false if the query contains a character outside
-/// ACGTN — the buffers then hold an unspecified prefix, which callers
-/// never read: they take the per-base decode path instead, keeping byte
-/// semantics exact for arbitrary input.
-bool pack_query(std::string_view q, u64* codes, u64* exc);
-
-/// LCP continuation against packed text: returns the smallest i in
-/// [depth, limit) where query base i differs from text base tpos + i, or
-/// `limit` when the whole range matches. Requires tpos + limit <= size
-/// and limit <= packed query length. All levels are bit-identical; the
-/// wider levels process 64/128-base blocks per early-out check.
-using PackedLcpFn = u64 (*)(const PackedTextView& text, u64 tpos,
-                            const u64* qcodes, const u64* qexc, u64 depth,
-                            u64 limit);
-
-/// Kernel for an explicit level (nullptr when the build lacks it).
-PackedLcpFn packed_lcp_kernel(SimdLevel level);
-
-/// Dispatched form. Unlike the static widest-wins pick used elsewhere,
-/// the packed LCP kernel is chosen by a one-time *calibration*: each
-/// permitted level is timed on a synthetic packed buffer at first use and
-/// the fastest wins. Cloud vCPUs routinely advertise AVX2 yet execute it
-/// slower than scalar code (emulation, down-clocking) — trusting the
-/// CPUID width there costs 2-3x on the MMP hot path. All levels return
-/// identical results (SimdParity tests), so the choice affects speed
-/// only; STARATLAS_FORCE_SCALAR still pins the scalar kernel.
-u64 packed_lcp(const PackedTextView& text, u64 tpos, const u64* qcodes,
-               const u64* qexc, u64 depth, u64 limit);
-
-/// Level the calibrated packed_lcp() dispatch settled on (for bench and
-/// log labels). Triggers calibration on first call.
-SimdLevel packed_lcp_active_level();
-
-/// 32-bit mismatch mask for text [tpos, tpos+32) vs packed query bases
-/// [qpos, qpos+32): bit i set iff the characters differ. Both full strips
-/// must be in range. This is the packed-text strip primitive of the
-/// striped extension DP.
-inline u32 packed_mismatch_mask32(const PackedTextView& text, u64 tpos,
-                                  const u64* qcodes, const u64* qexc,
-                                  u64 qpos) {
-  const u64 x =
-      text.extract_codes(tpos) ^ packed_extract_codes(qcodes, qpos);
-  const u32 e = text.extract_exc(tpos) ^ packed_extract_bits32(qexc, qpos);
-  // Compress each 2-bit code-mismatch pair to one bit, then fold in the
-  // overlay mismatches (injective encoding: char-equal iff both clear).
-  u64 m = (x | (x >> 1)) & 0x5555555555555555ULL;
-  m = (m | (m >> 1)) & 0x3333333333333333ULL;
-  m = (m | (m >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
-  m = (m | (m >> 4)) & 0x00FF00FF00FF00FFULL;
-  m = (m | (m >> 8)) & 0x0000FFFF0000FFFFULL;
-  m = (m | (m >> 16)) & 0x00000000FFFFFFFFULL;
-  return static_cast<u32>(m) | e;
-}
+inline SimdLevel packed_lcp_active_level() { return SimdLevel::kScalar; }
 
 }  // namespace staratlas

@@ -329,10 +329,15 @@ ServiceClient::Response ServiceClient::request(const std::string& header,
   std::string status;
   reply >> status;
   if (status == "OK") {
+    // The daemon's length gets the same checks as a SUBMIT length, and
+    // the body buffer grows only with the bytes that arrive.
+    std::string length;
     u64 nbytes = 0;
-    reply >> nbytes;
-    response.body.assign(nbytes, '\0');
-    if (!recv_all(fd_, response.body.data(), response.body.size())) {
+    reply >> length;
+    if (!parse_length(length, nbytes)) {
+      throw IoError("malformed service response: " + line);
+    }
+    if (!recv_payload(fd_, nbytes, response.body)) {
       throw IoError("service connection closed mid-body");
     }
     response.ok = true;

@@ -123,47 +123,6 @@ TEST(JunctionCollector, MergeAcceptsSameGenomeAcrossLoads) {
   EXPECT_EQ(a.junctions()[0].unique_reads, 2u);
 }
 
-TEST(JunctionCollector, MergeRejectsPackedUnpackedMix) {
-  // Regression: the fingerprint must encode the text representation, not
-  // just the content samples. A v4 (packed) load and a v3 (raw) load of
-  // the SAME genome are still different resident encodings; letting their
-  // collectors cross-merge would hide an index-file mixup between shard
-  // generations (one fleet upgraded to packed indexes, one not), so the
-  // merge guard keeps them apart.
-  const auto& w = world();
-  std::stringstream raw_file;
-  w.index111.save(raw_file, GenomeIndex::kVersionV3);
-  const GenomeIndex raw_copy = GenomeIndex::load(raw_file);
-  std::stringstream packed_file;
-  w.index111.save(packed_file, GenomeIndex::kVersionV4);
-  const GenomeIndex packed_copy = GenomeIndex::load(packed_file);
-  ASSERT_TRUE(packed_copy.packed_text());
-  ASSERT_FALSE(raw_copy.packed_text());
-
-  // Same genome, same content samples — only the encoding differs.
-  EXPECT_EQ(raw_copy.fingerprint(), w.index111.fingerprint());
-  EXPECT_NE(packed_copy.fingerprint(), raw_copy.fingerprint());
-
-  JunctionCollector on_raw(raw_copy);
-  JunctionCollector on_packed(packed_copy);
-  EXPECT_THROW(on_raw += on_packed, InternalError);
-
-  // Two packed loads of the same genome still merge: shard fleets that
-  // uniformly use v4 behave exactly like the raw cross-load case above.
-  std::stringstream packed_file2;
-  w.index111.save(packed_file2, GenomeIndex::kVersionV4);
-  const GenomeIndex packed_copy2 = GenomeIndex::load(packed_file2);
-  EXPECT_EQ(packed_copy.fingerprint(), packed_copy2.fingerprint());
-  JunctionCollector on_packed2(packed_copy2);
-  on_packed.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                               ReadOutcome::kUniqueMapped));
-  on_packed2.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                                ReadOutcome::kUniqueMapped));
-  EXPECT_NO_THROW(on_packed += on_packed2);
-  ASSERT_EQ(on_packed.junctions().size(), 1u);
-  EXPECT_EQ(on_packed.junctions()[0].unique_reads, 2u);
-}
-
 TEST(JunctionCollector, MergeJunctionsFreeFunction) {
   const auto& w = world();
   JunctionCollector a(w.index111);

@@ -1,6 +1,7 @@
 # Numeric flags of staratlas_cli reject malformed values with a usage error
 # (exit 1, the flag named on stderr) before any file is opened: words,
 # signs, trailing text, overflow, and 0 where a count must be positive.
+# So does a flag the command does not take.
 # Usage: cmake -DCLI=<staratlas_cli> -DWORK_DIR=<dir> -P cli_numeric_flags.cmake
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -36,7 +37,19 @@ endforeach()
 run_cli(1 "--threads expects" index --fasta missing.fa --out out.idx
         --threads abc)
 
-# Valid values pass the flag check and fail on the missing input instead.
-run_cli(2 "missing.idx" ${align} --threads 3 --shards 2)
-run_cli(2 "missing.idx" ${serve} --workers 1 --chunk 64)
-run_cli(2 "missing.fa" index --fasta missing.fa --out out.idx --threads 0)
+# Unknown flags: the retired index --format, and a typo of --threads.
+run_cli(1 "unknown flag --format" index --fasta missing.fa --out out.idx
+        --format v4)
+run_cli(1 "unknown flag --thread" ${align} --thread 4)
+
+# Valid values pass the flag check and fail on the missing input instead;
+# every flag a command lists in its usage is accepted.
+run_cli(2 "missing.idx" ${align} --threads 3 --shards 2 --gtf missing.gtf
+        --early-stop --no-sam)
+run_cli(2 "missing.idx" ${serve} --workers 1 --chunk 64 --gtf missing.gtf)
+run_cli(2 "missing.fa" index --fasta missing.fa --out out.idx --threads 0
+        --release 111)
+run_cli(2 "missing.fa" simulate --fasta missing.fa --gtf missing.gtf
+        --out out.fastq --profile bulk --reads 5 --seed 1)
+run_cli(2 "missing.sock" submit --socket missing.sock --fastq missing.fastq
+        --tenant t --name n --out-prefix out)

@@ -231,8 +231,8 @@ TEST(GenomeIndex, StatsIncludeMiniLutBytes) {
                 stats.lut_bytes.bytes() + stats.mini_lut_bytes.bytes());
 }
 
-// Round-trip matrix: every (save version, load path) combination must
-// produce an index that searches and reports identically to the original.
+// Round-trip matrix: every load path must produce an index that searches
+// and reports identically to the original.
 TEST(GenomeIndex, RoundTripMatrixSearchesIdentically) {
   const auto& w = world();
   const GenomeIndex& original = w.index111;
@@ -243,28 +243,16 @@ TEST(GenomeIndex, RoundTripMatrixSearchesIdentically) {
     queries.push_back(chrom.substr(rng.uniform(chrom.size() - 64), 48));
   }
 
-  struct Case {
-    const char* name;
-    u32 version;
-    IndexLoadMode mode;
-  };
-  const Case cases[] = {
-      {"v3-stream", GenomeIndex::kVersionV3, IndexLoadMode::kStream},
-      {"v3-mmap", GenomeIndex::kVersionV3, IndexLoadMode::kMmap},
-      {"v4-stream", GenomeIndex::kVersionV4, IndexLoadMode::kStream},
-      {"v4-mmap", GenomeIndex::kVersionV4, IndexLoadMode::kMmap},
-  };
-  for (const Case& c : cases) {
-    if (c.mode == IndexLoadMode::kMmap && !MappedFile::supported()) continue;
-    const bool packed = c.version == GenomeIndex::kVersionV4;
-    const TempIndexFile file(original, c.version);
-    const GenomeIndex loaded = GenomeIndex::load_file(file.path, c.mode);
-    SCOPED_TRACE(c.name);
-    EXPECT_EQ(loaded.memory_mapped(), c.mode == IndexLoadMode::kMmap);
-    EXPECT_EQ(loaded.packed_text(), packed);
-    // v4 carries no raw text; the decoded form must still be byte-equal.
-    EXPECT_EQ(loaded.text(), packed ? std::string_view() : original.text());
-    EXPECT_EQ(loaded.text_size(), original.text().size());
+  const TempIndexFile file(original);
+  for (const IndexLoadMode mode :
+       {IndexLoadMode::kStream, IndexLoadMode::kMmap, IndexLoadMode::kAuto}) {
+    if (mode == IndexLoadMode::kMmap && !MappedFile::supported()) continue;
+    const GenomeIndex loaded = GenomeIndex::load_file(file.path, mode);
+    SCOPED_TRACE(static_cast<int>(mode));
+    if (mode != IndexLoadMode::kAuto) {
+      EXPECT_EQ(loaded.memory_mapped(), mode == IndexLoadMode::kMmap);
+    }
+    EXPECT_EQ(loaded.text(), original.text());
     EXPECT_EQ(loaded.text_substr(0, original.text().size()), original.text());
     EXPECT_TRUE(same_range(loaded.suffix_array(), original.suffix_array()));
     EXPECT_TRUE(same_range(loaded.prefix_lut(), original.prefix_lut()));
@@ -273,32 +261,16 @@ TEST(GenomeIndex, RoundTripMatrixSearchesIdentically) {
     }
     const IndexStats got = loaded.stats();
     const IndexStats want = original.stats();
-    EXPECT_EQ(got.packed_text, packed);
-    if (packed) {
-      // Everything but the text is unchanged; the text shrinks ~4x.
-      EXPECT_EQ(got.suffix_array_bytes.bytes(),
-                want.suffix_array_bytes.bytes());
-      EXPECT_EQ(got.lut_bytes.bytes(), want.lut_bytes.bytes());
-      EXPECT_LT(got.text_bytes.bytes() * 3, want.text_bytes.bytes());
-    } else {
-      EXPECT_EQ(got.total().bytes(), want.total().bytes());
-    }
+    EXPECT_EQ(got.total().bytes(), want.total().bytes());
     EXPECT_EQ(got.genome_length, want.genome_length);
     EXPECT_EQ(got.num_contigs, want.num_contigs);
+    EXPECT_EQ(loaded.fingerprint(), original.fingerprint());
     for (const std::string& q : queries) {
       const MmpResult a = original.mmp(q);
       const MmpResult b = loaded.mmp(q);
       EXPECT_EQ(a.length, b.length) << "query " << q;
       EXPECT_EQ(a.interval.lo, b.interval.lo) << "query " << q;
       EXPECT_EQ(a.interval.hi, b.interval.hi) << "query " << q;
-    }
-    // kAuto picks mmap (when supported), else stream; either way the
-    // result must match too.
-    const GenomeIndex auto_loaded = GenomeIndex::load_file(file.path);
-    EXPECT_EQ(auto_loaded.text_substr(0, original.text().size()),
-              original.text());
-    if (!packed) {
-      EXPECT_EQ(auto_loaded.text(), original.text());
     }
   }
 }
@@ -316,29 +288,32 @@ TEST(GenomeIndex, MmapChecksumVerificationPasses) {
 }
 
 TEST(GenomeIndex, LoadRejectsUnsupportedVersionsAndShortFiles) {
-  // A valid magic ("STAR") followed by version 2, the retired split-LUT
-  // format, padded well past any header read.
-  std::string v2_header(64, '\0');
-  const u32 magic_and_version[2] = {0x53544152, 2};
-  std::memcpy(v2_header.data(), magic_and_version, sizeof magic_and_version);
-  const TempBytesFile v2_file(v2_header);
-  for (const IndexLoadMode mode :
-       {IndexLoadMode::kStream, IndexLoadMode::kMmap, IndexLoadMode::kAuto}) {
-    if (mode == IndexLoadMode::kMmap && !MappedFile::supported()) continue;
-    try {
-      (void)GenomeIndex::load_file(v2_file.path, mode);
-      ADD_FAILURE() << "version 2 file loaded";
-    } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported index version 2"),
-                std::string::npos)
-          << e.what();
+  // A valid magic ("STAR") followed by a retired version, padded well past
+  // any header read: 2 is the split-LUT format, 4 the 2-bit packed text.
+  std::string header(64, '\0');
+  for (const u32 version : {2u, 4u}) {
+    const u32 magic_and_version[2] = {0x53544152, version};
+    std::memcpy(header.data(), magic_and_version, sizeof magic_and_version);
+    const TempBytesFile file(header);
+    const std::string want =
+        "unsupported index version " + std::to_string(version);
+    for (const IndexLoadMode mode :
+         {IndexLoadMode::kStream, IndexLoadMode::kMmap, IndexLoadMode::kAuto}) {
+      if (mode == IndexLoadMode::kMmap && !MappedFile::supported()) continue;
+      try {
+        (void)GenomeIndex::load_file(file.path, mode);
+        ADD_FAILURE() << "version " << version << " file loaded";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
     }
   }
   // kAuto no longer probes the header: an empty file and one too short
   // for the version word are clean ParseErrors from the loader itself.
   const TempBytesFile empty_file("");
   EXPECT_THROW((void)GenomeIndex::load_file(empty_file.path), ParseError);
-  const TempBytesFile magic_only(v2_header.substr(0, 4));
+  const TempBytesFile magic_only(header.substr(0, 4));
   EXPECT_THROW((void)GenomeIndex::load_file(magic_only.path), ParseError);
 }
 

@@ -349,48 +349,45 @@ TEST(MmpBatch, StreamSchedulingMatchesPerQueryMmp) {
   EXPECT_GT(wide, 0u) << "no repeat interval wider than the direct scan";
   EXPECT_GT(short_queries, 0u);
 
-  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
-    const TempIndexFile file(built, version);
-    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
-    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
-    for (const IndexLoadMode mode : modes) {
-      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
-      struct Shape {
-        const char* name;
-        usize walks;
-        bool gated;
-      };
-      // 1 walk; fewer walks than the 64 lanes; many more walks than lanes
-      // (every query its own walk, so lanes recycle); and a gated feed
-      // that goes dry while lanes are in flight.
-      const Shape shapes[] = {{"one walk", 1, false},
-                              {"fewer walks than lanes", 9, false},
-                              {"many more walks than lanes", queries.size(),
-                               false},
-                              {"dry while in flight", 40, true}};
-      for (const Shape& shape : shapes) {
-        const auto walks = as_walks(queries, shape.walks);
-        ScheduledFeed feed(walks, shape.gated);
-        index.mmp_batch_stream(feed);
-        const std::string what = std::string(shape.name) + ", v" +
-                                 std::to_string(version) +
-                                 (mode == IndexLoadMode::kMmap ? " mmap"
-                                                               : " stream");
-        if (shape.gated) {
-          EXPECT_GT(feed.dry_answers(), 1u) << what;
-        }
-        for (usize wk = 0; wk < walks.size(); ++wk) {
-          ASSERT_EQ(feed.results()[wk].size(), walks[wk].size())
-              << what << " walk " << wk;
-          for (usize s = 0; s < walks[wk].size(); ++s) {
-            const MmpResult solo = index.mmp(walks[wk][s]);
-            EXPECT_EQ(feed.results()[wk][s].length, solo.length)
-                << what << " walk " << wk << " step " << s;
-            EXPECT_EQ(feed.results()[wk][s].interval.lo, solo.interval.lo)
-                << what << " walk " << wk << " step " << s;
-            EXPECT_EQ(feed.results()[wk][s].interval.hi, solo.interval.hi)
-                << what << " walk " << wk << " step " << s;
-          }
+  const TempIndexFile file(built);
+  std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+  if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+  for (const IndexLoadMode mode : modes) {
+    const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+    struct Shape {
+      const char* name;
+      usize walks;
+      bool gated;
+    };
+    // 1 walk; fewer walks than the 64 lanes; many more walks than lanes
+    // (every query its own walk, so lanes recycle); and a gated feed
+    // that goes dry while lanes are in flight.
+    const Shape shapes[] = {{"one walk", 1, false},
+                            {"fewer walks than lanes", 9, false},
+                            {"many more walks than lanes", queries.size(),
+                             false},
+                            {"dry while in flight", 40, true}};
+    for (const Shape& shape : shapes) {
+      const auto walks = as_walks(queries, shape.walks);
+      ScheduledFeed feed(walks, shape.gated);
+      index.mmp_batch_stream(feed);
+      const std::string what =
+          std::string(shape.name) +
+          (mode == IndexLoadMode::kMmap ? ", mmap" : ", stream");
+      if (shape.gated) {
+        EXPECT_GT(feed.dry_answers(), 1u) << what;
+      }
+      for (usize wk = 0; wk < walks.size(); ++wk) {
+        ASSERT_EQ(feed.results()[wk].size(), walks[wk].size())
+            << what << " walk " << wk;
+        for (usize s = 0; s < walks[wk].size(); ++s) {
+          const MmpResult solo = index.mmp(walks[wk][s]);
+          EXPECT_EQ(feed.results()[wk][s].length, solo.length)
+              << what << " walk " << wk << " step " << s;
+          EXPECT_EQ(feed.results()[wk][s].interval.lo, solo.interval.lo)
+              << what << " walk " << wk << " step " << s;
+          EXPECT_EQ(feed.results()[wk][s].interval.hi, solo.interval.hi)
+              << what << " walk " << wk << " step " << s;
         }
       }
     }
@@ -403,9 +400,8 @@ TEST(MmpBatch, RepeatCopiesNarrowByWideBlocks) {
   // them carrying one substitution. A query from the element keeps all
   // copies past the LUT depth, so the walker's insertion search compares
   // far past the jump depth and the block search must drop the mutated
-  // copies wherever their substitution falls. Raw and packed text,
-  // stream and mmap, must all equal per-query mmp(), which narrows one
-  // character at a time.
+  // copies wherever their substitution falls. Stream and mmap loads must
+  // both equal per-query mmp(), which narrows one character at a time.
   Rng rng(515);
   const auto random_bases = [&](usize n) {
     std::string out;
@@ -437,18 +433,16 @@ TEST(MmpBatch, RepeatCopiesNarrowByWideBlocks) {
   }
   ASSERT_GT(built.mmp(queries[0]).interval.count(), 24u);
 
-  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
-    const TempIndexFile file(built, version);
-    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
-    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
-    for (const IndexLoadMode mode : modes) {
-      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
-      std::vector<std::string_view> views(queries.begin(), queries.end());
-      std::vector<MmpResult> results(views.size());
-      index.mmp_batch(views, results);
-      for (usize i = 0; i < views.size(); ++i) {
-        expect_same(results[i], index.mmp(views[i]), i);
-      }
+  const TempIndexFile file(built);
+  std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+  if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+  for (const IndexLoadMode mode : modes) {
+    const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+    std::vector<std::string_view> views(queries.begin(), queries.end());
+    std::vector<MmpResult> results(views.size());
+    index.mmp_batch(views, results);
+    for (usize i = 0; i < views.size(); ++i) {
+      expect_same(results[i], index.mmp(views[i]), i);
     }
   }
 }
@@ -643,31 +637,28 @@ TEST(MmpBatch, SearchMatchesPerCharNarrowing) {
   }
   EXPECT_GE(wide_cascades, 20u);
 
-  for (const u32 version : {GenomeIndex::kVersionV3, GenomeIndex::kVersionV4}) {
-    const TempIndexFile file(built, version);
-    std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
-    if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
-    for (const IndexLoadMode mode : modes) {
-      const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
-      const std::string what = "v" + std::to_string(version) +
-                               (mode == IndexLoadMode::kMmap ? " mmap"
-                                                             : " stream");
-      std::vector<std::string_view> views(queries.begin(), queries.end());
-      std::vector<MmpResult> results(views.size());
-      index.mmp_batch(views, results);
-      for (usize i = 0; i < views.size(); ++i) {
-        SCOPED_TRACE(what + " query " + queries[i]);
-        expect_same(results[i], index.mmp(views[i]), i);
+  const TempIndexFile file(built);
+  std::vector<IndexLoadMode> modes = {IndexLoadMode::kStream};
+  if (MappedFile::supported()) modes.push_back(IndexLoadMode::kMmap);
+  for (const IndexLoadMode mode : modes) {
+    const GenomeIndex index = GenomeIndex::load_file(file.path, mode);
+    const std::string what =
+        mode == IndexLoadMode::kMmap ? "mmap" : "stream";
+    std::vector<std::string_view> views(queries.begin(), queries.end());
+    std::vector<MmpResult> results(views.size());
+    index.mmp_batch(views, results);
+    for (usize i = 0; i < views.size(); ++i) {
+      SCOPED_TRACE(what + " query " + queries[i]);
+      expect_same(results[i], index.mmp(views[i]), i);
 
-        // One query alone: the walk reads O(log W) rows, where W is the
-        // jump interval's width (the direct scan reads at most kT).
-        OneQueryFeed feed(views[i]);
-        const u64 rows = index.mmp_batch_stream(feed);
-        expect_same(feed.result(), results[i], i);
-        const u32 width = jump_width(index, views[i]);
-        const u64 log_w = std::bit_width(width - 1);  // ceil(log2 W)
-        EXPECT_LE(rows, 4 * log_w + 24) << "W = " << width;
-      }
+      // One query alone: the walk reads O(log W) rows, where W is the
+      // jump interval's width (the direct scan reads at most kT).
+      OneQueryFeed feed(views[i]);
+      const u64 rows = index.mmp_batch_stream(feed);
+      expect_same(feed.result(), results[i], i);
+      const u32 width = jump_width(index, views[i]);
+      const u64 log_w = std::bit_width(width - 1);  // ceil(log2 W)
+      EXPECT_LE(rows, 4 * log_w + 24) << "W = " << width;
     }
   }
 }

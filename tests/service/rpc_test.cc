@@ -242,6 +242,42 @@ TEST(ServiceRpc, ForgedSubmitLengthsDropOnlyTheirConnection) {
   EXPECT_EQ(fx.service->metrics().samples_completed, 0u);
 }
 
+TEST(ServiceRpc, ForgedResponseLengthsThrowIoError) {
+  // A fake daemon answers each request with one forged OK header and
+  // hangs up. Not decimal digits, or a length the daemon never sends:
+  // the client must end in IoError. "-1" used to wrap to 2^64-1 and
+  // throw std::length_error before any body byte arrived.
+  const std::string path = socket_path("forged_ok");
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ::unlink(path.c_str());
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  for (const std::string reply :
+       {"OK -1\n", "OK 12x\n", "OK 18446744073709551615\n"}) {
+    SCOPED_TRACE(reply);
+    std::thread daemon([&] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      char c = 0;
+      while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+      }
+      ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    });
+    ServiceClient client(path);
+    EXPECT_THROW(client.ping(), IoError);
+    daemon.join();
+  }
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
+
 TEST(ServiceRpc, ConnectToMissingSocketThrows) {
   EXPECT_THROW(ServiceClient("/tmp/staratlas_no_such_socket.sock"), IoError);
 }

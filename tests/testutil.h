@@ -38,13 +38,11 @@ struct TestWorld {
 /// Writes an index to a real file in the test temp dir (mmap needs one)
 /// and removes it on scope exit.
 struct TempIndexFile {
-  explicit TempIndexFile(const GenomeIndex& index,
-                         u32 version = GenomeIndex::kVersionLatest)
-      : path(::testing::TempDir() + "staratlas_index_v" +
-             std::to_string(version) + "_" +
+  explicit TempIndexFile(const GenomeIndex& index)
+      : path(::testing::TempDir() + "staratlas_index_" +
              std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
              ".bin") {
-    index.save_file(path, version);
+    index.save_file(path);
   }
   ~TempIndexFile() { std::remove(path.c_str()); }
   TempIndexFile(const TempIndexFile&) = delete;
