@@ -33,8 +33,10 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,8 +49,10 @@
 #include "common/error.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
+#include "index/index_storage.h"
 #include "io/fasta.h"
 #include "io/fastq.h"
+#include "io/fastq_block.h"
 #include "io/gtf.h"
 #include "io/shard_plan.h"
 #include "service/rpc.h"
@@ -230,17 +234,18 @@ Annotation annotation_from_index(const GenomeIndex& index,
   return Annotation::from_gtf(read_gtf_file(gtf_path), contig_names);
 }
 
-// The whole file in one buffer: the engine block-parses it in place, and
-// sharded runs scatter byte ranges of it.
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
-  if (size < 0) throw IoError("cannot open FASTQ file: " + path);
-  std::string bytes(static_cast<usize>(size), '\0');
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!in) throw IoError("I/O error while reading FASTQ file: " + path);
-  return bytes;
+// Attaches the FASTQ read-only for callers that need all of it at once
+// (the shard planner's random access, a submission's payload); an empty
+// file is the empty text.
+MappedFile map_fastq(const std::string& path) {
+  std::error_code error;
+  const auto size = std::filesystem::file_size(path, error);
+  if (error) throw IoError("cannot open FASTQ file: " + path);
+  return size == 0 ? MappedFile{} : MappedFile::map(path, "FASTQ file");
+}
+
+std::string_view mapped_text(const MappedFile& file) {
+  return {reinterpret_cast<const char*>(file.data()), file.size()};
 }
 
 int cmd_align(const Args& args) {
@@ -249,10 +254,29 @@ int cmd_align(const Args& args) {
   const std::string prefix = args.require("out-prefix");
   const u64 threads = args.get_u64("threads", 2, 1);
   const u64 shards = args.get_u64("shards", 1, 1);
+  const bool early_stop = args.has("early-stop");
 
   const GenomeIndex index = GenomeIndex::load_file(index_path);
-  const std::string raw = read_file_bytes(fastq);
-  const FastqCount count = count_fastq_records(raw);
+  // Unsharded runs stream the FASTQ in FastqBlockReader blocks, so ingest
+  // memory does not grow with the file. The early-stop checkpoint needs
+  // the read count before the run, which a block-buffered pre-count gives;
+  // otherwise the parse itself counts. Sharded runs map the file: the
+  // shard planner needs random access.
+  std::ifstream fastq_in;
+  MappedFile fastq_map;
+  std::optional<FastqCount> known_count;
+  if (shards > 1) {
+    fastq_map = map_fastq(fastq);
+    known_count = count_fastq_records(mapped_text(fastq_map));
+  } else {
+    fastq_in.open(fastq, std::ios::binary);
+    if (!fastq_in) throw IoError("cannot open FASTQ file: " + fastq);
+    if (early_stop) {
+      known_count = count_fastq_records(fastq_in);
+      fastq_in.clear();
+      fastq_in.seekg(0);
+    }
+  }
 
   Annotation annotation;
   const bool quant = args.has("gtf");
@@ -275,12 +299,31 @@ int cmd_align(const Args& args) {
     if (!sam_out) throw IoError("cannot open SAM file for writing: " + sam_path);
     write_sam_header(sam_out, index);
   }
-  const EngineRunRequest request{
-      .fastq_text = raw,
+  EngineRunRequest request{
       .num_shards = shards,
-      .total_reads_hint = count.records,
-      .early_stop = EarlyStopPolicy{.enabled = args.has("early-stop")},
+      .total_reads_hint = known_count ? known_count->records : 0,
+      .early_stop = EarlyStopPolicy{.enabled = early_stop},
       .sam_out = sam ? &sam_out : nullptr};
+  std::optional<FastqBlockReader> reader;
+  u64 streamed_bases = 0;
+  if (shards > 1) {
+    request.fastq_text = mapped_text(fastq_map);
+  } else {
+    reader.emplace(fastq_in);
+    request.batches = [&, chunk = config.chunk_size](ReadBatch& batch) {
+      if (reader->read_batch(batch, chunk) == 0) {
+        // The reader takes a failed read for the end of the file.
+        if (fastq_in.bad()) {
+          throw IoError("I/O error while reading FASTQ file: " + fastq);
+        }
+        return false;
+      }
+      for (usize r = 0; r < batch.size(); ++r) {
+        streamed_bases += batch.sequence(r).size();
+      }
+      return true;
+    };
+  }
   // An aborted or failed run leaves no SAM behind.
   auto discard_sam = [&] {
     if (!sam) return;
@@ -305,6 +348,10 @@ int cmd_align(const Args& args) {
     sam_out.close();
     if (!sam_out) throw IoError("failed writing SAM file: " + sam_path);
   }
+  // A streamed run that was not stopped early parsed the whole file.
+  const FastqCount count = known_count.value_or(
+      FastqCount{.records = reader ? reader->records_read() : 0,
+                 .sequence_bases = streamed_bases});
 
   // Log.final.out (an empty sample reports a 0 mean length, not NaN)
   const double mean_length =
@@ -388,8 +435,8 @@ int cmd_submit(const Args& args) {
   const std::string tenant = args.require("tenant");
   const std::string name = args.get(
       "name", std::filesystem::path(fastq_path).stem().string());
-  const auto response =
-      client.submit(tenant, name, read_file_bytes(fastq_path));
+  const MappedFile fastq = map_fastq(fastq_path);
+  const auto response = client.submit(tenant, name, mapped_text(fastq));
   if (!response.ok) {
     std::cerr << "rejected (" << response.error_code
               << "): " << response.message << "\n";

@@ -97,8 +97,9 @@ struct AlignmentRun {
   u64 stream_batches = 0;  ///< batches committed (aborted runs: up to abort)
   /// Heap allocations made by alignment work (align + commit) on worker
   /// threads; source calls are not counted. With a warmed engine,
-  /// quant/junctions off and no callback this is 0 — the execution body
-  /// is allocation-free at steady state.
+  /// junctions off and no callback this is 0, with or without gene counts
+  /// and SAM output — the execution body is allocation-free at steady
+  /// state.
   u64 stream_consumer_allocs = 0;
   /// Sum of the recycled batch-slot footprints (arena + outcome capacity):
   /// the run's peak ingest memory, bounded by the slot count

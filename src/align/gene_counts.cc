@@ -1,8 +1,8 @@
 #include "align/gene_counts.h"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
-#include <set>
 
 #include "common/error.h"
 
@@ -63,12 +63,12 @@ GeneCounter::GeneCounter(const Annotation& annotation, const GenomeIndex& index)
   }
 }
 
-std::vector<GeneId> GeneCounter::genes_overlapping(ContigId contig, u64 start,
-                                                   u64 end) const {
+template <typename Fn>
+void GeneCounter::for_each_overlapping_exon(ContigId contig, u64 start,
+                                            u64 end, Fn&& fn) const {
   STARATLAS_CHECK(contig < by_contig_.size());
   const auto& intervals = by_contig_[contig];
-  std::vector<GeneId> genes;
-  if (intervals.empty() || start >= end) return genes;
+  if (intervals.empty() || start >= end) return;
 
   // Exons whose start is in [start - max_len, end): only those can overlap.
   const u64 max_len = max_exon_length_[contig];
@@ -77,8 +77,15 @@ std::vector<GeneId> GeneCounter::genes_overlapping(ContigId contig, u64 start,
       intervals.begin(), intervals.end(), scan_from,
       [](const ExonInterval& e, u64 v) { return e.start < v; });
   for (; it != intervals.end() && it->start < end; ++it) {
-    if (it->end > start) genes.push_back(it->gene);
+    if (it->end > start) fn(it->gene);
   }
+}
+
+std::vector<GeneId> GeneCounter::genes_overlapping(ContigId contig, u64 start,
+                                                   u64 end) const {
+  std::vector<GeneId> genes;
+  for_each_overlapping_exon(contig, start, end,
+                            [&genes](GeneId gene) { genes.push_back(gene); });
   std::sort(genes.begin(), genes.end());
   genes.erase(std::unique(genes.begin(), genes.end()), genes.end());
   return genes;
@@ -100,20 +107,29 @@ void GeneCounter::count(const ReadAlignment& alignment,
   }
   STARATLAS_CHECK(!alignment.hits.empty());
   const AlignmentHit& hit = alignment.hits.front();
-  std::set<GeneId> overlapped;
+  // The read counts for a gene only when every overlapped exon belongs to
+  // that one gene, so the first gene and whether a second one shows up
+  // are all the state the decision needs.
+  std::optional<GeneId> first;
+  bool ambiguous = false;
   for (const AlignedSegment& segment : hit.segments) {
     const ContigLocus locus = index_->locate(segment.text_start);
-    for (GeneId gene :
-         genes_overlapping(locus.contig, locus.offset, locus.offset + segment.length)) {
-      overlapped.insert(gene);
-    }
+    for_each_overlapping_exon(
+        locus.contig, locus.offset, locus.offset + segment.length,
+        [&](GeneId gene) {
+          if (!first) {
+            first = gene;
+          } else if (gene != *first) {
+            ambiguous = true;
+          }
+        });
   }
-  if (overlapped.empty()) {
+  if (!first) {
     ++table.n_no_feature;
-  } else if (overlapped.size() > 1) {
+  } else if (ambiguous) {
     ++table.n_ambiguous;
   } else {
-    ++table.per_gene[*overlapped.begin()];
+    ++table.per_gene[*first];
   }
 }
 

@@ -45,6 +45,12 @@ class GeneCounter {
                                         u64 end) const;
 
  private:
+  /// Calls fn(gene) once per exon overlapping [start, end) on `contig`,
+  /// so a gene may repeat. Allocates nothing.
+  template <typename Fn>
+  void for_each_overlapping_exon(ContigId contig, u64 start, u64 end,
+                                 Fn&& fn) const;
+
   struct ExonInterval {
     u64 start;
     u64 end;

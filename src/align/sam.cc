@@ -1,5 +1,7 @@
 #include "align/sam.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <ostream>
 
 #include "common/error.h"
@@ -89,7 +91,12 @@ usize append_sam_records(std::string& out, const GenomeIndex& index,
       const usize at = out.size();
       out.resize(at + sequence.size());
       reverse_complement(sequence, out.data() + at);
-      out.append("\t").append(quality.rbegin(), quality.rend());
+      // Reversed in place: append(rbegin, rend) builds a temporary string.
+      out.push_back('\t');
+      const usize qual_at = out.size();
+      out.append(quality);
+      std::reverse(out.begin() + static_cast<std::ptrdiff_t>(qual_at),
+                   out.end());
     } else {
       out.append(sequence).append("\t").append(quality);
     }

@@ -39,29 +39,29 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 
 bool MappedFile::supported() { return STARATLAS_HAVE_MMAP != 0; }
 
-MappedFile MappedFile::map(const std::string& path) {
+MappedFile MappedFile::map(const std::string& path, const std::string& what) {
 #if STARATLAS_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw IoError("cannot open index file: " + path);
+  if (fd < 0) throw IoError("cannot open " + what + ": " + path);
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    throw IoError("cannot stat index file: " + path);
+    throw IoError("cannot stat " + what + ": " + path);
   }
   if (st.st_size <= 0) {
     ::close(fd);
-    throw ParseError("index file is empty: " + path);
+    throw ParseError(what + " is empty: " + path);
   }
   const usize size = static_cast<usize>(st.st_size);
   void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
-  if (p == MAP_FAILED) throw IoError("mmap failed for index file: " + path);
+  if (p == MAP_FAILED) throw IoError("mmap failed for " + what + ": " + path);
   MappedFile file;
   file.data_ = static_cast<u8*>(p);
   file.size_ = size;
   return file;
 #else
-  throw IoError("mmap index load unsupported on this platform: " + path);
+  throw IoError("cannot map " + what + " on this platform: " + path);
 #endif
 }
 

@@ -35,8 +35,9 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   /// Maps `path` read-only. Throws IoError on open/map failure,
-  /// ParseError on an empty file.
-  static MappedFile map(const std::string& path);
+  /// ParseError on an empty file; `what` names the file in the message.
+  static MappedFile map(const std::string& path,
+                        const std::string& what = "index file");
 
   /// False when the platform has no mmap; callers fall back to streams.
   static bool supported();

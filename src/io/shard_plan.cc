@@ -1,6 +1,8 @@
 #include "io/shard_plan.h"
 
+#include <algorithm>
 #include <cstring>
+#include <istream>
 
 #include "common/error.h"
 
@@ -8,48 +10,92 @@ namespace staratlas {
 
 namespace {
 
-/// Walks `data` with the block parser's record grammar and calls
-/// fn(record_start, record_index, sequence_length) for every record:
-/// blank lines between records are skipped, and a record is a non-blank
-/// header line plus the next three lines taken verbatim (an empty read's
-/// blank sequence and quality lines included). Line lengths exclude the
-/// trailing '\r' of CRLF endings. Returns the record count; throws the
-/// parser's ParseError when the input ends inside a record.
-template <typename Fn>
-u64 for_each_record(std::string_view data, Fn&& fn) {
-  u64 records = 0;
-  u64 line = 0;    // lines walked, blank ones included (the parser's count)
-  int field = 0;   // next line of the current record; 0 = its header
-  usize record_start = 0;
-  usize sequence_length = 0;
-  usize pos = 0;
-  while (pos < data.size()) {
-    const char* nl = static_cast<const char*>(
-        std::memchr(data.data() + pos, '\n', data.size() - pos));
-    const usize line_end = nl ? static_cast<usize>(nl - data.data())
-                              : data.size();
-    usize content_end = line_end;
-    if (content_end > pos && data[content_end - 1] == '\r') --content_end;
-    ++line;
-    if (field == 0) {
-      if (content_end > pos) {
-        record_start = pos;
-        field = 1;
+/// The block parser's record grammar as a line walk over consecutive
+/// blocks of one input: blank lines between records are skipped, and a
+/// record is a non-blank header line plus the next three lines taken
+/// verbatim (an empty read's blank sequence and quality lines included).
+/// Line lengths exclude the trailing '\r' of CRLF endings. A line may
+/// straddle blocks: the walker carries its length and last byte across
+/// feed() calls, so any block size gives the same walk. For every record
+/// it calls fn(record_start, record_index, sequence_length), where
+/// record_start is the header's byte offset in the whole input.
+class RecordWalker {
+ public:
+  /// Walks the lines that end inside `block`, the input's next bytes.
+  template <typename Fn>
+  void feed(std::string_view block, Fn&& fn) {
+    usize pos = 0;
+    while (pos < block.size()) {
+      const char* nl = static_cast<const char*>(
+          std::memchr(block.data() + pos, '\n', block.size() - pos));
+      if (nl == nullptr) {  // the line goes on in the next block
+        line_len_ += block.size() - pos;
+        line_cr_ = block.back() == '\r';
+        break;
+      }
+      const usize line_end = static_cast<usize>(nl - block.data());
+      if (line_end > pos) {
+        line_len_ += line_end - pos;
+        line_cr_ = block[line_end - 1] == '\r';
+      }
+      end_line(fn);
+      pos = line_end + 1;
+      line_start_ = offset_ + pos;
+    }
+    offset_ += block.size();
+  }
+
+  /// Ends the input: walks an unterminated final line, then returns the
+  /// record count or throws the parser's ParseError when the input ends
+  /// inside a record.
+  template <typename Fn>
+  u64 finish(Fn&& fn) {
+    if (line_len_ > 0) end_line(fn);
+    if (field_ != 0) {
+      throw ParseError("FASTQ record truncated at line " +
+                       std::to_string(line_));
+    }
+    return records_;
+  }
+
+ private:
+  template <typename Fn>
+  void end_line(Fn& fn) {
+    const usize content = line_len_ - (line_cr_ ? 1 : 0);
+    ++line_;
+    if (field_ == 0) {
+      if (content > 0) {
+        record_start_ = line_start_;
+        field_ = 1;
       }
     } else {
-      if (field == 1) sequence_length = content_end - pos;
-      if (++field == 4) {
-        fn(record_start, records, sequence_length);
-        ++records;
-        field = 0;
+      if (field_ == 1) sequence_length_ = content;
+      if (++field_ == 4) {
+        fn(record_start_, records_, sequence_length_);
+        ++records_;
+        field_ = 0;
       }
     }
-    pos = nl ? line_end + 1 : data.size();
+    line_len_ = 0;
+    line_cr_ = false;
   }
-  if (field != 0) {
-    throw ParseError("FASTQ record truncated at line " + std::to_string(line));
-  }
-  return records;
+
+  u64 records_ = 0;
+  u64 line_ = 0;   ///< lines walked, blank ones included (the parser's count)
+  int field_ = 0;  ///< next line of the current record; 0 = its header
+  usize offset_ = 0;      ///< input offset of the next block
+  usize line_start_ = 0;  ///< input offset of the current line
+  usize line_len_ = 0;    ///< bytes of the current line seen so far
+  bool line_cr_ = false;  ///< the current line's last byte so far is '\r'
+  usize record_start_ = 0;
+  usize sequence_length_ = 0;
+};
+
+template <typename Fn>
+u64 for_each_record(std::string_view data, Fn&& fn) {
+  RecordWalker walker;
+  walker.feed(data, fn);
+  return walker.finish(fn);
 }
 
 }  // namespace
@@ -132,6 +178,24 @@ FastqCount count_fastq_records(std::string_view data) {
       data, [&count](usize, u64, usize sequence_length) {
         count.sequence_bases += sequence_length;
       });
+  return count;
+}
+
+FastqCount count_fastq_records(std::istream& in, usize block_bytes) {
+  FastqCount count;
+  const auto add_bases = [&count](usize, u64, usize sequence_length) {
+    count.sequence_bases += sequence_length;
+  };
+  RecordWalker walker;
+  std::vector<char> block(std::max<usize>(block_bytes, 1));
+  for (;;) {
+    in.read(block.data(), static_cast<std::streamsize>(block.size()));
+    const usize got = static_cast<usize>(in.gcount());
+    if (got == 0) break;
+    walker.feed(std::string_view(block.data(), got), add_bases);
+  }
+  if (in.bad()) throw IoError("I/O error while counting FASTQ records");
+  count.records = walker.finish(add_bases);
   return count;
 }
 

@@ -20,10 +20,12 @@
 // it agrees with the exact planner on every planned boundary.
 #pragma once
 
+#include <iosfwd>
 #include <string_view>
 #include <vector>
 
 #include "common/types.h"
+#include "io/fastq_block.h"
 
 namespace staratlas {
 
@@ -74,5 +76,14 @@ struct FastqCount {
 /// single line walk as the planner. Throws ParseError when the input ends
 /// inside a record.
 FastqCount count_fastq_records(std::string_view data);
+
+/// The same count over a stream read in `block_bytes` blocks, for a file
+/// too large to hold: one buffer of that size whatever the input size.
+/// Equal to the buffer form on the same bytes, ParseError text included,
+/// at any block size. Reads `in` to its end; throws IoError on a read
+/// failure.
+FastqCount count_fastq_records(
+    std::istream& in,
+    usize block_bytes = FastqBlockReader::kDefaultBlockBytes);
 
 }  // namespace staratlas

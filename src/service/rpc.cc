@@ -38,7 +38,7 @@ bool send_all(int fd, const char* data, usize len) {
   return true;
 }
 
-bool send_all(int fd, const std::string& data) {
+bool send_all(int fd, std::string_view data) {
   return send_all(fd, data.data(), data.size());
 }
 
@@ -316,7 +316,7 @@ ServiceClient::~ServiceClient() {
 }
 
 ServiceClient::Response ServiceClient::request(const std::string& header,
-                                               const std::string& payload) {
+                                               std::string_view payload) {
   Response response;
   if (!send_all(fd_, header) || !send_all(fd_, payload)) {
     throw IoError("service connection lost while sending");
@@ -356,7 +356,7 @@ ServiceClient::Response ServiceClient::request(const std::string& header,
 
 ServiceClient::Response ServiceClient::submit(const std::string& tenant,
                                               const std::string& name,
-                                              const std::string& fastq) {
+                                              std::string_view fastq) {
   if (!token_ok(tenant) || !token_ok(name)) {
     throw InvalidArgument("tenant and sample names must be non-empty and "
                           "whitespace-free");

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -100,13 +101,13 @@ class ServiceClient {
   /// completes or is rejected. `tenant`/`name` must be non-empty and
   /// whitespace-free (they travel on the request line).
   Response submit(const std::string& tenant, const std::string& name,
-                  const std::string& fastq);
+                  std::string_view fastq);
   Response stats();
   Response ping();
   Response drain();
 
  private:
-  Response request(const std::string& header, const std::string& payload);
+  Response request(const std::string& header, std::string_view payload);
 
   int fd_ = -1;
 };

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "align/engine.h"
 #include "align/run_request.h"
@@ -125,12 +127,29 @@ TEST(Stream, ReusedEngineInterleavesRunAndRunStream) {
   expect_identical_runs(ref_b, b_text, "sample_b text");
 }
 
+/// Counts the bytes written and keeps none: a SAM sink that never grows.
+class DiscardBuf : public std::streambuf {
+ public:
+  u64 bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<u64>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
 TEST(Stream, ConsumerSideIsAllocationFreeAtSteadyState) {
   const auto& w = world();
   const ReadSet reads = stream_reads(500, 99);
 
-  // Gene counting and junction collection merge into heap-backed tables
-  // by design; the allocation-free claim is about the align/commit path.
+  // Junction collection merges into a heap-backed table by design, so it
+  // stays off; the allocation-free claim is about the align/commit path,
+  // per-read gene counting and SAM rendering included.
   // One worker thread pins the whole run to one workspace: with several
   // workers the scheduler decides which workspaces see work, so a
   // workspace left cold by the warm run can take batches in the measured
@@ -142,15 +161,38 @@ TEST(Stream, ConsumerSideIsAllocationFreeAtSteadyState) {
   config.chunk_size = 64;
   config.quant_gene_counts = false;
   config.collect_junctions = false;
-  AlignmentEngine engine(w.index111, nullptr, config);
+  {
+    AlignmentEngine engine(w.index111, nullptr, config);
 
-  // First run warms every slot arena, outcome buffer and workspace to the
-  // workload's high-water marks.
-  engine.execute({.reads = &reads});
-  const AlignmentRun warm = engine.execute({.reads = &reads});
+    // First run warms every slot arena, outcome buffer and workspace to
+    // the workload's high-water marks.
+    engine.execute({.reads = &reads});
+    const AlignmentRun warm = engine.execute({.reads = &reads});
+    EXPECT_EQ(warm.stream_consumer_allocs, 0u)
+        << "alignment work allocated at steady state";
+    EXPECT_EQ(warm.stats.processed, reads.size());
+  }
+
+  // The same with gene counts and a SAM stream on.
+  config.quant_gene_counts = true;
+  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
+  DiscardBuf buf;
+  std::ostream sam(&buf);
+  // One worker cycles num_threads + 2 = 3 slots over 8 batches, so the
+  // slot a batch lands in shifts from run to run; three warm runs hand
+  // every slot every batch, and with it each batch's SAM high-water mark.
+  for (int run = 0; run < 3; ++run) {
+    engine.execute({.reads = &reads, .sam_out = &sam});
+  }
+  const u64 run_bytes = buf.bytes / 3;
+  buf.bytes = 0;
+  const AlignmentRun warm = engine.execute({.reads = &reads, .sam_out = &sam});
   EXPECT_EQ(warm.stream_consumer_allocs, 0u)
-      << "alignment work allocated at steady state";
+      << "gene counting or SAM rendering allocated at steady state";
   EXPECT_EQ(warm.stats.processed, reads.size());
+  EXPECT_GT(warm.gene_counts.total_counted(), 0u);
+  EXPECT_GT(buf.bytes, 0u);
+  EXPECT_EQ(buf.bytes, run_bytes);
 }
 
 TEST(Stream, PeakIngestMemoryBoundedByQueueDepth) {

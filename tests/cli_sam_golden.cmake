@@ -1,7 +1,8 @@
 # Golden artifacts of `staratlas_cli align`: SAM, SJ.out.tab,
 # ReadsPerGene.out.tab and Log.final.out (without its timing row) must
-# match fixed SHA-256 digests at every thread and shard count, and an
-# early-stopped run must stop at the same read count and write no SAM.
+# match fixed SHA-256 digests at every thread and shard count and with
+# CRLF line endings, an early-stopped run must stop at the same read count
+# and write no SAM, and a truncated input must fail without leaving one.
 # Usage: cmake -DCLI=<staratlas_cli> -DWORK_DIR=<dir> -P cli_sam_golden.cmake
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -44,12 +45,7 @@ run_cli(out simulate --fasta genome.fa --gtf annotation.gtf --out bulk.fastq
 run_cli(out simulate --fasta genome.fa --gtf annotation.gtf --out sc.fastq
         --profile single_cell --reads 5000 --seed 13)
 
-# One set of digests for every configuration: thread and shard counts
-# must not change a byte.
-foreach(config "t1;--threads;1" "t4;--threads;4" "s3;--threads;2;--shards;3")
-  list(POP_FRONT config prefix)
-  run_cli(out align --index genome.idx --fastq bulk.fastq --gtf annotation.gtf
-          --out-prefix ${prefix} ${config})
+function(expect_bulk_digests prefix)
   expect_digest(${prefix} .sam
     8f124ed9acd3dc1164e3d7df05ed6b46696db92a7b381768c68f5b61fd2f9db2)
   expect_digest(${prefix} .SJ.out.tab
@@ -58,7 +54,46 @@ foreach(config "t1;--threads;1" "t4;--threads;4" "s3;--threads;2;--shards;3")
     8728a2a28dcdf758719b3d8d8f9b53ee49deec396ecbb288a5ed8486ccf8a16c)
   expect_digest(${prefix} .Log.final.out
     b1ea76543499d2ab18f224e88a878d5cfc295cd4527447fc915fc4e9b62532b0)
+endfunction()
+
+# One set of digests for every configuration: thread and shard counts
+# must not change a byte.
+foreach(config "t1;--threads;1" "t4;--threads;4" "s3;--threads;2;--shards;3")
+  list(POP_FRONT config prefix)
+  run_cli(out align --index genome.idx --fastq bulk.fastq --gtf annotation.gtf
+          --out-prefix ${prefix} ${config})
+  expect_bulk_digests(${prefix})
 endforeach()
+
+# The same reads with CRLF line endings and a blank line after every
+# record: 1.1 MB, so the streamed parse reads it in five 256 KiB blocks
+# with records and CRLF pairs split between them. Same four digests.
+file(READ "${WORK_DIR}/bulk.fastq" bulk)
+string(REGEX REPLACE "(@[^\n]*\n[^\n]*\n[+][^\n]*\n[^\n]*\n)" "\\1\n"
+       crlf "${bulk}")
+string(REPLACE "\n" "\r\n" crlf "${crlf}")
+file(WRITE "${WORK_DIR}/bulk_crlf.fastq" "${crlf}")
+run_cli(out align --index genome.idx --fastq bulk_crlf.fastq
+        --gtf annotation.gtf --out-prefix crlf --threads 4)
+expect_bulk_digests(crlf)
+
+# The same reads cut inside the last record (its quality line dropped):
+# the streamed parse fails after the SAM is open, and the failed run must
+# exit nonzero and leave no SAM behind.
+string(REGEX REPLACE "[^\n]*\n$" "" truncated "${bulk}")
+file(WRITE "${WORK_DIR}/bulk_truncated.fastq" "${truncated}")
+execute_process(COMMAND "${CLI}" align --index genome.idx
+    --fastq bulk_truncated.fastq --gtf annotation.gtf --out-prefix truncated
+    --threads 4
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(status EQUAL 0 OR NOT err MATCHES "FASTQ record truncated at line 19999")
+  message(FATAL_ERROR "expected a truncation error, got exit ${status}\n"
+                      "${out}${err}")
+endif()
+if(EXISTS "${WORK_DIR}/truncated.sam")
+  message(FATAL_ERROR "a failed run left truncated.sam behind")
+endif()
 
 # Early stopping aborts at the first 256-read commit past the 10%
 # checkpoint and leaves no SAM behind.

@@ -12,6 +12,7 @@
 #include "io/fastq.h"
 #include "io/fastq_block.h"
 #include "io/gtf.h"
+#include "io/shard_plan.h"
 #include "sra/container.h"
 #include "testutil.h"
 
@@ -140,28 +141,113 @@ TEST(Fuzz, BlockParserMatchesReaderAtEveryTruncationOffset) {
   }
 }
 
+// Line-ending and junk variants every FASTQ parse must agree on.
+const std::string kFastqVariants[] = {
+    "@a\r\nACGT\r\n+\r\nIIII\r\n@b\r\nGG\r\n+\r\nII\r\n",  // CRLF
+    "@a\nACGT\n+\nIIII\n\n\n\n@b\nGG\n+\nII\n",            // blank runs
+    "@a\nACGT\n+anything goes here\nIIII\n",               // '+' garbage
+    "@a\nACGT\n-not plus\nIIII\n",                         // bad '+' line
+    "@a\nACGT\n+\nIIII",            // no trailing newline
+    "@a\r\nACGT\r\n+\r\nIIII\r",    // CRLF, no trailing LF
+    "\n\n\n",                       // blanks only
+    "",                             // empty
+    "@a\n\n+\n\n@b\nGG\n+\nII\n",   // empty sequence + quality
+    "@a\nacgtn\n+\nIIIII\n",        // lowercase normalization
+    "@a\nACRT\n+\nIIII\n",          // ambiguity code -> N
+    "@a\nAC!T\n+\nIIII\n",          // invalid residue
+    "@\nACGT\n+\nIIII\n",           // empty name
+    "@a quality is +@\nAC\n+\n+@\n",  // quality starting with '+'
+    "@a\r\nAC\r\r\n+\r\nII\r\n\r\n\r\n",  // CR inside a line, CRLF blanks
+    "@a\nAC\n+\nII\n@b\nGG\n+\n",    // truncated tail
+};
+
 TEST(Fuzz, BlockParserMatchesReaderOnLineEndingAndJunkVariants) {
-  const std::string cases[] = {
-      "@a\r\nACGT\r\n+\r\nIIII\r\n@b\r\nGG\r\n+\r\nII\r\n",  // CRLF
-      "@a\nACGT\n+\nIIII\n\n\n\n@b\nGG\n+\nII\n",            // blank runs
-      "@a\nACGT\n+anything goes here\nIIII\n",               // '+' garbage
-      "@a\nACGT\n-not plus\nIIII\n",                         // bad '+' line
-      "@a\nACGT\n+\nIIII",            // no trailing newline
-      "@a\r\nACGT\r\n+\r\nIIII\r",    // CRLF, no trailing LF
-      "\n\n\n",                       // blanks only
-      "",                             // empty
-      "@a\n\n+\n\n@b\nGG\n+\nII\n",   // empty sequence + quality
-      "@a\nacgtn\n+\nIIIII\n",        // lowercase normalization
-      "@a\nACRT\n+\nIIII\n",          // ambiguity code -> N
-      "@a\nAC!T\n+\nIIII\n",          // invalid residue
-      "@\nACGT\n+\nIIII\n",           // empty name
-      "@a quality is +@\nAC\n+\n+@\n",  // quality starting with '+'
-  };
-  for (const auto& text : cases) {
+  for (const auto& text : kFastqVariants) {
     for (const usize block : {usize{1}, usize{4}, usize{64}, usize{1 << 16}}) {
       expect_block_parity(text, block, 3);
     }
   }
+}
+
+// A record count, or the exact error text it died with.
+struct CountParse {
+  FastqCount count;
+  std::string error;
+};
+
+CountParse count_buffer(const std::string& text) {
+  CountParse out;
+  try {
+    out.count = count_fastq_records(std::string_view(text));
+  } catch (const Error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+CountParse count_stream(const std::string& text, usize block_bytes) {
+  CountParse out;
+  std::istringstream in(text);
+  try {
+    out.count = count_fastq_records(in, block_bytes);
+  } catch (const Error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// The streamed count (the CLI's early-stop pre-count) walks blocks with
+// the buffer count's record walk: the same records, bases and ParseError
+// text at any block size, lines and CRLF pairs split across refills.
+void expect_count_parity(const std::string& text, usize block_bytes) {
+  const CountParse expected = count_buffer(text);
+  const CountParse got = count_stream(text, block_bytes);
+  const std::string where = "block " + std::to_string(block_bytes) +
+                            ", input: " + ::testing::PrintToString(text);
+  ASSERT_EQ(got.error, expected.error) << where;
+  ASSERT_EQ(got.count.records, expected.count.records) << where;
+  ASSERT_EQ(got.count.sequence_bases, expected.count.sequence_bases) << where;
+}
+
+TEST(Fuzz, StreamedCountMatchesBufferCountOnCorruptedCorpus) {
+  Rng rng(137);
+  const std::string valid =
+      "@r1\r\nACGT\r\n+\r\nIIII\r\n\r\n@r2 desc\nGGCC\n+r2\nIIII\n\n"
+      "@r3\nTTAA\n+\n!!!!\n";
+  for (int trial = 0; trial < 400; ++trial) {
+    expect_count_parity(corrupt(valid, rng), 1 + rng.uniform(48));
+  }
+}
+
+TEST(Fuzz, StreamedCountMatchesBufferCountAtEveryTruncationOffset) {
+  const std::string valid =
+      "@r1\r\nACGT\r\n+\r\nIIII\r\n\n@r2 desc\nGGCC\n+r2\nIIII\n"
+      "@r3\nTT\n+\nII\n";
+  for (usize cut = 0; cut <= valid.size(); ++cut) {
+    for (const usize block : {usize{1}, usize{2}, usize{3}, usize{7}}) {
+      expect_count_parity(valid.substr(0, cut), block);
+    }
+  }
+}
+
+TEST(Fuzz, StreamedCountMatchesBufferCountOnLineEndingAndJunkVariants) {
+  for (const auto& text : kFastqVariants) {
+    for (const usize block :
+         {usize{1}, usize{2}, usize{3}, usize{5}, usize{64}, usize{1 << 16}}) {
+      expect_count_parity(text, block);
+    }
+  }
+  // A whole simulated sample across many refills.
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 200, Rng(17));
+  std::ostringstream out;
+  write_fastq(out, reads.reads);
+  const FastqCount count = count_stream(out.str(), 997).count;
+  EXPECT_EQ(count.records, reads.size());
+  u64 bases = 0;
+  for (const auto& read : reads.reads) bases += read.sequence.size();
+  EXPECT_EQ(count.sequence_bases, bases);
+  expect_count_parity(out.str(), 997);
 }
 
 TEST(Fuzz, FastaParserNeverCrashes) {
