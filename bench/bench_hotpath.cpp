@@ -13,21 +13,15 @@
 //      pooled engine reused across runs vs a freshly constructed engine
 //      per run (pre-change behavior: thread spawn + GeneCounter build
 //      every run);
-//   4. seed-walk work counters on the reused-mode reads: MMP calls and
-//      seeds per read (both strands). They are deterministic, so they
-//      show a seed-phase change that timing noise would hide; reported,
-//      not gated.
+//   4. work counters on the reused-mode reads: MMP calls, seeds (both
+//      strands) and bases compared per read. They are deterministic, so
+//      they show a seed-phase change that timing noise would hide.
 //
 // Emits machine-readable BENCH_hotpath.json (schema in EXPERIMENTS.md;
 // the committed copy is bench/BENCH_hotpath.json).
 //
-// Flags:
-//   --smoke             reduced configuration (CI: the bench_smoke ctest)
-//   --out PATH          output JSON path (default BENCH_hotpath.json)
-//   --baseline PATH     compare against a committed baseline; exit 1 on
-//                       missing schema keys, nonzero steady-state
-//                       allocations, or a >30% regression in either
-//                       speedup ratio
+// Flags (bench_json.h): --smoke (the bench_smoke ctest), --out PATH,
+// --baseline PATH (evaluate the gates declared in main; exit 1 on a miss).
 
 #include <chrono>
 #include <iostream>
@@ -47,19 +41,12 @@ using namespace staratlas::bench;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct HotpathConfig {
   usize num_reads = 2'000;
   usize passes = 7;  ///< best-of-N to reject scheduler/frequency noise
   usize engine_reads = 32;
   usize engine_threads = 4;
   usize engine_iters = 150;
-  bool smoke = false;
 };
 
 struct SingleThreadResult {
@@ -70,6 +57,7 @@ struct SingleThreadResult {
   double workspace_speedup = 0;
   double mmp_calls_per_read = 0;
   double seeds_per_read = 0;
+  double bases_compared_per_read = 0;
 };
 
 /// FIG3-shaped workload: bulk RNA-seq reads against the release-111 index
@@ -82,87 +70,82 @@ SingleThreadResult run_single_thread(const HotpathConfig& cfg) {
   const Aligner aligner(w.index111, AlignerParams{});
 
   SingleThreadResult out;
-
-  // Fresh mode: workspace + result constructed per read, reproducing the
-  // per-read allocation churn of the pre-workspace aligner. Best of N
-  // passes: this box's scheduler noise swamps single-pass timings.
-  {
-    double best_elapsed = 1e30;
-    u64 allocs = 0;
-    u64 side_effect = 0;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const u64 allocs_before = alloc_counter::thread_allocations();
-      const auto start = std::chrono::steady_clock::now();
-      for (const auto& read : reads.reads) {
-        MappingStats work;
-        AlignWorkspace ws;
-        ReadAlignment result;
-        aligner.align(read.sequence, ws, work, result);
-        side_effect += result.best_score;
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-      allocs = alloc_counter::thread_allocations() - allocs_before;
-    }
-    out.reads_per_sec_fresh = static_cast<double>(reads.size()) / best_elapsed;
-    out.allocs_per_read_fresh =
-        static_cast<double>(allocs) / static_cast<double>(reads.size());
-    if (side_effect == u64(-1)) std::cout << "";  // defeat optimizer
-  }
+  const double n = static_cast<double>(reads.size());
 
   // Reused mode: one warmed workspace, reads driven through align_batch in
   // engine-sized chunks — the same shape as the engine's consumer loop, so
   // this measures the production steady state (batched seed phase
-  // included). Pass 1 warms the buffers and lanes to the workload's
-  // high-water marks; measured passes are steady state.
-  {
-    constexpr usize kChunk = 256;  // EngineConfig::chunk_size default
-    AlignWorkspace ws;
-    u64 mmp_calls = 0;
-    auto run_pass = [&](MappingStats& work, bool count_calls) {
-      u64 acc = 0;
-      AlignBatchLanes& lanes = ws.batch;
-      for (usize begin = 0; begin < reads.size(); begin += kChunk) {
-        const usize end = std::min(begin + kChunk, reads.size());
-        const usize count = end - begin;
-        lanes.views.clear();
-        for (usize r = begin; r < end; ++r) {
-          lanes.views.push_back(reads.reads[r].sequence);
-        }
-        if (lanes.results.size() < count) lanes.results.resize(count);
-        aligner.align_batch(lanes.views, ws, work,
-                            std::span(lanes.results).first(count));
-        for (usize r = 0; r < count; ++r) {
-          acc += lanes.results[r].best_score;
-        }
-        if (count_calls) {
-          for (usize s = 0; s < 2 * count; ++s) {
-            mmp_calls += lanes.seeds[s].mmp_calls;
-          }
+  // included). The warm pass grows the buffers and lanes to the workload's
+  // high-water marks and takes the work counters; timed passes are steady
+  // state.
+  constexpr usize kChunk = 256;  // EngineConfig::chunk_size default
+  AlignWorkspace ws;
+  u64 mmp_calls = 0;
+  u64 side_effect = 0;
+  const auto run_pass = [&](MappingStats& work, bool count_calls) {
+    AlignBatchLanes& lanes = ws.batch;
+    for (usize begin = 0; begin < reads.size(); begin += kChunk) {
+      const usize end = std::min(begin + kChunk, reads.size());
+      const usize count = end - begin;
+      lanes.views.clear();
+      for (usize r = begin; r < end; ++r) {
+        lanes.views.push_back(reads.reads[r].sequence);
+      }
+      if (lanes.results.size() < count) lanes.results.resize(count);
+      aligner.align_batch(lanes.views, ws, work,
+                          std::span(lanes.results).first(count));
+      for (usize r = 0; r < count; ++r) {
+        side_effect += lanes.results[r].best_score;
+      }
+      if (count_calls) {
+        for (usize s = 0; s < 2 * count; ++s) {
+          mmp_calls += lanes.seeds[s].mmp_calls;
         }
       }
-      return acc;
-    };
-    MappingStats warm_work;
-    run_pass(warm_work, /*count_calls=*/true);
-    const double n = static_cast<double>(reads.size());
-    out.mmp_calls_per_read = static_cast<double>(mmp_calls) / n;
-    out.seeds_per_read = static_cast<double>(warm_work.seeds_generated) / n;
-    double best_elapsed = 1e30;
-    u64 allocs = 0;
-    u64 side_effect = 0;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const u64 allocs_before = alloc_counter::thread_allocations();
-      const auto start = std::chrono::steady_clock::now();
-      MappingStats work;
-      side_effect += run_pass(work, /*count_calls=*/false);
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-      allocs = alloc_counter::thread_allocations() - allocs_before;
     }
-    out.reads_per_sec_reused = static_cast<double>(reads.size()) / best_elapsed;
+  };
+  MappingStats warm_work;
+  run_pass(warm_work, /*count_calls=*/true);
+  out.mmp_calls_per_read = static_cast<double>(mmp_calls) / n;
+  out.seeds_per_read = static_cast<double>(warm_work.seeds_generated) / n;
+  out.bases_compared_per_read =
+      static_cast<double>(warm_work.bases_compared) / n;
+
+  // Fresh mode: workspace + result constructed per read, reproducing the
+  // per-read allocation churn of the pre-workspace aligner. Allocations
+  // are counted over each side's last timed pass.
+  const auto fresh = [&] {
+    const u64 allocs_before = alloc_counter::thread_allocations();
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto& read : reads.reads) {
+      MappingStats work;
+      AlignWorkspace fresh_ws;
+      ReadAlignment result;
+      aligner.align(read.sequence, fresh_ws, work, result);
+      side_effect += result.best_score;
+    }
+    const double secs = seconds_since(start);
+    out.allocs_per_read_fresh =
+        static_cast<double>(alloc_counter::thread_allocations() -
+                            allocs_before) / n;
+    return secs;
+  };
+  const auto reused = [&] {
+    const u64 allocs_before = alloc_counter::thread_allocations();
+    const auto start = std::chrono::steady_clock::now();
+    MappingStats work;
+    run_pass(work, /*count_calls=*/false);
+    const double secs = seconds_since(start);
     out.allocs_per_read_steady =
-        static_cast<double>(allocs) / static_cast<double>(reads.size());
-    if (side_effect == u64(-1)) std::cout << "";
-  }
+        static_cast<double>(alloc_counter::thread_allocations() -
+                            allocs_before) / n;
+    return secs;
+  };
+  const auto [fresh_secs, reused_secs] =
+      interleaved_best_of(cfg.passes, fresh, reused);
+  out.reads_per_sec_fresh = n / fresh_secs;
+  out.reads_per_sec_reused = n / reused_secs;
+  if (side_effect == u64(-1)) std::cout << "";  // defeat optimizer
 
   out.workspace_speedup = out.reads_per_sec_reused / out.reads_per_sec_fresh;
   return out;
@@ -188,82 +171,35 @@ EngineResult run_engine_dispatch(const HotpathConfig& cfg) {
 
   EngineResult out;
 
-  // Pooled: one engine, worker pool and workspaces reused every run.
-  {
-    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
-    // Warm: spawn pool, build counter, size workspaces.
-    engine.execute({.reads = &reads});
-    double best_elapsed = 1e30;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      for (usize i = 0; i < cfg.engine_iters; ++i) {
-        engine.execute({.reads = &reads});
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-    }
-    out.runs_per_sec_pooled =
-        static_cast<double>(cfg.engine_iters) / best_elapsed;
-  }
-
-  // Spawn: a fresh engine per run — pre-change behavior (threads spawned
-  // and GeneCounter rebuilt for every sample).
-  {
-    double best_elapsed = 1e30;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      for (usize i = 0; i < cfg.engine_iters; ++i) {
-        AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                               config);
-        engine.execute({.reads = &reads});
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-    }
-    out.runs_per_sec_spawn =
-        static_cast<double>(cfg.engine_iters) / best_elapsed;
-  }
-
+  // Pooled: one engine, worker pool and workspaces reused every run,
+  // warmed first (pool spawned, counter built, workspaces sized). Spawn:
+  // a fresh engine per run — pre-change behavior (threads spawned and
+  // GeneCounter rebuilt for every sample).
+  AlignmentEngine pooled(w.index111, &w.synthesizer->annotation(), config);
+  pooled.execute({.reads = &reads});
+  const auto [pooled_secs, spawn_secs] = interleaved_best_of(
+      cfg.passes,
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        for (usize i = 0; i < cfg.engine_iters; ++i) {
+          pooled.execute({.reads = &reads});
+        }
+        return seconds_since(start);
+      },
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        for (usize i = 0; i < cfg.engine_iters; ++i) {
+          AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                                 config);
+          engine.execute({.reads = &reads});
+        }
+        return seconds_since(start);
+      });
+  const double iters = static_cast<double>(cfg.engine_iters);
+  out.runs_per_sec_pooled = iters / pooled_secs;
+  out.runs_per_sec_spawn = iters / spawn_secs;
   out.dispatch_speedup = out.runs_per_sec_pooled / out.runs_per_sec_spawn;
   return out;
-}
-
-int check_against_baseline(const std::string& baseline_path,
-                           const SingleThreadResult& st,
-                           const EngineResult& eng) {
-  static const char* kRequiredKeys[] = {
-      "reads_per_sec_reused", "reads_per_sec_fresh",  "workspace_speedup",
-      "allocs_per_read_steady", "runs_per_sec_pooled", "runs_per_sec_spawn",
-      "dispatch_speedup"};
-  const auto baseline = read_json_numbers(baseline_path);
-  int failures = 0;
-  for (const char* key : kRequiredKeys) {
-    if (!baseline.count(key)) {
-      std::cerr << "SMOKE FAIL: baseline missing key '" << key << "'\n";
-      ++failures;
-    }
-  }
-  if (st.allocs_per_read_steady != 0) {
-    std::cerr << "SMOKE FAIL: steady-state allocations per read = "
-              << st.allocs_per_read_steady << " (expected 0)\n";
-    ++failures;
-  }
-  // >30% regression vs the committed baseline fails. Both metrics are
-  // in-process ratios, so they transfer across machines.
-  const double kKeep = 0.7;
-  if (baseline.count("workspace_speedup") &&
-      st.workspace_speedup < kKeep * baseline.at("workspace_speedup")) {
-    std::cerr << "SMOKE FAIL: workspace_speedup " << st.workspace_speedup
-              << " regressed >30% vs baseline "
-              << baseline.at("workspace_speedup") << "\n";
-    ++failures;
-  }
-  if (baseline.count("dispatch_speedup") &&
-      eng.dispatch_speedup < kKeep * baseline.at("dispatch_speedup")) {
-    std::cerr << "SMOKE FAIL: dispatch_speedup " << eng.dispatch_speedup
-              << " regressed >30% vs baseline "
-              << baseline.at("dispatch_speedup") << "\n";
-    ++failures;
-  }
-  return failures;
 }
 
 }  // namespace
@@ -283,29 +219,16 @@ double prechange_speedup(const std::string& baseline_path,
 }
 
 int main(int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv, "hotpath");
   HotpathConfig cfg;
-  std::string out_path = "BENCH_hotpath.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-      cfg.num_reads = 400;
-      cfg.passes = 3;
-      cfg.engine_iters = 25;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_hotpath [--smoke] [--out PATH] "
-                   "[--baseline PATH]\n";
-      return 2;
-    }
+  if (opts.smoke) {
+    cfg.num_reads = 400;
+    cfg.passes = 3;
+    cfg.engine_iters = 25;
   }
 
   std::cout << "HOTPATH: allocation-free alignment hot path"
-            << (cfg.smoke ? " (smoke)" : "") << "\n";
+            << (opts.smoke ? " (smoke)" : "") << "\n";
 
   const SingleThreadResult st = run_single_thread(cfg);
   std::cout << "single-thread (" << cfg.num_reads << " reads, FIG3 shape)\n"
@@ -316,7 +239,8 @@ int main(int argc, char** argv) {
             << "\n  allocs/read steady state   : " << st.allocs_per_read_steady
             << "\n  MMP calls/read (counter)   : " << st.mmp_calls_per_read
             << "\n  seeds/read (counter)       : " << st.seeds_per_read
-            << "\n";
+            << "\n  bases compared/read        : "
+            << st.bases_compared_per_read << "\n";
 
   const EngineResult eng = run_engine_dispatch(cfg);
   std::cout << "engine dispatch (" << cfg.engine_reads << " reads x "
@@ -332,7 +256,7 @@ int main(int argc, char** argv) {
       .add("engine_reads", static_cast<u64>(cfg.engine_reads))
       .add("engine_threads", static_cast<u64>(cfg.engine_threads))
       .add("engine_iters", static_cast<u64>(cfg.engine_iters));
-  const double vs_prechange = prechange_speedup(baseline_path, st);
+  const double vs_prechange = prechange_speedup(opts.baseline_path, st);
   if (vs_prechange > 0) {
     std::cout << "  speedup vs pre-change      : " << vs_prechange << "x\n";
   }
@@ -344,7 +268,8 @@ int main(int argc, char** argv) {
       .add("allocs_per_read_fresh", st.allocs_per_read_fresh)
       .add("allocs_per_read_steady", st.allocs_per_read_steady)
       .add("mmp_calls_per_read", st.mmp_calls_per_read)
-      .add("seeds_per_read", st.seeds_per_read);
+      .add("seeds_per_read", st.seeds_per_read)
+      .add("bases_compared_per_read", st.bases_compared_per_read);
   if (vs_prechange > 0) {
     single_json.add("speedup_vs_prechange", vs_prechange);
   }
@@ -354,21 +279,34 @@ int main(int argc, char** argv) {
       .add("dispatch_speedup", eng.dispatch_speedup);
   JsonObject root;
   root.add("bench", "hotpath")
-      .add("schema_version", 4)
-      .add("smoke", cfg.smoke)
+      .add("schema_version", 5)
+      .add("smoke", opts.smoke)
       .add("config", config_json)
       .add("single_thread", single_json)
       .add("engine", engine_json);
-  root.write_file(out_path);
-  std::cout << "wrote " << out_path << "\n";
 
-  if (!baseline_path.empty()) {
-    const int failures = check_against_baseline(baseline_path, st, eng);
-    if (failures) {
-      std::cerr << failures << " smoke check(s) failed\n";
-      return 1;
-    }
-    std::cout << "smoke checks passed vs " << baseline_path << "\n";
+  // Both speedups are in-process ratios, so they transfer across
+  // machines: >30% below the committed baseline fails.
+  std::vector<Gate> gates = {
+      recorded("reads_per_sec_reused"),
+      recorded("reads_per_sec_fresh"),
+      {"workspace_speedup", GateOp::kGe, times_baseline(0.7), true},
+      {"allocs_per_read_steady", GateOp::kEq, constant(0), true},
+      recorded("runs_per_sec_pooled"),
+      recorded("runs_per_sec_spawn"),
+      {"dispatch_speedup", GateOp::kGe, times_baseline(0.7), true},
+  };
+  // The work counters are exact, so they gate at the baseline's own
+  // value: fewer MMP calls or bases compared is a win to re-record, and
+  // any change in seeds is a behaviour change. The baseline records them
+  // at the --smoke configuration (400 reads, Rng(93)), so they are
+  // declared only under --smoke: a run of another configuration is never
+  // compared against them.
+  if (opts.smoke) {
+    gates.push_back({"mmp_calls_per_read", GateOp::kLe, times_baseline(1), true});
+    gates.push_back({"seeds_per_read", GateOp::kEq, times_baseline(1), true});
+    gates.push_back(
+        {"bases_compared_per_read", GateOp::kLe, times_baseline(1), true});
   }
-  return 0;
+  return finish_bench(root, opts, gates);
 }

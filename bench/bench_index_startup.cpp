@@ -15,15 +15,9 @@
 // Emits machine-readable BENCH_index_startup.json (schema in
 // EXPERIMENTS.md).
 //
-// Flags:
-//   --smoke             reduced configuration (CI: the
-//                       bench_index_startup_smoke ctest)
-//   --out PATH          output JSON path (default BENCH_index_startup.json)
-//   --baseline PATH     compare against a committed baseline; exit 1 on
-//                       missing schema keys, any duplicate cache load,
-//                       mmap attach < 5x the v3 stream load, loads for
-//                       distinct keys serializing, or a >30% regression
-//                       of the tracked ratios vs the baseline
+// Flags (bench_json.h): --smoke (the bench_index_startup_smoke ctest),
+// --out PATH, --baseline PATH (evaluate the gates declared in main; exit 1
+// on a miss).
 //
 // Note on the build numbers: this box may be single-core, in which case
 // the parallel builder's extra bookkeeping makes >1-thread builds *slower*
@@ -52,12 +46,6 @@ using namespace staratlas::bench;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct StartupConfig {
   usize build_chromosomes = 2;
   usize build_chromosome_length = 500'000;
@@ -65,7 +53,6 @@ struct StartupConfig {
   usize load_passes = 5;
   usize cache_workers = 8;
   double cache_loader_secs = 0.08;
-  bool smoke = false;
 };
 
 struct BuildResult {
@@ -88,21 +75,23 @@ BuildResult run_build(const StartupConfig& cfg) {
 
   BuildResult out;
   const auto timed_build = [&](usize threads) {
-    IndexParams params;
-    params.num_threads = threads;
-    double best = 1e30;
-    for (usize pass = 0; pass < cfg.build_passes; ++pass) {
+    return [&, threads] {
+      IndexParams params;
+      params.num_threads = threads;
       const auto start = std::chrono::steady_clock::now();
       const GenomeIndex index = GenomeIndex::build(assembly, params);
-      best = std::min(best, seconds_since(start));
+      const double secs = seconds_since(start);
       out.text_bytes = index.text().size();
-    }
-    return best;
+      return secs;
+    };
   };
-  out.secs_1t = timed_build(1);
-  out.secs_2t = timed_build(2);
-  out.secs_4t = timed_build(4);
-  out.secs_8t = timed_build(8);
+  const auto secs =
+      interleaved_best_of(cfg.build_passes, timed_build(1), timed_build(2),
+                          timed_build(4), timed_build(8));
+  out.secs_1t = secs[0];
+  out.secs_2t = secs[1];
+  out.secs_4t = secs[2];
+  out.secs_8t = secs[3];
   out.speedup_4t = out.secs_1t / out.secs_4t;
   return out;
 }
@@ -132,19 +121,25 @@ ColdLoadResult run_cold_load(const StartupConfig& cfg) {
   // "Cold" here means a fresh load into a new GenomeIndex each pass; the
   // page cache stays warm for every path alike, so the comparison
   // isolates the work each loader does per byte, not the disk.
-  const auto timed_load = [&](const std::string& path, IndexLoadMode mode) {
-    double best = 1e30;
-    for (usize pass = 0; pass < cfg.load_passes; ++pass) {
+  const auto timed_load = [&](IndexLoadMode mode) {
+    return [&, mode] {
       const auto start = std::chrono::steady_clock::now();
-      const GenomeIndex loaded = GenomeIndex::load_file(path, mode);
-      best = std::min(best, seconds_since(start));
+      const GenomeIndex loaded = GenomeIndex::load_file(v3_path, mode);
+      const double secs = seconds_since(start);
       if (loaded.prefix_lut_k() == 0) std::cout << "";  // defeat optimizer
-    }
-    return best;
+      return secs;
+    };
   };
-  out.v3_stream_secs = timed_load(v3_path, IndexLoadMode::kStream);
-  out.v3_mmap_attach_secs =
-      MappedFile::supported() ? timed_load(v3_path, IndexLoadMode::kMmap) : 0;
+  if (MappedFile::supported()) {
+    const auto secs =
+        interleaved_best_of(cfg.load_passes, timed_load(IndexLoadMode::kStream),
+                            timed_load(IndexLoadMode::kMmap));
+    out.v3_stream_secs = secs[0];
+    out.v3_mmap_attach_secs = secs[1];
+  } else {
+    out.v3_stream_secs = interleaved_best_of(
+        cfg.load_passes, timed_load(IndexLoadMode::kStream))[0];
+  }
 
   out.v3_stream_mb_s = out.file_mb_v3 / out.v3_stream_secs;
   if (out.v3_mmap_attach_secs > 0) {
@@ -227,85 +222,23 @@ CacheResult run_cache(const StartupConfig& cfg) {
   return out;
 }
 
-int check_results(const std::string& baseline_path, const BuildResult& build,
-                  const ColdLoadResult& cold, const CacheResult& cache) {
-  static const char* kRequiredKeys[] = {
-      "secs_1t",           "secs_4t",
-      "speedup_4t",        "v3_stream_mb_s",
-      "v3_mmap_attach_mb_s", "mmap_vs_stream_speedup",
-      "duplicate_loads",   "concurrency_ratio"};
-  const auto baseline = read_json_numbers(baseline_path);
-  int failures = 0;
-  for (const char* key : kRequiredKeys) {
-    if (!baseline.count(key)) {
-      std::cerr << "SMOKE FAIL: baseline missing key '" << key << "'\n";
-      ++failures;
-    }
-  }
-  if (cache.duplicate_loads != 0) {
-    std::cerr << "SMOKE FAIL: duplicate cache loads = "
-              << cache.duplicate_loads << " (single-flight demands 0)\n";
-    ++failures;
-  }
-  if (cache.concurrency_ratio < 1.5) {
-    std::cerr << "SMOKE FAIL: cache concurrency ratio "
-              << cache.concurrency_ratio
-              << " < 1.5 (distinct-key loads serialized)\n";
-    ++failures;
-  }
-  if (MappedFile::supported() && cold.mmap_vs_stream_speedup < 5.0) {
-    std::cerr << "SMOKE FAIL: mmap attach only " << cold.mmap_vs_stream_speedup
-              << "x the v3 stream load (need >= 5x)\n";
-    ++failures;
-  }
-  // >30% regression vs the committed same-box baseline fails. Both are
-  // in-process ratios, so they transfer across machines. The mmap attach
-  // speedup is deliberately NOT baseline-gated: the attach is
-  // microseconds, so run-to-run jitter swamps a relative comparison —
-  // the absolute >= 5x gate above carries that contract.
-  const double kKeep = 0.7;
-  const auto keep = [&](const char* key, double now) {
-    if (baseline.count(key) && now < kKeep * baseline.at(key)) {
-      std::cerr << "SMOKE FAIL: " << key << " " << now
-                << " regressed >30% vs baseline " << baseline.at(key) << "\n";
-      ++failures;
-    }
-  };
-  keep("speedup_4t", build.speedup_4t);
-  keep("concurrency_ratio", cache.concurrency_ratio);
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv, "index_startup");
   StartupConfig cfg;
-  std::string out_path = "BENCH_index_startup.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-      cfg.build_chromosomes = 1;
-      cfg.build_chromosome_length = 150'000;
-      cfg.build_passes = 1;
-      cfg.load_passes = 3;
-      // loader sleep stays at the full value: it must dominate the
-      // post-sleep tiny-index build for the concurrency ratio to be a
-      // clean signal on a one-core box.
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_index_startup [--smoke] [--out PATH] "
-                   "[--baseline PATH]\n";
-      return 2;
-    }
+  if (opts.smoke) {
+    cfg.build_chromosomes = 1;
+    cfg.build_chromosome_length = 150'000;
+    cfg.build_passes = 2;
+    cfg.load_passes = 3;
+    // loader sleep stays at the full value: it must dominate the
+    // post-sleep tiny-index build for the concurrency ratio to be a
+    // clean signal on a one-core box.
   }
 
   std::cout << "INDEX STARTUP: build / cold load / cache contention"
-            << (cfg.smoke ? " (smoke)" : "") << "\n";
+            << (opts.smoke ? " (smoke)" : "") << "\n";
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
             << "\n";
 
@@ -368,21 +301,33 @@ int main(int argc, char** argv) {
   JsonObject root;
   root.add("bench", "index_startup")
       .add("schema_version", 4)
-      .add("smoke", cfg.smoke)
+      .add("smoke", opts.smoke)
       .add("config", config_json)
       .add("build", build_json)
       .add("cold_load", cold_json)
       .add("cache", cache_json);
-  root.write_file(out_path);
-  std::cout << "wrote " << out_path << "\n";
 
-  if (!baseline_path.empty()) {
-    const int failures = check_results(baseline_path, build, cold, cache);
-    if (failures) {
-      std::cerr << failures << " smoke check(s) failed\n";
-      return 1;
-    }
-    std::cout << "smoke checks passed vs " << baseline_path << "\n";
+  // Two keys, each needing one load: single-flight means no duplicate,
+  // and overlapping loads put the concurrency ratio near 2 (<= 1 when
+  // serialized). speedup_4t and the concurrency ratio are in-process
+  // ratios, so they transfer across machines: >30% below the committed
+  // same-box baseline fails. The mmap attach speedup is deliberately NOT
+  // baseline-gated: the attach is microseconds, so run-to-run jitter
+  // swamps a relative comparison — the absolute >= 5x gate carries that
+  // contract where mmap exists.
+  std::vector<Gate> gates = {
+      recorded("secs_1t"),
+      recorded("secs_4t"),
+      {"speedup_4t", GateOp::kGe, times_baseline(0.7), true},
+      recorded("v3_stream_mb_s"),
+      recorded("v3_mmap_attach_mb_s"),
+      recorded("mmap_vs_stream_speedup"),
+      {"duplicate_loads", GateOp::kEq, constant(0), true},
+      {"concurrency_ratio", GateOp::kGe, constant(1.5), true},
+      {"concurrency_ratio", GateOp::kGe, times_baseline(0.7)},
+  };
+  if (MappedFile::supported()) {
+    gates.push_back({"mmap_vs_stream_speedup", GateOp::kGe, constant(5.0)});
   }
-  return 0;
+  return finish_bench(root, opts, gates);
 }

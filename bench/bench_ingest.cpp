@@ -15,14 +15,9 @@
 //
 // Emits machine-readable BENCH_ingest.json (schema in EXPERIMENTS.md).
 //
-// Flags:
-//   --smoke             reduced configuration (CI: the bench_ingest_smoke
-//                       ctest)
-//   --out PATH          output JSON path (default BENCH_ingest.json)
-//   --baseline PATH     compare against a committed baseline; exit 1 on
-//                       missing schema keys, nonzero steady-state
-//                       allocations, or a >30% regression in the parse
-//                       speedup or overlap gain
+// Flags (bench_json.h): --smoke (the bench_ingest_smoke ctest), --out
+// PATH, --baseline PATH (evaluate the gates declared in main; exit 1 on a
+// miss).
 
 #include <chrono>
 #include <iostream>
@@ -43,19 +38,12 @@ using namespace staratlas::bench;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct IngestConfig {
   usize parse_reads = 20'000;
   usize passes = 5;  ///< best-of-N to reject scheduler/frequency noise
   usize e2e_reads = 8'000;
   usize e2e_threads = 4;
   usize e2e_iters = 3;
-  bool smoke = false;
 };
 
 struct ParseResult {
@@ -80,31 +68,28 @@ ParseResult run_parse(const IngestConfig& cfg) {
 
   ParseResult out;
 
-  // One stream per parser, rewound between passes so the timed window
-  // covers only the parse loop (not the 4 MB istringstream copy or reader
-  // construction — both parsers get the same treatment).
+  // One stream shared by the istream-mode parsers, rewound before each
+  // pass so the timed window covers only the parse loop (not the 4 MB
+  // istringstream copy or reader construction — both parsers get the same
+  // treatment). Allocations are counted over each side's last pass.
   std::istringstream in(text);
+  const double n = static_cast<double>(reads.size());
+  u64 side_effect = 0;
 
   // getline reader: one FastqRecord (3 strings) materialized per read.
-  {
-    double best_elapsed = 1e30;
-    u64 allocs = 0;
-    u64 side_effect = 0;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      in.clear();
-      in.seekg(0);
-      FastqReader reader(in);
-      const u64 allocs_before = alloc_counter::thread_allocations();
-      const auto start = std::chrono::steady_clock::now();
-      while (const auto rec = reader.next()) side_effect += rec->sequence.size();
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-      allocs = alloc_counter::thread_allocations() - allocs_before;
-    }
-    out.mb_per_sec_getline = mb / best_elapsed;
+  const auto getline_side = [&] {
+    in.clear();
+    in.seekg(0);
+    FastqReader reader(in);
+    const u64 allocs_before = alloc_counter::thread_allocations();
+    const auto start = std::chrono::steady_clock::now();
+    while (const auto rec = reader.next()) side_effect += rec->sequence.size();
+    const double secs = seconds_since(start);
     out.allocs_per_read_getline =
-        static_cast<double>(allocs) / static_cast<double>(reads.size());
-    if (side_effect == u64(-1)) std::cout << "";  // defeat optimizer
-  }
+        static_cast<double>(alloc_counter::thread_allocations() -
+                            allocs_before) / n;
+    return secs;
+  };
 
   // Block parser, memory mode (zero-copy input, the mmap'd-file /
   // decoded-container path) into one recycled batch. The warm pass grows
@@ -112,54 +97,48 @@ ParseResult run_parse(const IngestConfig& cfg) {
   // covers reader construction (the newline index build) plus the whole
   // parse, and the alloc window covers the parse loop, which is steady
   // state and must not allocate at all.
+  ReadBatch batch;
   {
-    ReadBatch batch;
-    {
-      FastqBlockReader warm{std::string_view(text)};
-      while (warm.read_batch(batch, 1024) > 0) batch.clear();
-    }
-    double best_elapsed = 1e30;
-    u64 allocs = 0;
-    u64 side_effect = 0;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      FastqBlockReader reader{std::string_view(text)};
-      const u64 allocs_before = alloc_counter::thread_allocations();
-      usize got;
-      while ((got = reader.read_batch(batch, 1024)) > 0) {
-        for (usize i = 0; i < got; ++i) side_effect += batch.sequence(i).size();
-        batch.clear();
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-      allocs = alloc_counter::thread_allocations() - allocs_before;
-    }
-    out.mb_per_sec_block = mb / best_elapsed;
-    out.allocs_per_read_block_steady =
-        static_cast<double>(allocs) / static_cast<double>(reads.size());
-    if (side_effect == u64(-1)) std::cout << "";
+    FastqBlockReader warm{std::string_view(text)};
+    while (warm.read_batch(batch, 1024) > 0) batch.clear();
   }
+  const auto drain = [&](FastqBlockReader& reader) {
+    usize got;
+    while ((got = reader.read_batch(batch, 1024)) > 0) {
+      for (usize i = 0; i < got; ++i) side_effect += batch.sequence(i).size();
+      batch.clear();
+    }
+  };
+  const auto block_side = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    FastqBlockReader reader{std::string_view(text)};
+    const u64 allocs_before = alloc_counter::thread_allocations();
+    drain(reader);
+    const double secs = seconds_since(start);
+    out.allocs_per_read_block_steady =
+        static_cast<double>(alloc_counter::thread_allocations() -
+                            allocs_before) / n;
+    return secs;
+  };
 
   // Block parser, istream mode (256 KiB refills through the same stream
   // the getline reader uses).
-  {
-    ReadBatch batch;
-    double best_elapsed = 1e30;
-    u64 side_effect = 0;
-    for (usize pass = 0; pass < cfg.passes; ++pass) {
-      in.clear();
-      in.seekg(0);
-      FastqBlockReader reader(in);
-      const auto start = std::chrono::steady_clock::now();
-      usize got;
-      while ((got = reader.read_batch(batch, 1024)) > 0) {
-        for (usize i = 0; i < got; ++i) side_effect += batch.sequence(i).size();
-        batch.clear();
-      }
-      best_elapsed = std::min(best_elapsed, seconds_since(start));
-    }
-    out.mb_per_sec_block_stream = mb / best_elapsed;
-    if (side_effect == u64(-1)) std::cout << "";
-  }
+  const auto block_stream_side = [&] {
+    in.clear();
+    in.seekg(0);
+    FastqBlockReader reader(in);
+    const auto start = std::chrono::steady_clock::now();
+    drain(reader);
+    return seconds_since(start);
+  };
+
+  const auto [getline_secs, block_secs, block_stream_secs] =
+      interleaved_best_of(cfg.passes, getline_side, block_side,
+                          block_stream_side);
+  out.mb_per_sec_getline = mb / getline_secs;
+  out.mb_per_sec_block = mb / block_secs;
+  out.mb_per_sec_block_stream = mb / block_stream_secs;
+  if (side_effect == u64(-1)) std::cout << "";  // defeat optimizer
 
   out.parse_speedup = out.mb_per_sec_block / out.mb_per_sec_getline;
   return out;
@@ -208,46 +187,41 @@ OverlapResult run_overlap(const IngestConfig& cfg) {
                     .total_reads_hint = metadata.num_reads});
   }
 
-  // Passes are interleaved (sequential, then streamed, each pass) so load
-  // and frequency drift on a shared host hits both paths equally; each
-  // path keeps its own best-of-passes.
-  double best_sequential = 1e30;
-  double best_streamed = 1e30;
-  for (usize pass = 0; pass < cfg.passes; ++pass) {
-    // Sequential: stage 2 completes before stage 3 starts.
-    {
-      const auto start = std::chrono::steady_clock::now();
-      for (usize i = 0; i < cfg.e2e_iters; ++i) {
-        const DumpResult dumped = fasterq_dump(container);
-        engine.execute({.reads = &dumped.reads});
-        out.fastq_bytes = dumped.fastq_bytes.bytes();
-      }
-      best_sequential = std::min(best_sequential, seconds_since(start));
-    }
-    // Streamed: one worker at a time decodes while the others align.
-    {
-      const auto start = std::chrono::steady_clock::now();
-      for (usize i = 0; i < cfg.e2e_iters; ++i) {
-        FasterqDumpStream dump(container);
-        const BatchSource source = [&](ReadBatch& batch) {
-          return dump.next_batch(batch, config.chunk_size) > 0;
-        };
-        EngineRunRequest request;
-        request.batches = source;
-        request.total_reads_hint = metadata.num_reads;
-        const AlignmentRun run = engine.execute(request);
-        // Minimum across runs: the steady-state claim is that a fully
-        // warm run allocates nothing on the consumer side. Which worker
-        // threads (and so which workspaces) drain a given run is the
-        // scheduler's choice, so a single run can still hit first-touch
-        // workspace growth that the warm-up run never exercised.
-        out.stream_consumer_allocs =
-            std::min(out.stream_consumer_allocs, run.stream_consumer_allocs);
-        out.peak_arena_bytes = run.stream_peak_arena_bytes;
-      }
-      best_streamed = std::min(best_streamed, seconds_since(start));
-    }
-  }
+  // Sequential: stage 2 completes before stage 3 starts. Streamed: one
+  // worker at a time decodes while the others align.
+  const auto [best_sequential, best_streamed] = interleaved_best_of(
+      cfg.passes,
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        for (usize i = 0; i < cfg.e2e_iters; ++i) {
+          const DumpResult dumped = fasterq_dump(container);
+          engine.execute({.reads = &dumped.reads});
+          out.fastq_bytes = dumped.fastq_bytes.bytes();
+        }
+        return seconds_since(start);
+      },
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        for (usize i = 0; i < cfg.e2e_iters; ++i) {
+          FasterqDumpStream dump(container);
+          const BatchSource source = [&](ReadBatch& batch) {
+            return dump.next_batch(batch, config.chunk_size) > 0;
+          };
+          EngineRunRequest request;
+          request.batches = source;
+          request.total_reads_hint = metadata.num_reads;
+          const AlignmentRun run = engine.execute(request);
+          // Minimum across runs: the steady-state claim is that a fully
+          // warm run allocates nothing on the consumer side. Which worker
+          // threads (and so which workspaces) drain a given run is the
+          // scheduler's choice, so a single run can still hit first-touch
+          // workspace growth that the warm-up run never exercised.
+          out.stream_consumer_allocs =
+              std::min(out.stream_consumer_allocs, run.stream_consumer_allocs);
+          out.peak_arena_bytes = run.stream_peak_arena_bytes;
+        }
+        return seconds_since(start);
+      });
   out.sequential_secs = best_sequential / static_cast<double>(cfg.e2e_iters);
   out.streamed_secs = best_streamed / static_cast<double>(cfg.e2e_iters);
 
@@ -255,90 +229,20 @@ OverlapResult run_overlap(const IngestConfig& cfg) {
   return out;
 }
 
-int check_against_baseline(const std::string& baseline_path,
-                           const ParseResult& parse,
-                           const OverlapResult& overlap, bool smoke) {
-  static const char* kRequiredKeys[] = {
-      "mb_per_sec_getline", "mb_per_sec_block", "parse_speedup",
-      "allocs_per_read_block_steady", "sequential_secs", "streamed_secs",
-      "overlap_gain"};
-  const auto baseline = read_json_numbers(baseline_path);
-  int failures = 0;
-  for (const char* key : kRequiredKeys) {
-    if (!baseline.count(key)) {
-      std::cerr << "SMOKE FAIL: baseline missing key '" << key << "'\n";
-      ++failures;
-    }
-  }
-  if (parse.allocs_per_read_block_steady != 0) {
-    std::cerr << "SMOKE FAIL: block parser steady-state allocations per read"
-              << " = " << parse.allocs_per_read_block_steady
-              << " (expected 0)\n";
-    ++failures;
-  }
-  if (overlap.stream_consumer_allocs != 0) {
-    std::cerr << "SMOKE FAIL: streaming consumer allocations = "
-              << overlap.stream_consumer_allocs << " (expected 0)\n";
-    ++failures;
-  }
-  // The in-flight window (queue depth x batch arena) is a fixed size, so
-  // "peak resident arenas < whole decoded FASTQ" is only a meaningful
-  // bound when the input dwarfs the window — which the smoke corpus, by
-  // design, does not. Full runs enforce it; stream_test additionally
-  // asserts the bound at a controlled queue depth.
-  if (!smoke && overlap.peak_arena_bytes >= overlap.fastq_bytes) {
-    std::cerr << "SMOKE FAIL: peak batch arenas (" << overlap.peak_arena_bytes
-              << " B) not bounded below the decoded FASTQ ("
-              << overlap.fastq_bytes << " B)\n";
-    ++failures;
-  }
-  // >30% regression vs the committed baseline fails. Both metrics are
-  // in-process ratios, so they transfer across machines.
-  const double kKeep = 0.7;
-  if (baseline.count("parse_speedup") &&
-      parse.parse_speedup < kKeep * baseline.at("parse_speedup")) {
-    std::cerr << "SMOKE FAIL: parse_speedup " << parse.parse_speedup
-              << " regressed >30% vs baseline "
-              << baseline.at("parse_speedup") << "\n";
-    ++failures;
-  }
-  if (baseline.count("overlap_gain") &&
-      overlap.overlap_gain < kKeep * baseline.at("overlap_gain")) {
-    std::cerr << "SMOKE FAIL: overlap_gain " << overlap.overlap_gain
-              << " regressed >30% vs baseline " << baseline.at("overlap_gain")
-              << "\n";
-    ++failures;
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv, "ingest");
   IngestConfig cfg;
-  std::string out_path = "BENCH_ingest.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-      cfg.parse_reads = 4'000;
-      cfg.passes = 3;
-      cfg.e2e_reads = 1'500;
-      cfg.e2e_iters = 2;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_ingest [--smoke] [--out PATH] "
-                   "[--baseline PATH]\n";
-      return 2;
-    }
+  if (opts.smoke) {
+    cfg.parse_reads = 4'000;
+    cfg.passes = 3;
+    cfg.e2e_reads = 1'500;
+    cfg.e2e_iters = 2;
   }
 
   std::cout << "INGEST: streaming FASTQ ingest and parse/align overlap"
-            << (cfg.smoke ? " (smoke)" : "") << "\n";
+            << (opts.smoke ? " (smoke)" : "") << "\n";
 
   const ParseResult parse = run_parse(cfg);
   std::cout << "parse (" << cfg.parse_reads << " reads, in-memory FASTQ)\n"
@@ -386,21 +290,30 @@ int main(int argc, char** argv) {
   JsonObject root;
   root.add("bench", "ingest")
       .add("schema_version", 1)
-      .add("smoke", cfg.smoke)
+      .add("smoke", opts.smoke)
       .add("config", config_json)
       .add("parse", parse_json)
       .add("overlap", overlap_json);
-  root.write_file(out_path);
-  std::cout << "wrote " << out_path << "\n";
 
-  if (!baseline_path.empty()) {
-    const int failures =
-        check_against_baseline(baseline_path, parse, overlap, cfg.smoke);
-    if (failures) {
-      std::cerr << failures << " smoke check(s) failed\n";
-      return 1;
-    }
-    std::cout << "smoke checks passed vs " << baseline_path << "\n";
+  // Both ratios are in-process, so they transfer across machines: >30%
+  // below the committed baseline fails.
+  std::vector<Gate> gates = {
+      recorded("mb_per_sec_getline"),
+      recorded("mb_per_sec_block"),
+      {"parse_speedup", GateOp::kGe, times_baseline(0.7), true},
+      {"allocs_per_read_block_steady", GateOp::kEq, constant(0), true},
+      recorded("sequential_secs"),
+      recorded("streamed_secs"),
+      {"overlap_gain", GateOp::kGe, times_baseline(0.7), true},
+      {"stream_consumer_allocs", GateOp::kEq, constant(0)},
+  };
+  // The in-flight window (queue depth x batch arena) is a fixed size, so
+  // "peak resident arenas < whole decoded FASTQ" is only a meaningful
+  // bound when the input dwarfs the window — which the smoke corpus, by
+  // design, does not. Full runs enforce it; stream_test additionally
+  // asserts the bound at a controlled queue depth.
+  if (!opts.smoke) {
+    gates.push_back({"peak_arena_bytes", GateOp::kLt, run_key("fastq_bytes")});
   }
-  return 0;
+  return finish_bench(root, opts, gates);
 }

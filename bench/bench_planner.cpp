@@ -7,16 +7,9 @@
 // end-to-end check that the closed-form search and the discrete-event
 // truth agree where it matters.
 //
-// Flags:
-//   --smoke             reduced configuration (CI: the bench_planner_smoke
-//                       ctest gate) — smaller catalog, fewer validated
-//                       frontier points
-//   --out PATH          write BENCH JSON results to PATH
-//   --baseline PATH     compare against a committed baseline; exit 1 on
-//                       schema problems, an empty or non-monotone
-//                       frontier, a frontier point whose sim-replay error
-//                       exceeds tolerance, or the best candidate's
-//                       modeled cost drifting >10% vs the baseline
+// Flags (bench_json.h): --smoke (the bench_planner_smoke ctest: an
+// instance subset and fewer validated frontier points), --out PATH,
+// --baseline PATH (evaluate the gates declared in main; exit 1 on a miss).
 //
 // Cost and makespan here are MODELED quantities (deterministic closed
 // form + seeded event sim), so the gate tolerances are about model drift,
@@ -93,97 +86,17 @@ struct BenchOutcome {
   double max_cost_rel_error = 0.0;
 };
 
-int check_results(const std::string& baseline_path,
-                  const BenchOutcome& outcome) {
-  static const char* kRequiredKeys[] = {
-      "num_candidates",        "frontier_size",
-      "best_cost_usd",         "best_makespan_hours",
-      "max_makespan_rel_error", "max_cost_rel_error"};
-  const auto baseline = read_json_numbers(baseline_path);
-  int failures = 0;
-  for (const char* key : kRequiredKeys) {
-    if (!baseline.count(key)) {
-      std::cerr << "SMOKE FAIL: baseline missing key '" << key << "'\n";
-      ++failures;
-    }
-  }
-  if (outcome.frontier_size == 0) {
-    std::cerr << "SMOKE FAIL: empty Pareto frontier\n";
-    ++failures;
-  }
-  if (!outcome.monotone) {
-    std::cerr << "SMOKE FAIL: frontier is not cost-ascending /"
-                 " makespan-descending\n";
-    ++failures;
-  }
-  if (!outcome.best_found) {
-    std::cerr << "SMOKE FAIL: no candidate meets the deadline\n";
-    ++failures;
-  }
-  // The index-init term is strictly smaller under mmap at equal hourly
-  // rate, so the cheapest constrained candidate must attach, not stream.
-  if (outcome.best_load_path != "mmap") {
-    std::cerr << "SMOKE FAIL: best candidate streams the index; expected "
-                 "mmap (init-cost dominance)\n";
-    ++failures;
-  }
-  // Estimator vs event sim on frontier points: the closed form ignores
-  // queueing and interruption rework, so it is biased low — but anything
-  // past 35% means the two models diverged structurally.
-  const double kTolerance = 0.35;
-  if (outcome.validated_points == 0) {
-    std::cerr << "SMOKE FAIL: no frontier point was sim-validated\n";
-    ++failures;
-  }
-  if (outcome.max_makespan_rel_error > kTolerance) {
-    std::cerr << "SMOKE FAIL: frontier makespan error "
-              << outcome.max_makespan_rel_error << " > " << kTolerance
-              << " vs event sim\n";
-    ++failures;
-  }
-  if (outcome.max_cost_rel_error > kTolerance) {
-    std::cerr << "SMOKE FAIL: frontier cost error "
-              << outcome.max_cost_rel_error << " > " << kTolerance
-              << " vs event sim\n";
-    ++failures;
-  }
-  // Modeled (deterministic) quantity: >10% drift either way means the
-  // cost model changed without the baseline being regenerated.
-  if (baseline.count("best_cost_usd")) {
-    const double base = baseline.at("best_cost_usd");
-    if (outcome.best_cost_usd < 0.9 * base ||
-        outcome.best_cost_usd > 1.1 * base) {
-      std::cerr << "SMOKE FAIL: best candidate cost " << outcome.best_cost_usd
-                << " drifted >10% vs baseline " << base << "\n";
-      ++failures;
-    }
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv, "planner");
   PlannerBenchConfig cfg;
-  std::string out_path = "BENCH_planner.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      // The planner and sim run in virtual time (milliseconds of wall
-      // clock), so smoke keeps the full catalog — the reduction is the
-      // instance subset and the validation count.
-      cfg.smoke = true;
-      cfg.max_validate = 3;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_planner [--smoke] [--out PATH] "
-                   "[--baseline PATH]\n";
-      return 2;
-    }
+  if (opts.smoke) {
+    // The planner and sim run in virtual time (milliseconds of wall
+    // clock), so smoke keeps the full catalog — the reduction is the
+    // instance subset and the validation count.
+    cfg.smoke = true;
+    cfg.max_validate = 3;
   }
 
   const PlannerQuery query = build_query(cfg);
@@ -285,6 +198,7 @@ int main(int argc, char** argv) {
       .add("best_instance", outcome.best_instance)
       .add("best_threads", static_cast<u64>(outcome.best_threads))
       .add("best_load_path", outcome.best_load_path)
+      .add("best_load_path_mmap", outcome.best_load_path == "mmap")
       .add("best_spot_mix", outcome.best_spot_mix)
       .add("best_cost_usd", outcome.best_cost_usd)
       .add("best_makespan_hours", outcome.best_makespan_hours)
@@ -293,21 +207,31 @@ int main(int argc, char** argv) {
       .add("max_cost_rel_error", outcome.max_cost_rel_error);
   JsonObject root;
   root.add("bench", "planner")
-      .add("schema_version", 1)
+      .add("schema_version", 2)
       .add("smoke", cfg.smoke)
       .add("config", config_json)
       .add("results", results_json)
       .add("frontier", frontier_json);
-  root.write_file(out_path);
-  std::cout << "wrote " << out_path << "\n";
 
-  if (!baseline_path.empty()) {
-    const int failures = check_results(baseline_path, outcome);
-    if (failures) {
-      std::cerr << failures << " smoke check(s) failed\n";
-      return 1;
-    }
-    std::cout << "smoke checks passed vs " << baseline_path << "\n";
-  }
-  return 0;
+  // The index-init term is strictly smaller under mmap at equal hourly
+  // rate, so the cheapest constrained candidate must attach, not stream.
+  // The closed-form estimator ignores queueing and interruption rework, so
+  // it is biased low against the event sim, but more than 35% means the
+  // two models diverged structurally. Cost is modeled and deterministic:
+  // >10% drift either way means the cost model changed without the
+  // baseline being regenerated.
+  const std::vector<Gate> gates = {
+      recorded("num_candidates"),
+      {"frontier_size", GateOp::kGt, constant(0), true},
+      {"frontier_monotone", GateOp::kEq, constant(1)},
+      {"best_found", GateOp::kEq, constant(1)},
+      {"best_load_path_mmap", GateOp::kEq, constant(1)},
+      {"validated_points", GateOp::kGt, constant(0)},
+      {"max_makespan_rel_error", GateOp::kLe, constant(0.35), true},
+      {"max_cost_rel_error", GateOp::kLe, constant(0.35), true},
+      {"best_cost_usd", GateOp::kGe, times_baseline(0.9), true},
+      {"best_cost_usd", GateOp::kLe, times_baseline(1.1)},
+      recorded("best_makespan_hours"),
+  };
+  return finish_bench(root, opts, gates);
 }

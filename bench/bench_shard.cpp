@@ -16,14 +16,9 @@
 //
 // Emits machine-readable BENCH_shard.json (schema in EXPERIMENTS.md).
 //
-// Flags:
-//   --smoke             reduced configuration (CI: the bench_shard_smoke
-//                       ctest)
-//   --out PATH          output JSON path (default BENCH_shard.json)
-//   --baseline PATH     compare against a committed baseline; exit 1 on
-//                       missing schema keys, a byte-identity failure, a
-//                       missing latency crossover, or a >30% regression
-//                       of the scatter efficiency vs the baseline
+// Flags (bench_json.h): --smoke (the bench_shard_smoke ctest), --out
+// PATH, --baseline PATH (evaluate the gates declared in main; exit 1 on a
+// miss).
 //
 // Note on the measured speedup: on a single-core box the shard workers
 // time-slice one CPU, so the scatter speedup sits near 1x and the
@@ -51,18 +46,11 @@ using namespace staratlas::bench;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct ShardBenchConfig {
   usize reads = 10'000;
   usize num_shards = 4;
   usize threads_per_shard = 1;
   usize passes = 3;
-  bool smoke = false;
 };
 
 struct MeasuredResult {
@@ -107,30 +95,33 @@ MeasuredResult run_measured(const ShardBenchConfig& cfg) {
 
   MeasuredResult out;
   out.reads = cfg.reads;
-  out.unsharded_secs = 1e30;
-  out.sharded_secs = 1e30;
   AlignmentRun reference;
   ShardedRun sharded;
-  for (usize pass = 0; pass < cfg.passes; ++pass) {
-    auto start = std::chrono::steady_clock::now();
-    reference = align_unsharded_reference(fastq, w.index111,
-                                          &w.synthesizer->annotation(), config);
-    out.unsharded_secs = std::min(out.unsharded_secs, seconds_since(start));
-
-    start = std::chrono::steady_clock::now();
-    {
-      // Scatter/gather through the unified run-request entrypoint, same
-      // path the CLI takes for --shards.
-      AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                             config.engine);
-      EngineRunRequest request;
-      request.fastq_text = fastq;
-      request.num_shards = config.num_shards;
-      request.sharded_out = &sharded;
-      sharded.merged = engine.execute(request);
-    }
-    out.sharded_secs = std::min(out.sharded_secs, seconds_since(start));
-  }
+  const auto [unsharded_secs, sharded_secs] = interleaved_best_of(
+      cfg.passes,
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        reference = align_unsharded_reference(
+            fastq, w.index111, &w.synthesizer->annotation(), config);
+        return seconds_since(start);
+      },
+      [&] {
+        // Scatter/gather through the unified run-request entrypoint, same
+        // path the CLI takes for --shards.
+        const auto start = std::chrono::steady_clock::now();
+        {
+          AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                                 config.engine);
+          EngineRunRequest request;
+          request.fastq_text = fastq;
+          request.num_shards = config.num_shards;
+          request.sharded_out = &sharded;
+          sharded.merged = engine.execute(request);
+        }
+        return seconds_since(start);
+      });
+  out.unsharded_secs = unsharded_secs;
+  out.sharded_secs = sharded_secs;
 
   out.identity_ok =
       render_artifacts(sharded.merged, sharded.plan.total_reads) ==
@@ -198,69 +189,18 @@ SweepResult run_sweep(double index_gib) {
   return out;
 }
 
-int check_results(const std::string& baseline_path,
-                  const MeasuredResult& measured, const SweepResult& sweep) {
-  static const char* kRequiredKeys[] = {
-      "identity_ok",          "speedup",
-      "scatter_efficiency",   "sharded_reads_per_s",
-      "latency_crossover_gib", "cost_crossover_gib"};
-  const auto baseline = read_json_numbers(baseline_path);
-  int failures = 0;
-  for (const char* key : kRequiredKeys) {
-    if (!baseline.count(key)) {
-      std::cerr << "SMOKE FAIL: baseline missing key '" << key << "'\n";
-      ++failures;
-    }
-  }
-  if (!measured.identity_ok) {
-    std::cerr << "SMOKE FAIL: sharded run is not byte-identical to the "
-                 "unsharded run\n";
-    ++failures;
-  }
-  if (sweep.latency_crossover_gib <= 0) {
-    std::cerr << "SMOKE FAIL: no latency crossover found in the sweep "
-                 "(scatter never beat the single instance)\n";
-    ++failures;
-  }
-  // >30% regression vs the committed same-box baseline fails; the
-  // efficiency is an in-process ratio, so it transfers across machines.
-  const double kKeep = 0.7;
-  if (baseline.count("scatter_efficiency") &&
-      measured.scatter_efficiency <
-          kKeep * baseline.at("scatter_efficiency")) {
-    std::cerr << "SMOKE FAIL: scatter_efficiency "
-              << measured.scatter_efficiency << " regressed >30% vs baseline "
-              << baseline.at("scatter_efficiency") << "\n";
-    ++failures;
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv, "shard");
   ShardBenchConfig cfg;
-  std::string out_path = "BENCH_shard.json";
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-      cfg.reads = 3'000;
-      cfg.passes = 2;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_shard [--smoke] [--out PATH] "
-                   "[--baseline PATH]\n";
-      return 2;
-    }
+  if (opts.smoke) {
+    cfg.reads = 3'000;
+    cfg.passes = 2;
   }
 
   std::cout << "SHARD: scatter/gather alignment, measured + modeled"
-            << (cfg.smoke ? " (smoke)" : "") << "\n";
+            << (opts.smoke ? " (smoke)" : "") << "\n";
 
   const MeasuredResult measured = run_measured(cfg);
   std::cout << "measured (" << measured.reads << " reads, "
@@ -337,20 +277,21 @@ int main(int argc, char** argv) {
   JsonObject root;
   root.add("bench", "shard")
       .add("schema_version", 3)
-      .add("smoke", cfg.smoke)
+      .add("smoke", opts.smoke)
       .add("config", config_json)
       .add("measured", measured_json)
       .add("sweep", sweep_to_json(sweep));
-  root.write_file(out_path);
-  std::cout << "wrote " << out_path << "\n";
 
-  if (!baseline_path.empty()) {
-    const int failures = check_results(baseline_path, measured, sweep);
-    if (failures) {
-      std::cerr << failures << " smoke check(s) failed\n";
-      return 1;
-    }
-    std::cout << "smoke checks passed vs " << baseline_path << "\n";
-  }
-  return 0;
+  // Byte identity is the hard gate. The efficiency is an in-process
+  // ratio, so it transfers across machines: >30% below the committed
+  // same-box baseline fails.
+  const std::vector<Gate> gates = {
+      {"identity_ok", GateOp::kEq, constant(1), true},
+      recorded("speedup"),
+      {"scatter_efficiency", GateOp::kGe, times_baseline(0.7), true},
+      recorded("sharded_reads_per_s"),
+      {"latency_crossover_gib", GateOp::kGt, constant(0), true},
+      recorded("cost_crossover_gib"),
+  };
+  return finish_bench(root, opts, gates);
 }

@@ -190,17 +190,36 @@ TEST(AlignmentService, LightTenantCompletesAheadOfHeavyBacklog) {
   // Chunk-granular fair share on one worker: a light single-chunk sample
   // submitted into a deep heavy backlog completes after at most a couple
   // more heavy completions — never behind the whole backlog.
+  using Clock = std::chrono::steady_clock;
   ServiceConfig config = small_config(1, 32);
   AlignmentService service(world_index(), &world().synthesizer->annotation(),
                            config);
   const ReadSet heavy_reads =
       world().simulator->simulate(bulk_rna_profile(), 256, Rng(21));
+  // Simulated before the flood is submitted, so the time the test thread
+  // takes to build the light sample is not spent while the worker drains
+  // heavies.
+  SampleSubmission light;
+  light.tenant = "light";
+  light.name = "l0";
+  light.reads = world().simulator->simulate(bulk_rna_profile(), 32, Rng(22));
+  // submit() stamps a sample's submission first thing, so a stamp taken
+  // just before the call stands for it, and adding the service-measured
+  // latency gives its completion time. Completions are then ordered on
+  // the service's clock, not by when this thread happens to wake.
+  const auto completed_at = [](Clock::time_point submitted,
+                               const SampleResult& result) {
+    return submitted + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(result.latency_secs));
+  };
   std::vector<AlignmentService::Ticket> heavy;
+  std::vector<Clock::time_point> heavy_submitted;
   for (int i = 0; i < 12; ++i) {
     SampleSubmission submission;
     submission.tenant = "heavy";
     submission.name = "h" + std::to_string(i);
     submission.reads = heavy_reads;
+    heavy_submitted.push_back(Clock::now());
     auto ticket = service.submit(std::move(submission));
     ASSERT_EQ(ticket.status, SubmitStatus::kAccepted);
     heavy.push_back(std::move(ticket));
@@ -208,25 +227,26 @@ TEST(AlignmentService, LightTenantCompletesAheadOfHeavyBacklog) {
   // Wait until the flood is mid-stream (first heavy sample done).
   heavy.front().result.wait();
 
-  SampleSubmission light;
-  light.tenant = "light";
-  light.name = "l0";
-  light.reads = world().simulator->simulate(bulk_rna_profile(), 32, Rng(22));
+  const Clock::time_point light_submitted = Clock::now();
   auto light_ticket = service.submit(std::move(light));
   ASSERT_EQ(light_ticket.status, SubmitStatus::kAccepted);
-  light_ticket.result.wait();
+  const Clock::time_point light_done =
+      completed_at(light_submitted, light_ticket.result.get());
 
-  usize heavy_done = 0;
-  for (auto& ticket : heavy) {
-    if (ticket.result.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      ++heavy_done;
-    }
+  // The first heavy was done before the light was submitted; every other
+  // heavy counts if it completed while the light was in the service.
+  // Heavies that completed between the first one and the light's
+  // submission did so while this thread was waking, not because the
+  // scheduler favoured them, so they do not count.
+  usize heavy_done = 1;
+  for (usize i = 1; i < heavy.size(); ++i) {
+    const Clock::time_point done =
+        completed_at(heavy_submitted[i], heavy[i].result.get());
+    if (done > light_submitted && done < light_done) ++heavy_done;
   }
-  // Several heavies were already done pre-submission; the key claim is
-  // that MOST of the backlog was still pending when light finished.
+  // The key claim is that MOST of the backlog was still pending when
+  // light finished.
   EXPECT_LE(heavy_done, 6u) << "light tenant waited behind the heavy backlog";
-  for (auto& ticket : heavy) ticket.result.wait();
 }
 
 TEST(AlignmentService, DrainCompletesInFlightAndRejectsQueued) {
