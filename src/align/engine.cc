@@ -60,6 +60,14 @@ void AlignmentEngine::ensure_stream_slots(usize count) {
 }
 
 namespace {
+/// Points the workspace's batch lanes at the sequences of `batch`.
+void stage_views(const ReadBatch& batch, AlignWorkspace& ws) {
+  ws.batch.views.clear();
+  for (usize r = 0; r < batch.size(); ++r) {
+    ws.batch.views.push_back(batch.sequence(r));
+  }
+}
+
 /// Zeroes a counts table in place, keeping per_gene capacity.
 void reset_counts(GeneCountsTable& counts) {
   std::fill(counts.per_gene.begin(), counts.per_gene.end(), u64{0});
@@ -110,17 +118,13 @@ void AlignmentEngine::align_views(AlignWorkspace& ws, ChunkSink& sink,
   }
 }
 
-void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
-                                  usize end, usize slot, ChunkSink& sink,
+void AlignmentEngine::align_chunk(const ReadBatch& batch, usize slot,
+                                  ChunkSink& sink,
                                   std::span<ReadOutcome> outcomes) const {
   STARATLAS_CHECK(slot < workspaces_.size());
-  STARATLAS_CHECK(begin <= end && end <= reads.size());
-  STARATLAS_CHECK(outcomes.size() >= end - begin);
+  STARATLAS_CHECK(outcomes.size() >= batch.size());
   AlignWorkspace& ws = *workspaces_[slot];
-  ws.batch.views.clear();
-  for (usize r = begin; r < end; ++r) {
-    ws.batch.views.push_back(reads.reads[r].sequence);
-  }
+  stage_views(batch, ws);
   align_views(ws, sink, outcomes);
 }
 
@@ -256,10 +260,7 @@ AlignmentRun AlignmentEngine::run_pull(const BatchSource& source,
       if (!abort_flag.load(std::memory_order_relaxed)) {
         try {
           const usize count = slot->batch.size();
-          ws.batch.views.clear();
-          for (usize r = 0; r < count; ++r) {
-            ws.batch.views.push_back(slot->batch.sequence(r));
-          }
+          stage_views(slot->batch, ws);
           slot->outcomes.resize(count);
           align_views(ws, slot->sink, slot->outcomes);
           if (sam_out != nullptr) {

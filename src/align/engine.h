@@ -140,16 +140,16 @@ class AlignmentEngine {
   /// A sink dimensioned for this engine's quant/junction configuration.
   ChunkSink make_chunk_sink() const;
 
-  /// Aligns reads [begin, end) of `reads`, writing outcomes[r - begin]
-  /// and accumulating stats/counts/junctions into `sink` (which is reset
-  /// first, keeping capacity). Uses worker slot `slot`'s workspace:
-  /// distinct slots may execute concurrently, the same slot must not.
-  /// Requires prepare_worker_slots() first and outcomes.size() >= end -
-  /// begin. Merging every chunk's sink of a sample reproduces execute()'s
-  /// stats, counts and junctions for that sample exactly (field-wise sums
-  /// of chunk-local values, as execute()'s own commit does).
-  void align_chunk(const ReadSet& reads, usize begin, usize end, usize slot,
-                   ChunkSink& sink, std::span<ReadOutcome> outcomes) const;
+  /// Aligns every read of `batch`, writing outcomes[r] and accumulating
+  /// stats/counts/junctions into `sink` (which is reset first, keeping
+  /// capacity). Uses worker slot `slot`'s workspace: distinct slots may
+  /// execute concurrently, the same slot must not. Requires
+  /// prepare_worker_slots() first and outcomes.size() >= batch.size().
+  /// Merging every chunk's sink of a sample reproduces execute()'s stats,
+  /// counts and junctions for that sample exactly (field-wise sums of
+  /// chunk-local values, as execute()'s own commit does).
+  void align_chunk(const ReadBatch& batch, usize slot, ChunkSink& sink,
+                   std::span<ReadOutcome> outcomes) const;
 
  private:
   struct StreamSlot;

@@ -1,6 +1,5 @@
 #include "align/run_request.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "align/sharded.h"
@@ -89,11 +88,7 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
     usize next = 0;
     const usize batch_size = config_.chunk_size;
     const BatchSource source = [&reads, &next, batch_size](ReadBatch& batch) {
-      const usize end = std::min(next + batch_size, reads.size());
-      for (; next < end; ++next) {
-        const FastqRecord& rec = reads.reads[next];
-        batch.append(rec.name, rec.sequence, rec.quality);
-      }
+      next = append_read_batch(reads, next, batch_size, batch);
       return !batch.empty();
     };
     run = run_pull(source, reads.size(), callback, request.sam_out);

@@ -6,11 +6,12 @@
 // place, and AlignmentEngine::execute() runs the scatter/gather path when
 // num_shards > 1 and the engine's single execution body otherwise.
 //
-// The multi-tenant service validates each submission as a ReadSet request
-// at admission (same rules, same error text) and then executes it
-// chunk-by-chunk through the engine's align_chunk hook: execute() is one
-// blocking call and cannot be preempted between chunks, which is the
-// service's whole job.
+// The multi-tenant service does not go through execute(): it holds each
+// sample as chunk_size ReadBatches (a ReadSet cut with the same
+// append_read_batch as the `reads` input here) and aligns them one at a
+// time through the engine's align_chunk hook. execute() is one blocking
+// call and cannot be preempted between chunks, which is the service's
+// whole job.
 #pragma once
 
 #include <iosfwd>

@@ -1,5 +1,6 @@
 #include "io/fastq.h"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -131,6 +132,16 @@ ReadSet make_read_set(std::vector<FastqRecord> records, ByteSize fastq_bytes) {
                                         : fastq_serialized_size(records);
   set.reads = std::move(records);
   return set;
+}
+
+usize append_read_batch(const ReadSet& reads, usize begin, usize max_reads,
+                        ReadBatch& batch) {
+  const usize end = begin + std::min(max_reads, reads.size() - begin);
+  for (usize r = begin; r < end; ++r) {
+    const FastqRecord& rec = reads.reads[r];
+    batch.append(rec.name, rec.sequence, rec.quality);
+  }
+  return end;
 }
 
 }  // namespace staratlas

@@ -20,6 +20,8 @@
 
 namespace staratlas {
 
+class ReadBatch;  // io/read_batch.h
+
 struct FastqRecord {
   std::string name;      ///< without the leading '@'
   std::string sequence;  ///< ACGTN
@@ -85,5 +87,12 @@ ReadSet make_read_set(std::vector<FastqRecord> records);
 /// O(1) form for callers whose parser already accumulated the byte count
 /// (FastqReader::serialized_bytes, SraStreamDecoder::serialized_bytes).
 ReadSet make_read_set(std::vector<FastqRecord> records, ByteSize fastq_bytes);
+
+/// Appends reads [begin, begin + max_reads) of `reads` (clamped to its
+/// end) to `batch` and returns the index one past the last read copied:
+/// the one cut of a ReadSet into chunk_size batches, shared by
+/// AlignmentEngine::execute and AlignmentService::submit.
+usize append_read_batch(const ReadSet& reads, usize begin, usize max_reads,
+                        ReadBatch& batch);
 
 }  // namespace staratlas

@@ -38,12 +38,17 @@ class ByteArena {
   void clear() { size_ = 0; }
 
   void reserve(usize n) {
-    if (n > cap_) grow_to(n);
+    if (n > cap_) reallocate(n);
+  }
+
+  /// Drops the capacity beyond the contents.
+  void shrink_to_fit() {
+    if (cap_ > size_) reallocate(size_);
   }
 
   /// Appends raw bytes; returns their offset.
   u64 append(const char* src, usize len) {
-    if (size_ + len > cap_) grow_to(std::max(size_ + len, cap_ * 2));
+    if (size_ + len > cap_) reallocate(std::max(size_ + len, cap_ * 2));
     std::memcpy(data_.get() + size_, src, len);
     const u64 offset = size_;
     size_ += len;
@@ -51,10 +56,11 @@ class ByteArena {
   }
 
  private:
-  void grow_to(usize n) {
-    std::unique_ptr<char[]> bigger(new char[n]);
-    if (size_ > 0) std::memcpy(bigger.get(), data_.get(), size_);
-    data_ = std::move(bigger);
+  /// Moves the contents into a fresh n-byte allocation (n >= size_).
+  void reallocate(usize n) {
+    std::unique_ptr<char[]> fresh(n > 0 ? new char[n] : nullptr);
+    if (size_ > 0) std::memcpy(fresh.get(), data_.get(), size_);
+    data_ = std::move(fresh);
     cap_ = n;
   }
 
@@ -78,6 +84,14 @@ class ReadBatch {
   void reserve(usize num_reads, usize arena_bytes) {
     records_.reserve(num_reads);
     arena_.reserve(arena_bytes);
+  }
+
+  /// Drops arena and table capacity beyond the records held: for a batch
+  /// that is kept rather than recycled (a service session holds one per
+  /// chunk until the sample completes).
+  void shrink_to_fit() {
+    arena_.shrink_to_fit();
+    records_.shrink_to_fit();
   }
 
   std::string_view name(usize i) const {

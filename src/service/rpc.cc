@@ -9,12 +9,14 @@
 #include <charconv>
 #include <cstring>
 #include <exception>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string_view>
 
 #include "common/error.h"
 #include "common/stats.h"
-#include "io/fastq.h"
+#include "io/fastq_block.h"
 #include "service/artifacts.h"
 
 namespace staratlas {
@@ -71,6 +73,75 @@ bool recv_payload(int fd, u64 len, std::string& out) {
   return true;
 }
 
+/// The `len`-byte payload of one SUBMIT as a std::streambuf, so the FASTQ
+/// parser reads it straight off the socket: reads land in the caller's
+/// buffer (the parser's 256 KiB block) without an intermediate copy, and
+/// nothing past the payload is ever consumed, so the next frame stays
+/// intact. End of stream comes at `len` bytes or when the peer hangs up,
+/// which hung_up() then tells apart.
+class PayloadStreamBuf : public std::streambuf {
+ public:
+  PayloadStreamBuf(int fd, u64 len) : fd_(fd), left_(len) {}
+
+  bool hung_up() const { return hung_up_; }
+
+  /// Discards the unread rest of the payload in bounded pieces, so the
+  /// connection's framing survives a payload that failed to parse. False
+  /// if the peer hangs up first.
+  bool drain() {
+    char sink[64 * 1024];
+    while (left_ > 0 && !hung_up_) {
+      receive(sink, static_cast<usize>(std::min<u64>(sizeof(sink), left_)));
+    }
+    return !hung_up_;
+  }
+
+ protected:
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    std::streamsize got = 0;
+    if (n > 0 && gptr() < egptr()) {
+      *out = *gptr();
+      gbump(1);
+      got = 1;
+    }
+    while (got < n && left_ > 0 && !hung_up_) {
+      got += static_cast<std::streamsize>(
+          receive(out + got, static_cast<usize>(std::min<u64>(
+                                 static_cast<u64>(n - got), left_))));
+    }
+    return got;
+  }
+
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (left_ == 0 || hung_up_ || receive(&byte_, 1) == 0) {
+      return traits_type::eof();
+    }
+    setg(&byte_, &byte_, &byte_ + 1);
+    return traits_type::to_int_type(byte_);
+  }
+
+ private:
+  /// One recv of at most `len` (<= left_) bytes; 0 once the peer hangs up.
+  usize receive(char* data, usize len) {
+    for (;;) {
+      const ssize_t n = ::recv(fd_, data, len, 0);
+      if (n > 0) {
+        left_ -= static_cast<u64>(n);
+        return static_cast<usize>(n);
+      }
+      if (n < 0 && errno == EINTR) continue;
+      hung_up_ = true;
+      return 0;
+    }
+  }
+
+  int fd_;
+  u64 left_;  ///< payload bytes not yet received
+  bool hung_up_ = false;
+  char byte_ = 0;  ///< get area for single-character reads
+};
+
 /// Parses a payload length: decimal digits only, with no sign, no
 /// trailing text and no overflow (the rule Args::get_u64 applies to CLI
 /// numbers).
@@ -123,6 +194,9 @@ std::string render_metrics(const AlignmentService::Metrics& metrics) {
   out << "queue_high_water\t" << metrics.queue_high_water << "\n";
   out << "index_cache_loads\t" << metrics.index_cache_loads << "\n";
   out << "index_cache_hits\t" << metrics.index_cache_hits << "\n";
+  out << "resident_read_bytes\t" << metrics.resident_read_bytes << "\n";
+  out << "resident_read_bytes_high_water\t"
+      << metrics.resident_read_bytes_high_water << "\n";
   for (const auto& [tenant, tm] : metrics.tenants) {
     out << "tenant\t" << tenant << "\taccepted=" << tm.accepted
         << "\trejected=" << tm.rejected << "\tcompleted=" << tm.completed
@@ -271,18 +345,29 @@ void ServiceServer::serve_requests(int fd) {
         send_err(fd, "internal", "malformed SUBMIT header");
         return;  // framing is lost: drop the connection
       }
-      std::string payload;
-      if (!recv_payload(fd, nbytes, payload)) return;
       SampleSubmission submission;
       submission.tenant = std::move(tenant);
       submission.name = std::move(name);
+      PayloadStreamBuf payload(fd, nbytes);
       try {
-        std::istringstream fastq(std::move(payload));
-        submission.reads = make_read_set(read_fastq(fastq));
+        // One batch per scheduler chunk, parsed as the bytes arrive and
+        // trimmed at once, so the parse peaks at what the sample holds:
+        // the server never holds the raw payload.
+        std::istream fastq(&payload);
+        FastqBlockReader reader(fastq);
+        const usize chunk = service_->config().engine.chunk_size;
+        for (;;) {
+          ReadBatch batch;
+          if (reader.read_batch(batch, chunk) == 0) break;
+          batch.shrink_to_fit();
+          submission.batches.push_back(std::move(batch));
+        }
       } catch (const Error& e) {
+        if (!payload.drain()) return;
         if (!send_err(fd, "parse_error", e.what())) return;
         continue;
       }
+      if (payload.hung_up()) return;
       AlignmentService::Ticket ticket = service_->submit(std::move(submission));
       if (ticket.status != SubmitStatus::kAccepted) {
         if (!send_err(fd, submit_status_name(ticket.status),

@@ -18,7 +18,12 @@
 // "parse_error" for malformed FASTQ, or "internal". <nbytes> is decimal
 // digits only; a malformed header gets ERR internal and the connection is
 // dropped (its framing is lost), as is any request that fails inside the
-// server. The payload buffer grows only as its bytes arrive.
+// server. The server parses a SUBMIT payload as it arrives, 256 KiB at a
+// time, into the chunk_size-read batches the service aligns: it never
+// holds the raw payload, and its memory grows only with the bytes that
+// arrive. A malformed payload is still read to its declared length before
+// the ERR frame, so the connection keeps its framing; a peer that hangs
+// up mid-payload is dropped unanswered.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "align/run_request.h"
 #include "common/error.h"
 
 namespace staratlas {
@@ -16,17 +15,52 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// The submission's reads as one batch per `chunk`-read scheduler chunk.
+/// A ReadSet is cut here, each batch trimmed to its contents, and freed.
+std::vector<ReadBatch> take_batches(SampleSubmission& submission,
+                                    usize chunk) {
+  std::vector<ReadBatch> batches;
+  if (!submission.reads.empty()) {
+    if (!submission.batches.empty()) {
+      throw InvalidArgument("sample submission sets both reads and batches");
+    }
+    batches.reserve((submission.reads.size() + chunk - 1) / chunk);
+    for (usize next = 0; next < submission.reads.size();) {
+      ReadBatch& batch = batches.emplace_back();
+      next = append_read_batch(submission.reads, next, chunk, batch);
+      batch.shrink_to_fit();
+    }
+    submission.reads = ReadSet{};
+    return batches;
+  }
+  batches = std::move(submission.batches);
+  for (usize i = 0; i < batches.size(); ++i) {
+    const usize n = batches[i].size();
+    if (n == 0 || n > chunk || (i + 1 < batches.size() && n != chunk)) {
+      throw InvalidArgument(
+          "sample batches must hold chunk_size reads each (the last 1 to "
+          "chunk_size)");
+    }
+  }
+  return batches;
+}
+
 }  // namespace
 
 /// One admitted sample's life inside the service: immutable inputs, the
 /// chunk-merge accumulators, and the completion promise. Workers touch
-/// the accumulators only under `mu`; `reads` is immutable after
-/// construction so align_chunk reads it lock-free.
+/// the accumulators only under `mu`; `batches` is immutable until
+/// finalize, so align_chunk reads it lock-free.
 struct AlignmentService::Session {
   u64 id = 0;
   TenantId tenant;
   std::string name;
-  ReadSet reads;
+  /// Batch i holds the reads of the scheduler chunk starting at read
+  /// i * chunk_size.
+  std::vector<ReadBatch> batches;
+  u64 total_reads = 0;
+  u64 total_bases = 0;
+  u64 read_bytes = 0;  ///< sum of the batches' capacity_bytes()
   /// Per-sample cache pin (cache mode): holds the entry resident for the
   /// sample's whole life, so eviction can never pull the index out from
   /// under an active alignment.
@@ -99,28 +133,36 @@ void AlignmentService::ensure_tenant(const TenantId& tenant) {
 
 AlignmentService::Ticket AlignmentService::submit(SampleSubmission submission) {
   const auto now = std::chrono::steady_clock::now();
-  // Every submission is validated as a ReadSet run request at admission
-  // (the same single validation point execute() uses), then executed
-  // through the chunk hook for fair-share interleaving instead of
-  // execute().
-  EngineRunRequest{.reads = &submission.reads}.validate();
+  std::vector<ReadBatch> batches =
+      take_batches(submission, config_.engine.chunk_size);
   ensure_tenant(submission.tenant);
 
+  u64 total_reads = 0;
+  u64 total_bases = 0;
+  u64 read_bytes = 0;
+  for (const ReadBatch& batch : batches) {
+    total_reads += batch.size();
+    read_bytes += batch.capacity_bytes();
+    for (usize r = 0; r < batch.size(); ++r) {
+      total_bases += batch.sequence(r).size();
+    }
+  }
   Ticket ticket;
-  const u64 total_reads = submission.reads.size();
   ticket.status = admission_.try_admit(submission.tenant, total_reads);
   if (ticket.status != SubmitStatus::kAccepted) return ticket;
 
   auto session = std::make_unique<Session>();
   session->tenant = std::move(submission.tenant);
   session->name = std::move(submission.name);
-  session->reads = std::move(submission.reads);
+  session->batches = std::move(batches);
+  session->total_reads = total_reads;
+  session->total_bases = total_bases;
+  session->read_bytes = read_bytes;
   session->submitted = now;
   session->future = session->promise.get_future().share();
   session->acc = engine_->make_chunk_sink();
   session->outcomes.assign(total_reads, ReadOutcome::kUnmapped);
-  const usize chunk = config_.engine.chunk_size;
-  session->chunks_total = (total_reads + chunk - 1) / chunk;
+  session->chunks_total = session->batches.size();
   // Every admitted sample re-acquires through the cache: a hit that adds
   // one more pin, keeping the entry unevictable while any sample runs.
   if (cache_) session->pin = cache_->acquire(index_key_, loader_);
@@ -133,6 +175,10 @@ AlignmentService::Ticket AlignmentService::submit(SampleSubmission submission) {
     id = next_session_id_++;
     session->id = id;
     ++metrics_.tenants[tenant].accepted;
+    metrics_.resident_read_bytes += read_bytes;
+    metrics_.resident_read_bytes_high_water =
+        std::max(metrics_.resident_read_bytes_high_water,
+                 metrics_.resident_read_bytes);
     sessions_.emplace(id, std::move(session));
   }
 
@@ -179,9 +225,11 @@ void AlignmentService::worker_loop(usize slot) {
       }
     }
     const usize count = dispatch->end - dispatch->begin;
+    const ReadBatch& batch =
+        session->batches[dispatch->begin / config_.engine.chunk_size];
+    STARATLAS_CHECK(batch.size() == count);
     if (scratch.size() < count) scratch.resize(count);
-    engine_->align_chunk(session->reads, dispatch->begin, dispatch->end, slot,
-                         sink, std::span(scratch).first(count));
+    engine_->align_chunk(batch, slot, sink, std::span(scratch).first(count));
     bool last = false;
     {
       std::lock_guard lock(session->mu);
@@ -215,13 +263,14 @@ void AlignmentService::finalize(std::unique_ptr<Session> session,
   SampleResult result;
   result.tenant = session->tenant;
   result.name = session->name;
-  result.total_reads = session->reads.size();
+  result.total_reads = session->total_reads;
   if (result.total_reads > 0) {
-    u64 bases = 0;
-    for (const auto& read : session->reads.reads) bases += read.sequence.size();
-    result.mean_read_length =
-        static_cast<double>(bases) / static_cast<double>(result.total_reads);
+    result.mean_read_length = static_cast<double>(session->total_bases) /
+                              static_cast<double>(result.total_reads);
   }
+  // The reads go before the promise resolves: a caller that wakes on the
+  // result finds the sample's memory already returned.
+  session->batches = std::vector<ReadBatch>();
   result.rejected_at_drain = rejected_at_drain;
   result.latency_secs = seconds_between(session->submitted,
                                         std::chrono::steady_clock::now());
@@ -238,6 +287,7 @@ void AlignmentService::finalize(std::unique_ptr<Session> session,
   {
     std::lock_guard lock(mu_);
     TenantMetrics& tm = metrics_.tenants[result.tenant];
+    metrics_.resident_read_bytes -= session->read_bytes;
     if (rejected_at_drain) {
       ++tm.rejected_at_drain;
     } else {

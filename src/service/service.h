@@ -3,10 +3,12 @@
 //
 // This is the refactor that turns core/pipeline + align/engine from a
 // batch job into a system: submissions from many tenants pass admission
-// control (bounded queues, reject-don't-block backpressure), are cut into
-// chunk-granular work units, and are scheduled weighted-fair across
-// tenants onto a pool of worker threads that all call the engine's
-// align_chunk hook. Every tenant attaches the SAME index — acquired once
+// control (bounded queues, reject-don't-block backpressure), are held as
+// one chunk_size-read ReadBatch per work unit (the RPC server parses its
+// payloads straight into them; an in-process ReadSet is cut into them at
+// submit), and are scheduled weighted-fair across tenants onto a pool of
+// worker threads that all call the engine's align_chunk hook on one
+// batch at a time. Every tenant attaches the SAME index — acquired once
 // per sample through the single-flight SharedIndexCache, whose pinned
 // entries (shared_ptr refcounts) make resident-bytes eviction safe under
 // load: an index held by an active sample is never evicted, everything
@@ -78,6 +80,10 @@ class AlignmentService {
     usize queue_high_water = 0;
     u64 index_cache_loads = 0;  ///< 0 when constructed without a cache
     u64 index_cache_hits = 0;
+    /// Sum of ReadBatch::capacity_bytes() over the admitted samples not
+    /// yet finalized: the reads the service holds right now.
+    u64 resident_read_bytes = 0;
+    u64 resident_read_bytes_high_water = 0;
   };
 
   /// Serves `index` directly (tests; no cache involved).
@@ -100,7 +106,9 @@ class AlignmentService {
 
   /// Admission-controlled, non-blocking submission. Rejection (queue full,
   /// draining) returns immediately with the reason — backpressure is the
-  /// caller's signal to slow down, not a blocked thread.
+  /// caller's signal to slow down, not a blocked thread. Throws
+  /// InvalidArgument when the submission sets both reads and batches, or
+  /// its batches are not cut at the engine's chunk_size.
   Ticket submit(SampleSubmission submission);
 
   /// Submits and blocks for the result; throws InvalidArgument when the

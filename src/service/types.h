@@ -1,12 +1,14 @@
 // Shared vocabulary of the multi-tenant alignment service: tenant
 // identities and profiles, sample submissions, and per-sample results.
 //
-// A submission is an in-memory ReadSet tagged with a tenant; the RPC
-// layer (service/rpc.h) parses FASTQ payloads into this form, and the
-// in-process API (service/service.h) accepts it directly. Results carry
-// everything the CLI align path writes — outcomes, stats, gene counts,
-// junctions — so byte-identity against the unsharded CLI path is a
-// string comparison of the rendered artifacts.
+// A submission is a sample tagged with a tenant, in one of two forms:
+// chunk_size-read ReadBatches, which the RPC layer (service/rpc.h) parses
+// straight off the socket, or an in-memory ReadSet, which the in-process
+// API (service/service.h) cuts into the same batches at submit() and then
+// drops. Either way the service holds each read once, in a batch arena.
+// Results carry everything the CLI align path writes — outcomes, stats,
+// gene counts, junctions — so byte-identity against the unsharded CLI
+// path is a string comparison of the rendered artifacts.
 #pragma once
 
 #include <string>
@@ -17,6 +19,7 @@
 #include "align/record.h"
 #include "common/types.h"
 #include "io/fastq.h"
+#include "io/read_batch.h"
 
 namespace staratlas {
 
@@ -44,10 +47,16 @@ enum class SubmitStatus : u8 {
 
 const char* submit_status_name(SubmitStatus status);
 
+/// Set `reads` or `batches`, not both (submit() throws InvalidArgument).
 struct SampleSubmission {
   TenantId tenant;
   std::string name;
+  /// In-process form: cut into chunk_size batches at submit().
   ReadSet reads;
+  /// Pre-cut form: every batch holds exactly the service's chunk_size
+  /// reads except the last, which holds 1 to chunk_size. The service
+  /// holds them as given (trim them with ReadBatch::shrink_to_fit).
+  std::vector<ReadBatch> batches;
 };
 
 /// Completed (or drain-rejected) sample. The accumulators merge the

@@ -63,21 +63,27 @@ struct ServerFixture {
   }
 };
 
+/// What the in-process service answers for `reads` under `config`.
+std::string in_process_body(const ReadSet& reads,
+                            const ServiceConfig& config) {
+  AlignmentService local(world_index(), &world().synthesizer->annotation(),
+                         config);
+  SampleSubmission submission;
+  submission.tenant = "t";
+  submission.name = "s";
+  submission.reads = reads;
+  return render_sample_artifacts(local.submit_and_wait(std::move(submission)),
+                                 world().index111,
+                                 &world().synthesizer->annotation());
+}
+
 TEST(ServiceRpc, SubmitReturnsInProcessArtifactsExactly) {
   ServerFixture fx("submit");
   const ReadSet reads =
       world().simulator->simulate(bulk_rna_profile(), 200, Rng(31));
 
   // In-process reference through the same service config.
-  AlignmentService local(world_index(), &world().synthesizer->annotation(),
-                         fx.config);
-  SampleSubmission submission;
-  submission.tenant = "t";
-  submission.name = "s";
-  submission.reads = reads;
-  const std::string expect = render_sample_artifacts(
-      local.submit_and_wait(std::move(submission)), world().index111,
-      &world().synthesizer->annotation());
+  const std::string expect = in_process_body(reads, fx.config);
 
   ServiceClient client(fx.server->socket_path());
   const auto response = client.submit("t", "s", fastq_text(reads));
@@ -90,17 +96,7 @@ TEST(ServiceRpc, ConcurrentClientsAllSucceed) {
   const ReadSet reads =
       world().simulator->simulate(bulk_rna_profile(), 64, Rng(8));
   const std::string payload = fastq_text(reads);
-  const std::string expect = [&] {
-    AlignmentService local(world_index(), &world().synthesizer->annotation(),
-                           fx.config);
-    SampleSubmission submission;
-    submission.tenant = "c0";
-    submission.name = "s";
-    submission.reads = reads;
-    return render_sample_artifacts(local.submit_and_wait(std::move(submission)),
-                                   world().index111,
-                                   &world().synthesizer->annotation());
-  }();
+  const std::string expect = in_process_body(reads, fx.config);
 
   constexpr int kClients = 4;
   std::vector<std::string> bodies(kClients);
@@ -240,6 +236,104 @@ TEST(ServiceRpc, ForgedSubmitLengthsDropOnlyTheirConnection) {
     EXPECT_EQ(pong.body, "pong\n");
   }
   EXPECT_EQ(fx.service->metrics().samples_completed, 0u);
+}
+
+std::string submit_frame(const std::string& name, const std::string& fastq) {
+  return "SUBMIT t " + name + " " + std::to_string(fastq.size()) + "\n" +
+         fastq;
+}
+
+std::string ok_frame(const std::string& body) {
+  return "OK " + std::to_string(body.size()) + "\n" + body;
+}
+
+TEST(ServiceRpc, TwoSubmitFramesInOneWriteGetTwoAnswers) {
+  // The payload stream stops at its declared length, so bytes of the next
+  // frame that arrive in the same receive stay on the socket for it.
+  ServerFixture fx("pipelined");
+  const ReadSet a = world().simulator->simulate(bulk_rna_profile(), 70, Rng(41));
+  const ReadSet b = world().simulator->simulate(bulk_rna_profile(), 33, Rng(42));
+  const std::string reply =
+      raw_exchange(fx.server->socket_path(),
+                   submit_frame("a", fastq_text(a)) +
+                       submit_frame("b", fastq_text(b)));
+  EXPECT_EQ(reply, ok_frame(in_process_body(a, fx.config)) +
+                       ok_frame(in_process_body(b, fx.config)));
+  EXPECT_EQ(fx.service->metrics().samples_completed, 2u);
+}
+
+TEST(ServiceRpc, ParseErrorDrainsThePayloadAndKeepsTheFraming) {
+  // A bad record near the start of a ~1 MB payload: the parse stops there,
+  // the rest of the payload is read and discarded, the ERR frame carries
+  // read_fastq's message for the same bytes, and the next SUBMIT on the
+  // connection is answered normally.
+  ServerFixture fx("drain_parse");
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 4600, Rng(43));
+  std::string bad = fastq_text(reads);
+  ASSERT_GT(bad.size(), 1'000'000u);
+  // Drop the last quality character of the third record.
+  usize at = 0;
+  for (int line = 0; line < 12; ++line) at = bad.find('\n', at) + 1;
+  bad.erase(at - 2, 1);
+  std::string message;
+  try {
+    std::istringstream in(bad);
+    read_fastq(in);
+  } catch (const ParseError& e) {
+    message = e.what();
+  }
+  ASSERT_NE(message, "");
+
+  const ReadSet good =
+      world().simulator->simulate(bulk_rna_profile(), 40, Rng(44));
+  const std::string reply =
+      raw_exchange(fx.server->socket_path(),
+                   submit_frame("bad", bad) +
+                       submit_frame("good", fastq_text(good)));
+  EXPECT_EQ(reply, "ERR parse_error " + message + "\n" +
+                       ok_frame(in_process_body(good, fx.config)));
+  EXPECT_EQ(fx.service->metrics().samples_completed, 1u);
+}
+
+TEST(ServiceRpc, MalformedPrefixThenHangUpIsDroppedUnanswered) {
+  // The parse fails on the first record, but the declared payload never
+  // arrives: the drain meets the hang-up and the connection is dropped
+  // without an answer, as a short payload always was.
+  ServerFixture fx("bad_hangup");
+  const std::string& path = fx.server->socket_path();
+  EXPECT_EQ(raw_exchange(path, "SUBMIT t x 1000000\n@r1\nACGT\n+\nII\n"), "");
+  EXPECT_EQ(raw_exchange(path, "SUBMIT t x 1000000\nnot a header\n"), "");
+
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 20, Rng(45));
+  ServiceClient client(path);
+  const auto response = client.submit("t", "s", fastq_text(reads));
+  ASSERT_TRUE(response.ok) << response.error_code << ": " << response.message;
+  EXPECT_EQ(response.body, in_process_body(reads, fx.config));
+  EXPECT_EQ(fx.service->metrics().samples_completed, 1u);
+}
+
+TEST(ServiceRpc, CrlfAndUnterminatedPayloadsGiveTheLfBody) {
+  ServerFixture fx("line_ends");
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 50, Rng(46));
+  const std::string lf = fastq_text(reads);
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const std::string expect = in_process_body(reads, fx.config);
+  ServiceClient client(fx.server->socket_path());
+  for (const std::string& payload :
+       {lf, crlf, lf.substr(0, lf.size() - 1),
+        crlf.substr(0, crlf.size() - 2)}) {
+    const auto response = client.submit("t", "s", payload);
+    ASSERT_TRUE(response.ok) << response.error_code << ": "
+                             << response.message;
+    EXPECT_EQ(response.body, expect);
+  }
 }
 
 TEST(ServiceRpc, ForgedResponseLengthsThrowIoError) {

@@ -1,20 +1,26 @@
-// AlignmentService end-to-end: byte-identity against AlignmentEngine::run,
-// multi-tenant completion, backpressure, fairness under flood, graceful
-// drain, and the shared-index-cache single-load/pinning contract.
+// AlignmentService end-to-end: byte-identity against AlignmentEngine::run
+// at every chunk boundary (in process and over RPC), multi-tenant
+// completion, resident read memory, backpressure, fairness under flood,
+// graceful drain, and the shared-index-cache single-load/pinning contract.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "align/final_log.h"
 #include "align/run_request.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "index/shared_cache.h"
 #include "service/artifacts.h"
+#include "service/rpc.h"
 #include "sim/library_profile.h"
 #include "sim/read_simulator.h"
 #include "testutil.h"
@@ -132,6 +138,151 @@ TEST(AlignmentService, ManyTenantsManySamplesAllByteIdentical) {
   EXPECT_EQ(metrics.samples_completed, pending.size());
   EXPECT_EQ(metrics.tenants.at("alpha").completed, std::size(sizes));
   EXPECT_EQ(metrics.queue_depth_samples, 0u);
+  EXPECT_EQ(metrics.resident_read_bytes, 0u);
+}
+
+std::string fastq_text(const ReadSet& reads) {
+  std::ostringstream out;
+  write_fastq(out, reads.reads);
+  return out.str();
+}
+
+auto fields(const MappingStats& s) {
+  return std::tuple(s.processed, s.unique, s.multi, s.too_many, s.unmapped,
+                    s.seeds_generated, s.windows_scored, s.bases_compared);
+}
+
+auto fields(const GeneCountsTable& t) {
+  return std::tuple(t.per_gene, t.n_unmapped, t.n_multimapping,
+                    t.n_no_feature, t.n_ambiguous);
+}
+
+auto fields(const std::vector<Junction>& junctions) {
+  std::vector<std::tuple<ContigId, u64, u64, u64, u64, u64>> out;
+  for (const Junction& j : junctions) {
+    out.emplace_back(j.contig, j.intron_start, j.intron_end, j.unique_reads,
+                     j.multi_reads, j.max_overhang);
+  }
+  return out;
+}
+
+TEST(AlignmentService, ChunkBoundariesMatchEngineInProcessAndOverRpc) {
+  // Every batch shape a sample can be cut into — empty, one partial
+  // batch, exactly full batches, one read over — at three chunk sizes,
+  // submitted as a ReadSet and as an RPC payload parsed into batches.
+  for (const usize c : {usize{1}, usize{7}, usize{256}}) {
+    const ServiceConfig config = small_config(2, c);
+    AlignmentService service(world_index(), &world().synthesizer->annotation(),
+                             config);
+    const std::string path = "/tmp/staratlas_svc_chunks_" +
+                             std::to_string(::getpid()) + ".sock";
+    ServiceServer server(service, &world().synthesizer->annotation(), path);
+    ServiceClient client(path);
+    for (const usize n : {usize{0}, usize{1}, c - 1, c, c + 1, 3 * c}) {
+      SCOPED_TRACE("chunk " + std::to_string(c) + ", reads " +
+                   std::to_string(n));
+      const ReadSet reads = world().simulator->simulate(
+          bulk_rna_profile(), n, Rng(1000 * c + n));
+      AlignmentRun run;
+      const std::string expect = reference_artifacts(reads, config.engine, &run);
+
+      SampleSubmission submission;
+      submission.tenant = "t";
+      submission.name = "s";
+      submission.reads = reads;
+      const SampleResult result = service.submit_and_wait(std::move(submission));
+      EXPECT_EQ(result.total_reads, n);
+      EXPECT_EQ(result.outcomes, run.outcomes);
+      EXPECT_EQ(fields(result.stats), fields(run.stats));
+      EXPECT_EQ(fields(result.gene_counts), fields(run.gene_counts));
+      EXPECT_EQ(fields(result.junctions), fields(run.junctions));
+      EXPECT_EQ(render_sample_artifacts(result, world().index111,
+                                        &world().synthesizer->annotation()),
+                expect);
+
+      const auto response = client.submit("t", "s", fastq_text(reads));
+      ASSERT_TRUE(response.ok) << response.error_code << ": "
+                               << response.message;
+      EXPECT_EQ(response.body, expect);
+    }
+  }
+}
+
+TEST(AlignmentService, ResidentReadBytesTrackAdmittedSamples) {
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 2000, Rng(77));
+  const std::string payload = fastq_text(reads);
+  {
+    // In process: the ReadSet is cut into batches trimmed to their reads.
+    AlignmentService service(world_index(),
+                             &world().synthesizer->annotation(),
+                             small_config(2, 256));
+    SampleSubmission submission;
+    submission.tenant = "t";
+    submission.name = "s";
+    submission.reads = reads;
+    service.submit_and_wait(std::move(submission));
+    const auto metrics = service.metrics();
+    EXPECT_EQ(metrics.resident_read_bytes, 0u);
+    EXPECT_GT(metrics.resident_read_bytes_high_water, 0u);
+    EXPECT_LE(static_cast<double>(metrics.resident_read_bytes_high_water),
+              1.25 * static_cast<double>(payload.size()));
+  }
+  {
+    // Over RPC: the payload is parsed straight into batches, and STATS
+    // reports the same two numbers.
+    AlignmentService service(world_index(),
+                             &world().synthesizer->annotation(),
+                             small_config(2, 256));
+    const std::string path = "/tmp/staratlas_svc_resident_" +
+                             std::to_string(::getpid()) + ".sock";
+    ServiceServer server(service, &world().synthesizer->annotation(), path);
+    ServiceClient client(path);
+    ASSERT_TRUE(client.submit("t", "s", payload).ok);
+    const auto metrics = service.metrics();
+    EXPECT_EQ(metrics.resident_read_bytes, 0u);
+    EXPECT_GT(metrics.resident_read_bytes_high_water, 0u);
+    EXPECT_LE(static_cast<double>(metrics.resident_read_bytes_high_water),
+              1.25 * static_cast<double>(payload.size()));
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.ok);
+    EXPECT_NE(stats.body.find("resident_read_bytes\t0\n"), std::string::npos);
+    EXPECT_NE(stats.body.find("resident_read_bytes_high_water\t" +
+                              std::to_string(
+                                  metrics.resident_read_bytes_high_water) +
+                              "\n"),
+              std::string::npos);
+  }
+}
+
+TEST(AlignmentService, BatchSubmissionsMustBeCutAtChunkSize) {
+  AlignmentService service(world_index(), &world().synthesizer->annotation(),
+                           small_config(1, 4));
+  const ReadSet reads =
+      world().simulator->simulate(bulk_rna_profile(), 6, Rng(78));
+  const auto batch_of = [&](usize begin, usize count) {
+    ReadBatch batch;
+    append_read_batch(reads, begin, count, batch);
+    return batch;
+  };
+  SampleSubmission both;
+  both.reads = reads;
+  both.batches.push_back(batch_of(0, 4));
+  EXPECT_THROW(service.submit(std::move(both)), InvalidArgument);
+  SampleSubmission short_first;
+  short_first.batches.push_back(batch_of(0, 3));
+  short_first.batches.push_back(batch_of(3, 3));
+  EXPECT_THROW(service.submit(std::move(short_first)), InvalidArgument);
+
+  SampleSubmission cut;
+  cut.tenant = "t";
+  cut.name = "s";
+  cut.batches.push_back(batch_of(0, 4));
+  cut.batches.push_back(batch_of(4, 2));
+  EXPECT_EQ(render_sample_artifacts(service.submit_and_wait(std::move(cut)),
+                                    world().index111,
+                                    &world().synthesizer->annotation()),
+            reference_artifacts(reads, small_config(1, 4).engine));
 }
 
 TEST(AlignmentService, EmptySampleCompletesImmediately) {
