@@ -6,13 +6,12 @@
 //   staratlas_cli index --fasta data/genome.fa --out data/genome.idx
 //   staratlas_cli simulate --fasta data/genome.fa --gtf data/annotation.gtf ...
 //       --profile bulk|single_cell --reads 5000 --out data/sample.fastq
-//   staratlas_cli align --index data/genome.idx --fastq data/sample.fastq \
+//   staratlas_cli align --index data/genome.idx --fastq data/sample.fastq
 //       --gtf data/annotation.gtf --out-prefix data/sample ...
-//       [--threads 4] [--shards 4] [--early-stop] [--no-sam]
+//       [--threads 4] [--early-stop] [--no-sam]
 //       writes sample.sam, sample.SJ.out.tab, sample.ReadsPerGene.out.tab,
 //       sample.Log.final.out; every read is aligned once, and the SAM is
-//       byte-identical at any --threads and --shards (an early-stopped
-//       run writes none)
+//       byte-identical at any --threads (an early-stopped run writes none)
 //   staratlas_cli serve --index data/genome.idx --socket /tmp/sa.sock
 //       [--gtf data/annotation.gtf] [--workers 2] [--chunk 256]
 //       long-running multi-tenant daemon; loads the index once and aligns
@@ -53,8 +52,8 @@
 #include "io/fasta.h"
 #include "io/fastq.h"
 #include "io/fastq_block.h"
+#include "io/fastq_count.h"
 #include "io/gtf.h"
-#include "io/shard_plan.h"
 #include "service/rpc.h"
 #include "service/service.h"
 #include "sim/read_simulator.h"
@@ -132,8 +131,7 @@ int usage() {
       "  simulate   --fasta FILE --gtf FILE --out FILE\n"
       "             [--profile bulk|single_cell] [--reads N] [--seed N]\n"
       "  align      --index FILE --fastq FILE --out-prefix P\n"
-      "             [--gtf FILE] [--threads N] [--shards N] [--early-stop]\n"
-      "             [--no-sam]\n";
+      "             [--gtf FILE] [--threads N] [--early-stop] [--no-sam]\n";
   std::cerr <<
       "  serve      --index FILE --socket PATH\n"
       "             [--gtf FILE] [--workers N] [--chunk N]\n"
@@ -234,9 +232,8 @@ Annotation annotation_from_index(const GenomeIndex& index,
   return Annotation::from_gtf(read_gtf_file(gtf_path), contig_names);
 }
 
-// Attaches the FASTQ read-only for callers that need all of it at once
-// (the shard planner's random access, a submission's payload); an empty
-// file is the empty text.
+// Attaches the FASTQ read-only for a submission's payload, which is sent
+// whole; an empty file is the empty text.
 MappedFile map_fastq(const std::string& path) {
   std::error_code error;
   const auto size = std::filesystem::file_size(path, error);
@@ -253,29 +250,20 @@ int cmd_align(const Args& args) {
   const std::string fastq = args.require("fastq");
   const std::string prefix = args.require("out-prefix");
   const u64 threads = args.get_u64("threads", 2, 1);
-  const u64 shards = args.get_u64("shards", 1, 1);
   const bool early_stop = args.has("early-stop");
 
   const GenomeIndex index = GenomeIndex::load_file(index_path);
-  // Unsharded runs stream the FASTQ in FastqBlockReader blocks, so ingest
-  // memory does not grow with the file. The early-stop checkpoint needs
-  // the read count before the run, which a block-buffered pre-count gives;
-  // otherwise the parse itself counts. Sharded runs map the file: the
-  // shard planner needs random access.
-  std::ifstream fastq_in;
-  MappedFile fastq_map;
+  // The FASTQ streams in FastqBlockReader blocks, so ingest memory does
+  // not grow with the file. The early-stop checkpoint needs the read count
+  // before the run, which a block-buffered pre-count gives; otherwise the
+  // parse itself counts.
+  std::ifstream fastq_in(fastq, std::ios::binary);
+  if (!fastq_in) throw IoError("cannot open FASTQ file: " + fastq);
   std::optional<FastqCount> known_count;
-  if (shards > 1) {
-    fastq_map = map_fastq(fastq);
-    known_count = count_fastq_records(mapped_text(fastq_map));
-  } else {
-    fastq_in.open(fastq, std::ios::binary);
-    if (!fastq_in) throw IoError("cannot open FASTQ file: " + fastq);
-    if (early_stop) {
-      known_count = count_fastq_records(fastq_in);
-      fastq_in.clear();
-      fastq_in.seekg(0);
-    }
+  if (early_stop) {
+    known_count = count_fastq_records(fastq_in);
+    fastq_in.clear();
+    fastq_in.seekg(0);
   }
 
   Annotation annotation;
@@ -288,9 +276,8 @@ int cmd_align(const Args& args) {
   config.collect_junctions = true;
   AlignmentEngine engine(index, quant ? &annotation : nullptr, config);
 
-  // One request for every mode; execute() owns validation (e.g. early-stop
-  // x shards rejection) so the CLI carries no mode rules. The engine
-  // writes each read's SAM records at its in-order commit.
+  // execute() owns validation, so the CLI carries no mode rules. The
+  // engine writes each read's SAM records at its in-order commit.
   const bool sam = !args.has("no-sam");
   const std::string sam_path = prefix + ".sam";
   std::ofstream sam_out;
@@ -299,31 +286,26 @@ int cmd_align(const Args& args) {
     if (!sam_out) throw IoError("cannot open SAM file for writing: " + sam_path);
     write_sam_header(sam_out, index);
   }
-  EngineRunRequest request{
-      .num_shards = shards,
+  FastqBlockReader reader(fastq_in);
+  u64 streamed_bases = 0;
+  const EngineRunRequest request{
+      .batches =
+          [&, chunk = config.chunk_size](ReadBatch& batch) {
+            if (reader.read_batch(batch, chunk) == 0) {
+              // The reader takes a failed read for the end of the file.
+              if (fastq_in.bad()) {
+                throw IoError("I/O error while reading FASTQ file: " + fastq);
+              }
+              return false;
+            }
+            for (usize r = 0; r < batch.size(); ++r) {
+              streamed_bases += batch.sequence(r).size();
+            }
+            return true;
+          },
       .total_reads_hint = known_count ? known_count->records : 0,
       .early_stop = EarlyStopPolicy{.enabled = early_stop},
       .sam_out = sam ? &sam_out : nullptr};
-  std::optional<FastqBlockReader> reader;
-  u64 streamed_bases = 0;
-  if (shards > 1) {
-    request.fastq_text = mapped_text(fastq_map);
-  } else {
-    reader.emplace(fastq_in);
-    request.batches = [&, chunk = config.chunk_size](ReadBatch& batch) {
-      if (reader->read_batch(batch, chunk) == 0) {
-        // The reader takes a failed read for the end of the file.
-        if (fastq_in.bad()) {
-          throw IoError("I/O error while reading FASTQ file: " + fastq);
-        }
-        return false;
-      }
-      for (usize r = 0; r < batch.size(); ++r) {
-        streamed_bases += batch.sequence(r).size();
-      }
-      return true;
-    };
-  }
   // An aborted or failed run leaves no SAM behind.
   auto discard_sam = [&] {
     if (!sam) return;
@@ -349,9 +331,8 @@ int cmd_align(const Args& args) {
     if (!sam_out) throw IoError("failed writing SAM file: " + sam_path);
   }
   // A streamed run that was not stopped early parsed the whole file.
-  const FastqCount count = known_count.value_or(
-      FastqCount{.records = reader ? reader->records_read() : 0,
-                 .sequence_bases = streamed_bases});
+  const FastqCount count = known_count.value_or(FastqCount{
+      .records = reader.records_read(), .sequence_bases = streamed_bases});
 
   // Log.final.out (an empty sample reports a 0 mean length, not NaN)
   const double mean_length =
@@ -469,8 +450,8 @@ const Command kCommands[] = {
      {"fasta", "gtf", "out", "profile", "reads", "seed"}},
     {"align",
      cmd_align,
-     {"index", "fastq", "out-prefix", "gtf", "threads", "shards",
-      "early-stop", "no-sam"}},
+     {"index", "fastq", "out-prefix", "gtf", "threads", "early-stop",
+      "no-sam"}},
     {"serve", cmd_serve, {"index", "socket", "gtf", "workers", "chunk"}},
     {"submit",
      cmd_submit,

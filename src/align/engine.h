@@ -2,7 +2,7 @@
 // callbacks and cooperative abort — the hook the paper's early-stopping
 // optimization attaches to.
 //
-// Every non-sharded run executes one body: the engine's pool workers each
+// Every run executes one body: the engine's pool workers each
 // pull the next batch from the run's BatchSource (source calls serialized
 // under one mutex) into a recycled batch slot, align it, and commit slots
 // strictly in stream order. Merges, progress checkpoints, SAM writes and
@@ -56,8 +56,8 @@ struct EngineConfig {
   AlignerParams params;
   usize num_threads = 1;
   /// Reads per batch: the unit of work, of in-order commit and of service
-  /// scheduling. ReadSet and FASTQ-text runs, the sharded scatter and the
-  /// pipeline's container decode all cut batches of this size.
+  /// scheduling. ReadSet runs, the CLI's FASTQ stream and the pipeline's
+  /// container decode all cut batches of this size.
   usize chunk_size = 256;
   /// Reads between progress-callback invocations; 0 = total/50.
   u64 progress_check_interval = 0;
@@ -93,7 +93,7 @@ struct AlignmentRun {
   bool aborted = false;
   double wall_seconds = 0.0;  ///< measured real time of the run
 
-  // Execution telemetry (sharded runs report sums over their shards).
+  // Execution telemetry.
   u64 stream_batches = 0;  ///< batches committed (aborted runs: up to abort)
   /// Heap allocations made by alignment work (align + commit) on worker
   /// threads; source calls are not counted. With a warmed engine,
@@ -117,9 +117,8 @@ class AlignmentEngine {
   const EngineConfig& config() const { return config_; }
 
   /// The single entrypoint: validates the request (every combination rule
-  /// in EngineRunRequest::validate), then runs the scatter/gather path
-  /// when num_shards > 1 and the engine's execution body otherwise. A
-  /// ReadSet or FASTQ text is cut into chunk_size batches. Not reentrant:
+  /// in EngineRunRequest::validate), then runs the engine's execution
+  /// body. A ReadSet is cut into chunk_size batches. Not reentrant:
   /// one run at a time per engine (the worker pool, workspaces and batch
   /// slots are engine-owned and reused run to run). See
   /// align/run_request.h.
@@ -154,7 +153,7 @@ class AlignmentEngine {
  private:
   struct StreamSlot;
 
-  /// The execution body behind execute() for every non-sharded request.
+  /// The execution body behind execute() for every request.
   /// With `sam_out` set, workers format each batch's SAM records into
   /// their slot and the in-order commit writes them.
   AlignmentRun run_pull(const BatchSource& source, u64 total_reads_hint,

@@ -51,8 +51,8 @@ std::string render_final_log(const AlignmentRun& run, u64 input_reads,
   out += "                            SPEED:\n";
   {
     // Always emitted, 0.00 when unmeasurable: the log's line count must
-    // not depend on whether wall time was captured, or merged shard logs
-    // and zero-read shards change shape vs the unsharded log.
+    // not depend on whether wall time was captured, so an empty sample's
+    // log has the same shape as any other.
     char buf[48];
     const double speed = run.wall_seconds > 0.0
                              ? static_cast<double>(stats.processed) / 1e6 /

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <tuple>
 
 #include "common/error.h"
 
@@ -95,28 +94,6 @@ JunctionCollector& JunctionCollector::operator+=(
 
 void JunctionCollector::write_tsv(std::ostream& out) const {
   write_junctions_tsv(out, junctions(), *index_);
-}
-
-std::vector<Junction> merge_junctions(
-    const std::vector<std::vector<Junction>>& parts) {
-  std::map<std::tuple<ContigId, u64, u64>, Junction> merged;
-  for (const auto& part : parts) {
-    for (const Junction& junction : part) {
-      auto [it, inserted] = merged.try_emplace(
-          {junction.contig, junction.intron_start, junction.intron_end},
-          junction);
-      if (!inserted) {
-        it->second.unique_reads += junction.unique_reads;
-        it->second.multi_reads += junction.multi_reads;
-        it->second.max_overhang =
-            std::max(it->second.max_overhang, junction.max_overhang);
-      }
-    }
-  }
-  std::vector<Junction> result;
-  result.reserve(merged.size());
-  for (const auto& [key, junction] : merged) result.push_back(junction);
-  return result;  // map order == (contig, start, end) sort order
 }
 
 void write_junctions_tsv(std::ostream& out,

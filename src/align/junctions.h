@@ -84,17 +84,8 @@ class JunctionCollector {
   std::map<Key, Support> table_;
 };
 
-/// Deterministic k-way merge of already-extracted junction vectors (each
-/// sorted by (contig, start, end), as JunctionCollector::junctions()
-/// returns them): counts sum, overhangs take the max, output order is the
-/// same sorted order regardless of how reads were split into parts. The
-/// scatter/gather layer merges shard results through this instead of
-/// keeping collectors alive across workers.
-std::vector<Junction> merge_junctions(
-    const std::vector<std::vector<Junction>>& parts);
-
 /// SJ.out.tab rendering of an extracted junction vector (shared by the
-/// collector, the CLI, and the sharded gather stage, so all three emit
+/// collector, the CLI and the service artifacts, so all three emit
 /// byte-identical tables).
 void write_junctions_tsv(std::ostream& out,
                          const std::vector<Junction>& junctions,

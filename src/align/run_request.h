@@ -1,10 +1,11 @@
 // EngineRunRequest: the single front door to the alignment engine.
 //
-// A request names one input — an in-memory ReadSet, a pull-based
-// BatchSource, or raw FASTQ text — plus the shard fan-out, early stopping,
-// callbacks and outputs. validate() checks every combination rule in ONE
-// place, and AlignmentEngine::execute() runs the scatter/gather path when
-// num_shards > 1 and the engine's single execution body otherwise.
+// A request names one input — an in-memory ReadSet or a pull-based
+// BatchSource — plus early stopping, callbacks and outputs. validate()
+// checks every combination rule in ONE place, and
+// AlignmentEngine::execute() runs the engine's single execution body over
+// it. A caller with FASTQ bytes wraps a FastqBlockReader in `batches`
+// (io/fastq_block.h), as the CLI does.
 //
 // The multi-tenant service does not go through execute(): it holds each
 // sample as chunk_size ReadBatches (a ReadSet cut with the same
@@ -15,15 +16,11 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
-#include <string_view>
 
 #include "align/early_stopping.h"
 #include "align/engine.h"
 
 namespace staratlas {
-
-struct ShardedRun;  // align/sharded.h
 
 /// Every member has a default initializer, so a request built with
 /// designated initializers names only what it sets:
@@ -34,18 +31,10 @@ struct EngineRunRequest {
   const ReadSet* reads = nullptr;
   /// Pull-based source; its calls decide the batch boundaries.
   BatchSource batches{};
-  /// Raw FASTQ bytes — an mmap'd file or decoded container — block-parsed
-  /// into chunk_size batches, or scattered over shards. Set means present:
-  /// empty text is a valid empty sample.
-  std::optional<std::string_view> fastq_text{};
 
-  /// Shard fan-out over fastq_text; sharded alignment runs exactly when
-  /// this is > 1. Early stopping is rejected with shards (the gather layer
-  /// has no abort protocol).
-  usize num_shards = 1;
   /// Total read count when known: sizes the outcome vector and the
-  /// default progress-checkpoint interval for `batches` and `fastq_text`
-  /// inputs (a ReadSet knows its own size).
+  /// default progress-checkpoint interval for `batches` inputs (a ReadSet
+  /// knows its own size).
   u64 total_reads_hint = 0;
 
   /// Early stopping attached engine-side: the request owns the policy and
@@ -60,20 +49,15 @@ struct EngineRunRequest {
   /// an abort from either wins.
   ProgressCallback callback{};
 
-  /// Where execute() deposits the full scatter/gather result for sharded
-  /// runs (optional; the merged AlignmentRun is always returned).
-  ShardedRun* sharded_out = nullptr;
-
   /// Where execute() writes SAM records (optional; no header — see
   /// write_sam_header in align/sam.h): every record of each processed
   /// read, in input order, written at the in-order batch commit. It holds
-  /// exactly the stats.processed reads, for any thread or shard count,
-  /// and nothing past an abort.
+  /// exactly the stats.processed reads, for any thread count, and nothing
+  /// past an abort.
   std::ostream* sam_out = nullptr;
 
-  /// The single validation point: exactly one source, shard/source and
-  /// shard/early-stop compatibility, policy parameter ranges. Throws
-  /// InvalidArgument.
+  /// The single validation point: exactly one source and the early-stop
+  /// policy's parameter ranges. Throws InvalidArgument.
   void validate() const;
 };
 

@@ -6,10 +6,10 @@
 //
 // Scatter/gather model: N function workers cold-start, attach the
 // pre-staged v3 index from a shared filesystem (mmap attach + first-touch
-// page streaming — no per-worker S3 download, mirroring align/sharded's
-// SharedIndexCache attach), align an equal byte slice, then one gather
-// function merges the shard outputs (the deterministic merge layer is
-// cheap and linear in sample size). Billing is per-millisecond per
+// page streaming — no per-worker S3 download, as the service's
+// SharedIndexCache attaches it), align an equal byte slice, then one
+// gather function merges the shard outputs (a field-wise sum of stats,
+// gene counts and junctions, cheap and linear in sample size). Billing is per-millisecond per
 // provisioned GB (cloud/faas). The single-instance model is the paper's
 // classic path: boot, download + load the index from S3, align, hourly
 // per-second billing (cloud/cost).

@@ -7,8 +7,8 @@
 // API (service/service.h) cuts into the same batches at submit() and then
 // drops. Either way the service holds each read once, in a batch arena.
 // Results carry everything the CLI align path writes — outcomes, stats,
-// gene counts, junctions — so byte-identity against the unsharded CLI
-// path is a string comparison of the rendered artifacts.
+// gene counts, junctions — so byte-identity against the CLI align path
+// is a string comparison of the rendered artifacts.
 #pragma once
 
 #include <string>

@@ -4,9 +4,8 @@
 // persist between runs), and an early-stop abort lands on the same read
 // count and progress rows at every thread count, even with every CPU busy.
 // The SAM the engine writes at its in-order commit is byte-equal to the
-// serial reference's per-read SamWriter output for every input kind,
-// thread count and shard count, and holds exactly the processed reads of
-// an aborted run.
+// serial reference's per-read SamWriter output for every input kind and
+// thread count, and holds exactly the processed reads of an aborted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +29,7 @@ namespace staratlas {
 namespace {
 
 using staratlas::testing::expect_identical_runs;
+using staratlas::testing::fastq_batches;
 using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
@@ -225,7 +225,9 @@ TEST(Determinism, SamMatchesSerialReferenceForEveryInput) {
     AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                            determinism_config(threads));
     expect_same_sam(engine_sam(engine, {.reads = &reads}), want, "ReadSet");
-    expect_same_sam(engine_sam(engine, {.fastq_text = fastq,
+    const BatchSource streamed =
+        fastq_batches(fastq, engine.config().chunk_size);
+    expect_same_sam(engine_sam(engine, {.batches = streamed,
                                         .total_reads_hint = reads.size()}),
                     want, "FASTQ text");
     // Uneven batches: 1, 2, 5, 14, 41, 122 reads, then again.
@@ -243,29 +245,6 @@ TEST(Determinism, SamMatchesSerialReferenceForEveryInput) {
       return !batch.empty();
     };
     expect_same_sam(engine_sam(engine, {.batches = uneven}), want, "uneven");
-  }
-}
-
-TEST(Determinism, ShardedSamMatchesSerialReference) {
-  const auto& w = world();
-  const ReadSet reads = determinism_reads();
-  std::string want;
-  serial_reference(w.index111, &w.synthesizer->annotation(),
-                   determinism_config(1), reads, reads.size(), &want);
-  std::ostringstream text;
-  write_fastq(text, reads.reads);
-  const std::string fastq = text.str();
-
-  for (const usize threads : {usize{1}, usize{4}}) {
-    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
-                           determinism_config(threads));
-    for (const usize shards : {usize{1}, usize{2}, usize{4}}) {
-      expect_same_sam(
-          engine_sam(engine, {.fastq_text = fastq, .num_shards = shards}),
-          want,
-          "threads=" + std::to_string(threads) +
-              " shards=" + std::to_string(shards));
-    }
   }
 }
 

@@ -79,11 +79,11 @@ usize count_lines(const std::string& text) {
 }
 
 TEST(FinalLog, ZeroReadShardKeepsLogShape) {
-  // A zero-read shard (scatter/gather tail) must render the same line
-  // count as a populated run: percent rows print 0.00% (denominator
-  // clamps to 1) and the speed row prints 0.00.
-  AlignmentRun empty_shard;
-  const std::string empty_log = render_final_log(empty_shard, 0, 0.0);
+  // A zero-read run (an empty sample) must render the same line count as
+  // a populated run: percent rows print 0.00% (denominator clamps to 1)
+  // and the speed row prints 0.00.
+  AlignmentRun empty_run;
+  const std::string empty_log = render_final_log(empty_run, 0, 0.0);
 
   AlignmentRun populated;
   populated.stats.processed = 50;

@@ -21,7 +21,7 @@ ReadAlignment alignment_with(std::vector<AlignedSegment> segments,
   alignment.outcome = outcome;
   AlignmentHit hit;
   hit.segments.assign(segments.begin(), segments.end());
-  hit.text_pos = hit.segments.front().text_start;
+  hit.text_pos = segments.front().text_start;
   alignment.hits.push_back(hit);
   return alignment;
 }
@@ -121,47 +121,6 @@ TEST(JunctionCollector, MergeAcceptsSameGenomeAcrossLoads) {
   EXPECT_NO_THROW(a += b);
   ASSERT_EQ(a.junctions().size(), 1u);
   EXPECT_EQ(a.junctions()[0].unique_reads, 2u);
-}
-
-TEST(JunctionCollector, MergeJunctionsFreeFunction) {
-  const auto& w = world();
-  JunctionCollector a(w.index111);
-  JunctionCollector b(w.index111);
-  a.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                       ReadOutcome::kUniqueMapped));
-  b.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                       ReadOutcome::kMultiMapped));
-  b.add(alignment_with({{0, 5'000, 50}, {50, 6'000, 50}},
-                       ReadOutcome::kUniqueMapped));
-  const auto merged = merge_junctions({a.junctions(), b.junctions()});
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].unique_reads, 1u);
-  EXPECT_EQ(merged[0].multi_reads, 1u);
-  EXPECT_EQ(merged[1].unique_reads, 1u);
-
-  // Merge order does not change the result.
-  const auto reversed = merge_junctions({b.junctions(), a.junctions()});
-  ASSERT_EQ(reversed.size(), merged.size());
-  for (usize j = 0; j < merged.size(); ++j) {
-    EXPECT_EQ(reversed[j].contig, merged[j].contig);
-    EXPECT_EQ(reversed[j].intron_start, merged[j].intron_start);
-    EXPECT_EQ(reversed[j].unique_reads, merged[j].unique_reads);
-    EXPECT_EQ(reversed[j].multi_reads, merged[j].multi_reads);
-  }
-
-  // TSV of the merged vector matches a collector fed the same reads.
-  JunctionCollector all(w.index111);
-  all.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                         ReadOutcome::kUniqueMapped));
-  all.add(alignment_with({{0, 1'000, 40}, {40, 1'540, 60}},
-                         ReadOutcome::kMultiMapped));
-  all.add(alignment_with({{0, 5'000, 50}, {50, 6'000, 50}},
-                         ReadOutcome::kUniqueMapped));
-  std::ostringstream from_collector;
-  all.write_tsv(from_collector);
-  std::ostringstream from_merged;
-  write_junctions_tsv(from_merged, merged, w.index111);
-  EXPECT_EQ(from_merged.str(), from_collector.str());
 }
 
 TEST(JunctionCollector, TsvFormat) {

@@ -1,7 +1,7 @@
 // EngineRunRequest: the single validated entrypoint in front of the
-// engine's execution body and the sharded path. Validation rules live in
-// exactly one place (EngineRunRequest::validate), and execute() must
-// reproduce the serial reference for every input kind.
+// engine's execution body. Validation rules live in exactly one place
+// (EngineRunRequest::validate), and execute() must reproduce the serial
+// reference for every input kind.
 #include "align/run_request.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "align/engine.h"
-#include "align/sharded.h"
 #include "common/error.h"
 #include "io/fastq.h"
 #include "sim/library_profile.h"
@@ -21,6 +20,7 @@ namespace staratlas {
 namespace {
 
 using staratlas::testing::expect_identical_runs;
+using staratlas::testing::fastq_batches;
 using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
@@ -51,48 +51,20 @@ TEST(RunRequest, RejectsMissingAndAmbiguousSources) {
   const ReadSet reads = sample_reads(10);
   const std::string fastq = to_fastq(reads);
   request.reads = &reads;
-  request.fastq_text = fastq;
+  request.batches = fastq_batches(fastq, 256);
   EXPECT_THROW(request.validate(), InvalidArgument);
 }
 
-TEST(RunRequest, EmptyFastqTextIsAnEmptySampleShardedOrNot) {
-  // Set means present: "" is a valid input, not a missing one.
+TEST(RunRequest, EmptyFastqIsAnEmptySample) {
+  // A source that ends at once is a valid empty sample, not a missing one.
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
                          engine_config());
-  for (const usize shards : {usize{1}, usize{2}}) {
-    const EngineRunRequest request{.fastq_text = "", .num_shards = shards};
-    EXPECT_NO_THROW(request.validate()) << "shards=" << shards;
-    const AlignmentRun run = engine.execute(request);
-    EXPECT_EQ(run.stats.processed, 0u) << "shards=" << shards;
-    EXPECT_TRUE(run.outcomes.empty()) << "shards=" << shards;
-  }
-}
-
-TEST(RunRequest, RejectsDegenerateCounts) {
-  const ReadSet reads = sample_reads(10);
-  EngineRunRequest request;
-  request.reads = &reads;
-  request.num_shards = 0;
-  EXPECT_THROW(request.validate(), InvalidArgument);
-}
-
-TEST(RunRequest, RejectsShardingWithoutRawText) {
-  const ReadSet reads = sample_reads(10);
-  EngineRunRequest request;
-  request.reads = &reads;
-  request.num_shards = 4;  // sharded alignment scatters raw FASTQ text
-  EXPECT_THROW(request.validate(), InvalidArgument);
-}
-
-TEST(RunRequest, RejectsEarlyStopWithSharding) {
-  // Historically the CLI enforced this; now every caller inherits it.
-  const std::string fastq = to_fastq(sample_reads(10));
-  EngineRunRequest request;
-  request.fastq_text = fastq;
-  request.num_shards = 4;
-  request.early_stop = EarlyStopPolicy{};
-  EXPECT_THROW(request.validate(), InvalidArgument);
+  const EngineRunRequest request{.batches = fastq_batches("", 256)};
+  EXPECT_NO_THROW(request.validate());
+  const AlignmentRun run = engine.execute(request);
+  EXPECT_EQ(run.stats.processed, 0u);
+  EXPECT_TRUE(run.outcomes.empty());
 }
 
 TEST(RunRequest, RejectsInvalidEarlyStopPolicy) {
@@ -101,15 +73,6 @@ TEST(RunRequest, RejectsInvalidEarlyStopPolicy) {
   request.reads = &reads;
   request.early_stop = EarlyStopPolicy{};
   request.early_stop.checkpoint_fraction = 1.5;
-  EXPECT_THROW(request.validate(), InvalidArgument);
-}
-
-TEST(RunRequest, RejectsShardedOutOnNonShardedModes) {
-  const ReadSet reads = sample_reads(10);
-  ShardedRun sharded;
-  EngineRunRequest request;
-  request.reads = &reads;
-  request.sharded_out = &sharded;
   EXPECT_THROW(request.validate(), InvalidArgument);
 }
 
@@ -135,37 +98,11 @@ TEST(RunRequest, ExecuteStreamFromTextMatchesMemoryRun) {
   config.chunk_size = 64;
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
   const AlignmentRun memory = engine.execute({.reads = &reads});
-  const AlignmentRun streamed = engine.execute(
-      {.fastq_text = fastq, .total_reads_hint = reads.size()});
+  const AlignmentRun streamed =
+      engine.execute({.batches = fastq_batches(fastq, config.chunk_size),
+                      .total_reads_hint = reads.size()});
   expect_identical_runs(memory, streamed, "streamed");
   EXPECT_EQ(streamed.stream_batches, (reads.size() + 63) / 64);
-}
-
-TEST(RunRequest, ExecuteShardedMatchesDirectScatterGather) {
-  const auto& w = world();
-  const ReadSet reads = sample_reads();
-  const std::string fastq = to_fastq(reads);
-  const Annotation* annotation = &w.synthesizer->annotation();
-
-  ShardedConfig direct_config;
-  direct_config.engine = engine_config();
-  direct_config.num_shards = 4;
-  const ShardedRun direct =
-      align_sharded(fastq, w.index111, annotation, direct_config);
-
-  AlignmentEngine engine(w.index111, annotation, engine_config());
-  ShardedRun details;
-  EngineRunRequest request;
-  request.fastq_text = fastq;
-  request.num_shards = 4;
-  const AlignmentRun merged = engine.execute(request);
-  expect_identical_runs(direct.merged, merged, "merged");
-
-  // With sharded_out the per-shard detail comes back too.
-  request.sharded_out = &details;
-  const AlignmentRun merged_again = engine.execute(request);
-  expect_identical_runs(direct.merged, merged_again, "merged_again");
-  EXPECT_EQ(details.plan.num_shards(), 4u);
 }
 
 TEST(RunRequest, EngineOwnedEarlyStopAborts) {

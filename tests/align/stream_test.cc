@@ -22,6 +22,7 @@ namespace staratlas {
 namespace {
 
 using staratlas::testing::expect_identical_runs;
+using staratlas::testing::fastq_batches;
 using staratlas::testing::serial_reference;
 using staratlas::testing::world;
 
@@ -111,10 +112,13 @@ TEST(Stream, ReusedEngineInterleavesRunAndRunStream) {
   // its slots and workspaces carry nothing from one run into the next.
   AlignmentEngine engine(w.index111, annotation, stream_config(4));
   const AlignmentRun a_reads = engine.execute({.reads = &sample_a});
-  const AlignmentRun b_text = engine.execute(
-      {.fastq_text = text_b, .total_reads_hint = sample_b.size()});
-  const AlignmentRun a_text = engine.execute(
-      {.fastq_text = text_a, .total_reads_hint = sample_a.size()});
+  const usize chunk = engine.config().chunk_size;
+  const AlignmentRun b_text =
+      engine.execute({.batches = fastq_batches(text_b, chunk),
+                      .total_reads_hint = sample_b.size()});
+  const AlignmentRun a_text =
+      engine.execute({.batches = fastq_batches(text_a, chunk),
+                      .total_reads_hint = sample_a.size()});
   const AlignmentRun b_reads = engine.execute({.reads = &sample_b});
 
   const AlignmentRun ref_a =

@@ -29,7 +29,6 @@ set(serve serve --index missing.idx --socket missing.sock)
 set(bad abc -1 0 "" 3x 18446744073709551616)
 foreach(value IN LISTS bad)
   run_cli(1 "--threads expects" ${align} --threads "${value}")
-  run_cli(1 "--shards expects" ${align} --shards "${value}")
   run_cli(1 "--workers expects" ${serve} --workers "${value}")
   run_cli(1 "--chunk expects" ${serve} --chunk "${value}")
 endforeach()
@@ -37,15 +36,17 @@ endforeach()
 run_cli(1 "--threads expects" index --fasta missing.fa --out out.idx
         --threads abc)
 
-# Unknown flags: the retired index --format, and a typo of --threads.
+# Unknown flags: the retired index --format and align --shards, and a
+# typo of --threads.
 run_cli(1 "unknown flag --format" index --fasta missing.fa --out out.idx
         --format v4)
+run_cli(1 "unknown flag --shards" ${align} --shards 2)
 run_cli(1 "unknown flag --thread" ${align} --thread 4)
 
 # Valid values pass the flag check and fail on the missing input instead;
 # every flag a command lists in its usage is accepted.
-run_cli(2 "missing.idx" ${align} --threads 3 --shards 2 --gtf missing.gtf
-        --early-stop --no-sam)
+run_cli(2 "missing.idx" ${align} --threads 3 --gtf missing.gtf --early-stop
+        --no-sam)
 run_cli(2 "missing.idx" ${serve} --workers 1 --chunk 64 --gtf missing.gtf)
 run_cli(2 "missing.fa" index --fasta missing.fa --out out.idx --threads 0
         --release 111)

@@ -1,7 +1,7 @@
 # Golden artifacts of `staratlas_cli align`: SAM, SJ.out.tab,
 # ReadsPerGene.out.tab and Log.final.out (without its timing row) must
-# match fixed SHA-256 digests at every thread and shard count and with
-# CRLF line endings, an early-stopped run must stop at the same read count
+# match fixed SHA-256 digests at every thread count and with CRLF line
+# endings, an early-stopped run must stop at the same read count
 # and write no SAM, and a truncated input must fail without leaving one.
 # Usage: cmake -DCLI=<staratlas_cli> -DWORK_DIR=<dir> -P cli_sam_golden.cmake
 
@@ -56,9 +56,9 @@ function(expect_bulk_digests prefix)
     b1ea76543499d2ab18f224e88a878d5cfc295cd4527447fc915fc4e9b62532b0)
 endfunction()
 
-# One set of digests for every configuration: thread and shard counts
-# must not change a byte.
-foreach(config "t1;--threads;1" "t4;--threads;4" "s3;--threads;2;--shards;3")
+# One set of digests for every configuration: the thread count must not
+# change a byte.
+foreach(config "t1;--threads;1" "t4;--threads;4")
   list(POP_FRONT config prefix)
   run_cli(out align --index genome.idx --fastq bulk.fastq --gtf annotation.gtf
           --out-prefix ${prefix} ${config})

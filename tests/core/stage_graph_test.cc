@@ -240,7 +240,7 @@ double total_stage_waste(const AtlasReport& report) {
 // Waste partition exactness: per-stage waste must sum to the interrupted
 // + transfer totals, for BOTH pipeline shapes, under heavy spot churn.
 TEST(StageGraph, WastePartitionExactUnderSpotReclaims) {
-  for (const std::string& pipeline : {"alignment", "variant_calling"}) {
+  for (const char* pipeline : {"alignment", "variant_calling"}) {
     AtlasConfig config = base_config();
     config.pipeline = pipeline;
     config.spot = true;

@@ -11,8 +11,8 @@
 #include "io/fasta.h"
 #include "io/fastq.h"
 #include "io/fastq_block.h"
+#include "io/fastq_count.h"
 #include "io/gtf.h"
-#include "io/shard_plan.h"
 #include "sra/container.h"
 #include "testutil.h"
 

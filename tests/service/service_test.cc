@@ -43,7 +43,7 @@ ServiceConfig small_config(usize workers, usize chunk) {
   return config;
 }
 
-/// The unsharded reference artifacts for `reads`, rendered through the
+/// The engine's reference artifacts for `reads`, rendered through the
 /// same artifact path the service responses use.
 std::string reference_artifacts(const ReadSet& reads,
                                 const EngineConfig& engine_config,
@@ -90,8 +90,8 @@ TEST(AlignmentService, SingleSampleByteIdenticalToEngineRun) {
   for (usize i = 0; i < result.outcomes.size(); ++i) {
     ASSERT_EQ(result.outcomes[i], reference_run.outcomes[i]) << "read " << i;
   }
-  // The headline gate: rendered artifacts are string-equal to the
-  // unsharded CLI path.
+  // The headline gate: rendered artifacts are string-equal to the CLI
+  // align path.
   EXPECT_EQ(render_sample_artifacts(result, world().index111,
                                     &world().synthesizer->annotation()),
             expect);

@@ -12,7 +12,7 @@ namespace {
 using staratlas::testing::world;
 
 TEST(Rle, RoundTrips) {
-  for (const std::string text :
+  for (const std::string& text :
        {std::string("IIIIIIII"), std::string("I#I#I#"), std::string("x"),
         std::string(1'000, 'Q'), std::string("")}) {
     EXPECT_EQ(rle_decode(rle_encode(text)), text);

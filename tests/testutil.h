@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "align/aligner.h"
 #include "align/engine.h"
@@ -21,6 +22,7 @@
 #include "align/sam.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
+#include "io/fastq_block.h"
 #include "sim/read_simulator.h"
 
 namespace staratlas::testing {
@@ -86,6 +88,16 @@ inline const TestWorld& world() {
     return w;
   }();
   return *instance;
+}
+
+/// A BatchSource over FASTQ bytes, cut into `batch_size`-read batches by
+/// a FastqBlockReader, as the CLI streams its file. `fastq` must outlive
+/// the source.
+inline BatchSource fastq_batches(std::string_view fastq, usize batch_size) {
+  auto reader = std::make_shared<FastqBlockReader>(fastq);
+  return [reader, batch_size](ReadBatch& batch) {
+    return reader->read_batch(batch, batch_size) > 0;
+  };
 }
 
 /// The oracle for AlignmentEngine::execute over `reads`: per-read
