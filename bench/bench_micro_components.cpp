@@ -141,19 +141,20 @@ void BM_MmpProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_MmpProbe)->Arg(0)->Arg(1);
 
-/// X-drop extension kernels, isolated per SIMD level (Arg 0/1/2 = scalar/
-/// sse2/avx2; levels this build lacks are skipped). "exact" rows scan
+/// X-drop extension through the production striped driver, isolated per
+/// strip-mask level (Arg 0/1/2 = scalar/sse2/avx2; levels this build or
+/// CPU lacks are skipped). Each iteration runs one forward and one
+/// backward 150-base task in one driver pass. "exact" rows scan
 /// mismatch-free text — the fast path where a seed extends cleanly to the
 /// read end; "banded" rows scan 5%-mismatch text, the error-tolerant tail
-/// where the x-drop scorer does real work. items == scans, bytes ==
-/// bases compared, bytes_per_cycle == comparator throughput.
+/// where the x-drop scorer does real work. items == scans, bytes == bases
+/// compared, bytes_per_cycle == comparator throughput.
 void BM_XdropExtend(benchmark::State& state) {
   const auto level = static_cast<SimdLevel>(state.range(0));
   const bool banded = state.range(1) == 1;
-  const xdrop_kernels::ScanFn fwd = xdrop_kernels::fwd_kernel(level);
-  const xdrop_kernels::ScanFn bwd = xdrop_kernels::bwd_kernel(level);
-  if (fwd == nullptr || bwd == nullptr) {
-    state.SkipWithError("SIMD level not compiled in this build");
+  const StripMaskFn mask = strip_mask_kernel(level);
+  if (mask == nullptr || level > detected_simd_level()) {
+    state.SkipWithError("SIMD level not available in this build or CPU");
     return;
   }
   constexpr usize kLen = 150;  // one read length per scan
@@ -167,16 +168,26 @@ void BM_XdropExtend(benchmark::State& state) {
       if (rng.chance(0.05)) c = "ACGT"[rng.uniform(4)];
     }
   }
+  ScanTask fwd;
+  fwd.limit = kLen;
+  ScanTask bwd;
+  bwd.read_pos = kLen;
+  bwd.text_pos = kLen;
+  bwd.limit = kLen;
+  bwd.fwd = false;
+  ScanTask tasks[2];
+  std::vector<u32> live;
 
   u64 compared = 0;
   u64 cycles = 0;
   for (auto _ : state) {
+    tasks[0] = fwd;
+    tasks[1] = bwd;
     const u64 t0 = cycle_stamp();
-    const auto f = fwd(query.data(), text.data(), kLen, kXdrop);
-    const auto b = bwd(query.data() + kLen, text.data() + kLen, kLen, kXdrop);
+    run_scan_tasks(query, text, kXdrop, mask, tasks, live);
     cycles += cycle_stamp() - t0;
-    compared += f.compared + b.compared;
-    benchmark::DoNotOptimize(f.best_matched + b.best_matched);
+    compared += tasks[0].compared + tasks[1].compared;
+    benchmark::DoNotOptimize(tasks[0].best_matched + tasks[1].best_matched);
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 2);
   state.SetBytesProcessed(static_cast<i64>(compared));

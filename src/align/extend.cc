@@ -12,421 +12,27 @@
 
 namespace staratlas {
 
-namespace xdrop_kernels {
-namespace {
-
-/// Length of the match run in a[0..limit) vs b[0..limit) scanning forward,
-/// word-at-a-time. The first differing byte index is found with
-/// countr_zero on the XOR of 8-byte windows.
-u64 match_run_fwd(const char* a, const char* b, u64 limit) {
-  u64 i = 0;
-  while (i + sizeof(u64) <= limit) {
-    u64 aw;
-    u64 bw;
-    std::memcpy(&aw, a + i, sizeof(u64));
-    std::memcpy(&bw, b + i, sizeof(u64));
-    const u64 x = aw ^ bw;
-    if (x != 0) return i + static_cast<u64>(std::countr_zero(x)) / 8;
-    i += sizeof(u64);
-  }
-  while (i < limit && a[i] == b[i]) ++i;
-  return i;
-}
-
-/// Length of the match run comparing a[-1], a[-2], ... against b[-1],
-/// b[-2], ... (scanning backwards, up to `limit` bases). The highest
-/// differing byte of an 8-byte window is the first mismatch in scan order,
-/// found with countl_zero.
-u64 match_run_bwd(const char* a, const char* b, u64 limit) {
-  u64 i = 0;
-  while (i + sizeof(u64) <= limit) {
-    u64 aw;
-    u64 bw;
-    std::memcpy(&aw, a - i - sizeof(u64), sizeof(u64));
-    std::memcpy(&bw, b - i - sizeof(u64), sizeof(u64));
-    const u64 x = aw ^ bw;
-    if (x != 0) return i + static_cast<u64>(std::countl_zero(x)) / 8;
-    i += sizeof(u64);
-  }
-  while (i < limit && a[-static_cast<i64>(i) - 1] == b[-static_cast<i64>(i) - 1]) {
-    ++i;
-  }
-  return i;
-}
-
-// The X-drop scans process whole match runs instead of single bases. This
-// is exact, not approximate: with +1/-2 scoring the score rises
-// monotonically inside a run, so the x-drop break can only trigger at a
-// mismatch and the best-prefix update only improves at a run's end. Each
-// base of a run still counts one unit of bases_compared, so the virtual
-// cost model sees identical work. The SIMD variants additionally update
-// the best prefix at strip boundaries mid-run; any such update is
-// superseded at the true run end with a strictly greater score, so the
-// returned result is identical.
-
-/// Scalar reference: the pre-SIMD run loop (u64 word compares, no vector
-/// instructions). STARATLAS_FORCE_SCALAR pins dispatch here.
-ScanResult scan_fwd_scalar(const char* q, const char* t, u64 limit,
-                           int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len < limit) {
-    const u64 run = match_run_fwd(q + len, t + len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;  // the mismatching base
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-
-ScanResult scan_bwd_scalar(const char* q, const char* t, u64 limit,
-                           int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len < limit) {
-    const u64 run = match_run_bwd(q - len, t - len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-
-#if defined(STARATLAS_X86_SIMD)
-// Vector variants: one compare+movemask builds a per-strip mismatch
-// bitmap (32 bases with AVX2, 16 with SSE2), then the whole strip —
-// every run and every penalized mismatch in it — is consumed from that
-// one register with ctz/clz instead of reloading memory after each
-// mismatch. The tail shorter than a strip falls back to the scalar run
-// loop, which continues the same scan state, so no out-of-bounds byte is
-// ever touched.
-
-ScanResult scan_fwd_sse2(const char* q, const char* t, u64 limit,
-                         int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len + 16 <= limit) {
-    const __m128i qa =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + len));
-    const __m128i ta =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + len));
-    const u32 mm =
-        ~static_cast<u32>(_mm_movemask_epi8(_mm_cmpeq_epi8(qa, ta))) &
-        0xFFFFu;
-    u32 pos = 0;
-    while (pos < 16) {
-      const u32 rest = mm >> pos;
-      const u32 run =
-          rest == 0 ? 16 - pos : static_cast<u32>(__builtin_ctz(rest));
-      score += static_cast<int>(run);
-      matched += run;
-      len += run;
-      r.compared += run;
-      pos += run;
-      if (score > best_score) {
-        best_score = score;
-        r.best_matched = matched;
-        r.best_len = len;
-      }
-      if (rest == 0) break;  // run reaches the strip end; reload
-      ++r.compared;          // the mismatching base
-      score -= 2;
-      ++len;
-      ++pos;
-      if (score <= best_score - xdrop) return r;
-    }
-  }
-  while (len < limit) {
-    const u64 run = match_run_fwd(q + len, t + len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-
-ScanResult scan_bwd_sse2(const char* q, const char* t, u64 limit,
-                         int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len + 16 <= limit) {
-    const __m128i qa =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q - len - 16));
-    const __m128i ta =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t - len - 16));
-    // Scan order is highest vector byte first; park the 16-bit mismatch
-    // mask in the top half so clz counts scan-order matches directly.
-    const u32 mm =
-        (~static_cast<u32>(_mm_movemask_epi8(_mm_cmpeq_epi8(qa, ta)))
-         & 0xFFFFu)
-        << 16;
-    u32 pos = 0;
-    while (pos < 16) {
-      const u32 rest = mm << pos;
-      const u32 run =
-          rest == 0 ? 16 - pos : static_cast<u32>(__builtin_clz(rest));
-      score += static_cast<int>(run);
-      matched += run;
-      len += run;
-      r.compared += run;
-      pos += run;
-      if (score > best_score) {
-        best_score = score;
-        r.best_matched = matched;
-        r.best_len = len;
-      }
-      if (rest == 0) break;
-      ++r.compared;
-      score -= 2;
-      ++len;
-      ++pos;
-      if (score <= best_score - xdrop) return r;
-    }
-  }
-  while (len < limit) {
-    const u64 run = match_run_bwd(q - len, t - len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-
-__attribute__((target("avx2"))) ScanResult scan_fwd_avx2(const char* q,
-                                                         const char* t,
-                                                         u64 limit,
-                                                         int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len + 32 <= limit) {
-    const __m256i qa =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + len));
-    const __m256i ta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + len));
-    const u32 mm = ~static_cast<u32>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(qa, ta)));
-    u32 pos = 0;
-    while (pos < 32) {
-      const u32 rest = mm >> pos;
-      const u32 run =
-          rest == 0 ? 32 - pos : static_cast<u32>(__builtin_ctz(rest));
-      score += static_cast<int>(run);
-      matched += run;
-      len += run;
-      r.compared += run;
-      pos += run;
-      if (score > best_score) {
-        best_score = score;
-        r.best_matched = matched;
-        r.best_len = len;
-      }
-      if (rest == 0) break;
-      ++r.compared;
-      score -= 2;
-      ++len;
-      ++pos;
-      if (score <= best_score - xdrop) return r;
-    }
-  }
-  while (len < limit) {
-    const u64 run = match_run_fwd(q + len, t + len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-
-__attribute__((target("avx2"))) ScanResult scan_bwd_avx2(const char* q,
-                                                         const char* t,
-                                                         u64 limit,
-                                                         int xdrop) {
-  ScanResult r;
-  int score = 0;
-  int best_score = 0;
-  u64 matched = 0;
-  u64 len = 0;
-  while (len + 32 <= limit) {
-    const __m256i qa =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q - len - 32));
-    const __m256i ta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t - len - 32));
-    const u32 mm = ~static_cast<u32>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(qa, ta)));
-    u32 pos = 0;
-    while (pos < 32) {
-      const u32 rest = mm << pos;  // scan order: highest vector byte first
-      const u32 run =
-          rest == 0 ? 32 - pos : static_cast<u32>(__builtin_clz(rest));
-      score += static_cast<int>(run);
-      matched += run;
-      len += run;
-      r.compared += run;
-      pos += run;
-      if (score > best_score) {
-        best_score = score;
-        r.best_matched = matched;
-        r.best_len = len;
-      }
-      if (rest == 0) break;
-      ++r.compared;
-      score -= 2;
-      ++len;
-      ++pos;
-      if (score <= best_score - xdrop) return r;
-    }
-  }
-  while (len < limit) {
-    const u64 run = match_run_bwd(q - len, t - len, limit - len);
-    score += static_cast<int>(run);
-    matched += run;
-    len += run;
-    r.compared += run;
-    if (score > best_score) {
-      best_score = score;
-      r.best_matched = matched;
-      r.best_len = len;
-    }
-    if (len >= limit) break;
-    ++r.compared;
-    score -= 2;
-    ++len;
-    if (score <= best_score - xdrop) break;
-  }
-  return r;
-}
-#endif  // STARATLAS_X86_SIMD
-
-}  // namespace
-
-ScanFn fwd_kernel(SimdLevel level) {
-  switch (level) {
-#if defined(STARATLAS_X86_SIMD)
-    case SimdLevel::kAvx2:
-      return &scan_fwd_avx2;
-    case SimdLevel::kSse2:
-      return &scan_fwd_sse2;
-#else
-    case SimdLevel::kAvx2:
-    case SimdLevel::kSse2:
-      return nullptr;
-#endif
-    case SimdLevel::kScalar:
-      break;
-  }
-  return &scan_fwd_scalar;
-}
-
-ScanFn bwd_kernel(SimdLevel level) {
-  switch (level) {
-#if defined(STARATLAS_X86_SIMD)
-    case SimdLevel::kAvx2:
-      return &scan_bwd_avx2;
-    case SimdLevel::kSse2:
-      return &scan_bwd_sse2;
-#else
-    case SimdLevel::kAvx2:
-    case SimdLevel::kSse2:
-      return nullptr;
-#endif
-    case SimdLevel::kScalar:
-      break;
-  }
-  return &scan_bwd_scalar;
-}
-
-}  // namespace xdrop_kernels
-
 namespace {
 
 // ---------------------------------------------------------------------------
 // Striped multi-window extension driver.
 //
-// The old path ran one X-drop kernel per window end, to completion, before
-// touching the next window: every window paid its own text-fetch latency
+// Running one X-drop scan per window end, to completion, before touching
+// the next window would make every window pay its own text-fetch latency
 // serially. The driver below instead records all of a read's extension
 // tasks first, then advances them round-robin one 32-base strip at a time,
 // prefetching the next task's strip while the current one is consumed —
 // several genomic windows' cache misses overlap instead of queuing.
 //
 // Each strip is one mismatch bitmap (bit i = base i of the strip differs),
-// built by byte compares (scalar SWAR / SSE2 / AVX2 movemask). The bitmap
-// is consumed with the same ctz/clz run loop as the scan kernels above,
-// so the monotone +1/-2 argument carries over unchanged:
-// strip-boundary best updates are superseded at true run ends, the x-drop
-// break only fires at mismatches, and per-base `compared` accounting is
-// the sum of run lengths plus mismatches either way. Results are therefore
-// bit-identical to the per-window kernels (asserted by the parity tests).
+// built by byte compares (scalar SWAR / SSE2 / AVX2 movemask) and consumed
+// whole match runs at a time with ctz/clz. This is exact, not approximate:
+// with +1/-2 scoring the score rises monotonically inside a run, so the
+// x-drop break only fires at a mismatch and a best-prefix update at a
+// strip boundary is superseded at the true run end; each base of a run
+// still counts one unit of `compared`. Results therefore equal a plain
+// per-window scalar scan's, which the SimdParity tests check at every
+// compiled strip level against a run-loop oracle kept in tests/.
 // ---------------------------------------------------------------------------
 
 /// 32-byte mismatch bitmap of a[0..32) vs b[0..32), scalar reference:
@@ -469,16 +75,11 @@ __attribute__((target("avx2"))) u32 strip_mask_avx2(const char* a,
 }
 #endif  // STARATLAS_X86_SIMD
 
-using StripMaskFn = u32 (*)(const char* a, const char* b);
-
 StripMaskFn strip_kernel() {
-#if defined(STARATLAS_X86_SIMD)
   static const StripMaskFn kFn =
-      pick_kernel(&strip_mask_scalar, &strip_mask_sse2, &strip_mask_avx2);
-#else
-  static const StripMaskFn kFn =
-      pick_kernel<StripMaskFn>(&strip_mask_scalar, nullptr, nullptr);
-#endif
+      pick_kernel(strip_mask_kernel(SimdLevel::kScalar),
+                  strip_mask_kernel(SimdLevel::kSse2),
+                  strip_mask_kernel(SimdLevel::kAvx2));
   return kFn;
 }
 
@@ -512,7 +113,7 @@ bool consume_strip_fwd(ScanTask& t, u32 m, int xdrop) {
 
 /// Backward twin: the strip covers the 32 bases just before the scan
 /// front, so the first base in scan order is mask bit 31 and runs are
-/// counted with clz (same orientation trick as the backward scan kernels).
+/// counted with clz.
 bool consume_strip_bwd(ScanTask& t, u32 m, int xdrop) {
   u32 pos = 0;
   while (pos < 32) {
@@ -544,11 +145,12 @@ struct StripedDriver {
   std::string_view read;
   std::string_view text;
   int xdrop = 0;
+  StripMaskFn mask = nullptr;
 
   u32 strip_mask(const ScanTask& t) const {
     const u64 tp = t.fwd ? t.text_pos + t.len : t.text_pos - t.len - 32;
     const u64 qp = t.fwd ? t.read_pos + t.len : t.read_pos - t.len - 32;
-    return strip_kernel()(read.data() + qp, text.data() + tp);
+    return mask(read.data() + qp, text.data() + tp);
   }
 
   void prefetch(const ScanTask& t) const {
@@ -557,7 +159,7 @@ struct StripedDriver {
   }
 
   /// Finishes a task per-base: the sub-strip tail shorter than a strip.
-  /// Identical outcomes to the run loops — the incremental best update is
+  /// Identical outcomes to the strip loop — the incremental best update is
   /// superseded exactly like a strip-boundary update.
   void finish_per_base(ScanTask& t) const {
     while (t.len < t.limit) {
@@ -582,37 +184,6 @@ struct StripedDriver {
     }
   }
 
-  /// Runs every task to completion: strip rounds over all live tasks
-  /// (one strip per task per round, next task's strip prefetched), then
-  /// one per-base pass for tails and x-drop survivors shorter than a
-  /// strip. `live` is caller scratch, reused across reads.
-  void run(ScanTask* tasks, usize n, std::vector<u32>& live) const {
-    live.clear();
-    for (usize i = 0; i < n; ++i) {
-      if (tasks[i].len + 32 <= tasks[i].limit) {
-        live.push_back(static_cast<u32>(i));
-      }
-    }
-    while (!live.empty()) {
-      usize out = 0;
-      for (usize k = 0; k < live.size(); ++k) {
-        ScanTask& t = tasks[live[k]];
-        if (k + 1 < live.size()) prefetch(tasks[live[k + 1]]);
-        const u32 m = strip_mask(t);
-        const bool broke = t.fwd ? consume_strip_fwd(t, m, xdrop)
-                                 : consume_strip_bwd(t, m, xdrop);
-        if (broke) {
-          t.done = true;
-          continue;
-        }
-        if (t.len + 32 <= t.limit) live[out++] = live[k];
-      }
-      live.resize(out);
-    }
-    for (usize i = 0; i < n; ++i) {
-      if (!tasks[i].done) finish_per_base(tasks[i]);
-    }
-  }
 };
 
 /// Chains the window's loci (sorted by read_offset) with the classic
@@ -669,12 +240,60 @@ void chain_window(const std::vector<SeedLocus>& loci,
 
 }  // namespace
 
+StripMaskFn strip_mask_kernel(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::kScalar:
+      return &strip_mask_scalar;
+#if defined(STARATLAS_X86_SIMD)
+    case SimdLevel::kSse2:
+      return &strip_mask_sse2;
+    case SimdLevel::kAvx2:
+      return &strip_mask_avx2;
+#else
+    case SimdLevel::kSse2:
+    case SimdLevel::kAvx2:
+      break;
+#endif
+  }
+  return nullptr;
+}
+
+void run_scan_tasks(std::string_view read, std::string_view text, int xdrop,
+                    StripMaskFn mask, std::span<ScanTask> tasks,
+                    std::vector<u32>& live) {
+  const StripedDriver driver{read, text, xdrop, mask};
+  live.clear();
+  for (usize i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].len + 32 <= tasks[i].limit) {
+      live.push_back(static_cast<u32>(i));
+    }
+  }
+  while (!live.empty()) {
+    usize out = 0;
+    for (usize k = 0; k < live.size(); ++k) {
+      ScanTask& t = tasks[live[k]];
+      if (k + 1 < live.size()) driver.prefetch(tasks[live[k + 1]]);
+      const u32 m = driver.strip_mask(t);
+      const bool broke = t.fwd ? consume_strip_fwd(t, m, xdrop)
+                               : consume_strip_bwd(t, m, xdrop);
+      if (broke) {
+        t.done = true;
+        continue;
+      }
+      if (t.len + 32 <= t.limit) live[out++] = live[k];
+    }
+    live.resize(out);
+  }
+  for (ScanTask& t : tasks) {
+    if (!t.done) driver.finish_per_base(t);
+  }
+}
+
 void score_windows(const GenomeIndex& index, std::string_view read,
                    const std::vector<Seed>& seeds, bool reverse,
                    const AlignerParams& params, ExtendStats& stats,
                    ExtendWorkspace& ws, std::vector<AlignmentHit>& hits) {
   const std::string_view text = index.text();
-  const StripedDriver driver{read, text, params.xdrop};
 
   // 1. Enumerate loci (capped per seed for hyper-repetitive seeds).
   ws.loci.clear();
@@ -790,7 +409,7 @@ void score_windows(const GenomeIndex& index, std::string_view read,
   }
 
   // Phase B: one striped pass extends every window's ends together.
-  driver.run(ws.tasks.data(), ws.tasks.size(), ws.live);
+  run_scan_tasks(read, text, params.xdrop, strip_kernel(), ws.tasks, ws.live);
 
   // Phase C: apply extensions and emit hits in original window order, so
   // output and counters match the serial per-window path exactly.

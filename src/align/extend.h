@@ -10,6 +10,7 @@
 // are reported faithfully.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -20,35 +21,6 @@
 #include "index/genome_index.h"
 
 namespace staratlas {
-
-/// X-drop scan kernels (the inner loop of seed end extension), exposed so
-/// the scalar/SIMD parity fuzz test can drive every compiled variant
-/// explicitly; the aligner itself binds the dispatched pick once.
-namespace xdrop_kernels {
-
-/// Result of one whole X-drop scan with +1/-2 scoring.
-struct ScanResult {
-  u64 best_matched = 0;  ///< matched bases within the best-scoring prefix
-  u64 best_len = 0;      ///< length of the best-scoring prefix
-  u64 compared = 0;      ///< bases examined == scan length at exit
-};
-
-/// Forward kernels compare q[0..limit) against t[0..limit); backward
-/// kernels compare q[-1], q[-2], ... against t[-1], t[-2], ... for up to
-/// `limit` bases. All variants of a direction return identical results —
-/// with +1/-2 scoring the score rises monotonically inside a match run, so
-/// the x-drop break can only trigger at a mismatch and intermediate
-/// best-prefix updates (per SIMD strip instead of per run) are always
-/// superseded at the true run end.
-using ScanFn = ScanResult (*)(const char* q, const char* t, u64 limit,
-                              int xdrop);
-
-/// Kernel compiled for `level`, or null when this build lacks it (non-x86
-/// builds only compile the scalar reference).
-ScanFn fwd_kernel(SimdLevel level);
-ScanFn bwd_kernel(SimdLevel level);
-
-}  // namespace xdrop_kernels
 
 struct ExtendStats {
   u64 windows_scored = 0;
@@ -62,9 +34,8 @@ struct ExtendStats {
 /// last), then a single driver pass extends every window of the read a
 /// 32-base strip at a time, round-robin, so the text loads of several
 /// genomic windows are in flight at once instead of one window stalling
-/// the pipeline at a time. Results are identical to running the per-window
-/// X-drop kernels back to back (same +1/-2 monotone-run argument as the
-/// SIMD scan kernels).
+/// the pipeline at a time. Each task ends with the result of one whole
+/// X-drop scan (+1/-2 scoring) run alone.
 struct ScanTask {
   u64 read_pos = 0;   ///< read anchor; exclusive when scanning backward
   u64 text_pos = 0;   ///< text anchor; exclusive when scanning backward
@@ -81,6 +52,23 @@ struct ScanTask {
   u64 best_len = 0;      ///< length of the best-scoring prefix
   u64 compared = 0;      ///< bases examined
 };
+
+/// 32-bit mismatch mask of a[0..32) vs b[0..32): bit i set iff base i
+/// differs. One mask is one strip of the driver.
+using StripMaskFn = u32 (*)(const char* a, const char* b);
+
+/// Strip-mask kernel compiled for `level`, or null when this build lacks
+/// it (non-x86 builds compile only the scalar one). score_windows binds
+/// the pick_kernel choice once; tests drive every level explicitly.
+StripMaskFn strip_mask_kernel(SimdLevel level);
+
+/// The striped driver: runs every task to completion, one strip per live
+/// task per round, round-robin, prefetching the next task's strip, then
+/// finishes tails shorter than a strip per base. Tasks hold positions into
+/// `read` and `text`; `live` is caller scratch, reused across reads.
+void run_scan_tasks(std::string_view read, std::string_view text, int xdrop,
+                    StripMaskFn mask, std::span<ScanTask> tasks,
+                    std::vector<u32>& live);
 
 /// Deferred per-window assembly: what Phase A (chain + gap compares)
 /// computed, waiting for Phase B (the striped driver) to finish both

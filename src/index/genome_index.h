@@ -179,7 +179,8 @@ class GenomeIndex {
   u64 mmp_batch_stream(MmpFeed& feed) const;
 
   /// Narrows `interval` (matching `depth` query chars) to suffixes whose
-  /// next character equals `c`. Exposed for the aligner's seed logic.
+  /// next character equals `c`. mmp()'s narrowing step, public so tests
+  /// can check it on its own.
   SaInterval extend_interval(SaInterval interval, usize depth, char c) const;
 
   IndexStats stats() const;

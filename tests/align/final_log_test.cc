@@ -78,7 +78,7 @@ usize count_lines(const std::string& text) {
   return lines;
 }
 
-TEST(FinalLog, ZeroReadShardKeepsLogShape) {
+TEST(FinalLog, EmptySampleKeepsLogShape) {
   // A zero-read run (an empty sample) must render the same line count as
   // a populated run: percent rows print 0.00% (denominator clamps to 1)
   // and the speed row prints 0.00.

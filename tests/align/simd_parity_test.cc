@@ -1,13 +1,16 @@
-// Scalar/SIMD parity: every compiled X-drop kernel variant must return
-// bit-identical ScanResults to the scalar reference on fuzzed inputs, and
-// the batched alignment path (find_seeds_batch / Aligner::align_batch)
-// must reproduce the per-read path exactly — outcomes, scores, hits,
-// segments, and every work counter. These are the invariants that let the
-// FIG3/FIG4 experiment outputs stay bit-identical across SIMD levels and
-// batch shapes.
+// Scalar/SIMD parity: the striped X-drop driver that extends every read
+// must return, at every compiled strip-mask level, the same results as a
+// plain per-window scalar scan (the oracle below) on fuzzed inputs, and the
+// batched alignment path (find_seeds_batch / Aligner::align_batch) must
+// reproduce the per-read path exactly — outcomes, scores, hits, segments,
+// and every work counter. These are the invariants that let the FIG3/FIG4
+// experiment outputs stay bit-identical across SIMD levels and batch
+// shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <iterator>
 #include <span>
 #include <string>
@@ -28,8 +31,121 @@ namespace staratlas {
 namespace {
 
 using staratlas::testing::world;
-using xdrop_kernels::ScanFn;
-using xdrop_kernels::ScanResult;
+
+// ---------------------------------------------------------------------------
+// Oracle: one whole X-drop scan with +1/-2 scoring, one window at a time,
+// as a u64-word match-run loop with no vector instructions and no strips.
+// It shares no code with the striped driver in align/extend.cc.
+// ---------------------------------------------------------------------------
+
+/// Result of one whole X-drop scan with +1/-2 scoring.
+struct ScanResult {
+  u64 best_matched = 0;  ///< matched bases within the best-scoring prefix
+  u64 best_len = 0;      ///< length of the best-scoring prefix
+  u64 compared = 0;      ///< bases examined == scan length at exit
+};
+
+/// Length of the match run in a[0..limit) vs b[0..limit) scanning forward,
+/// word-at-a-time. The first differing byte index is found with
+/// countr_zero on the XOR of 8-byte windows.
+u64 match_run_fwd(const char* a, const char* b, u64 limit) {
+  u64 i = 0;
+  while (i + sizeof(u64) <= limit) {
+    u64 aw;
+    u64 bw;
+    std::memcpy(&aw, a + i, sizeof(u64));
+    std::memcpy(&bw, b + i, sizeof(u64));
+    const u64 x = aw ^ bw;
+    if (x != 0) return i + static_cast<u64>(std::countr_zero(x)) / 8;
+    i += sizeof(u64);
+  }
+  while (i < limit && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// Length of the match run comparing a[-1], a[-2], ... against b[-1],
+/// b[-2], ... (scanning backwards, up to `limit` bases). The highest
+/// differing byte of an 8-byte window is the first mismatch in scan order,
+/// found with countl_zero.
+u64 match_run_bwd(const char* a, const char* b, u64 limit) {
+  u64 i = 0;
+  while (i + sizeof(u64) <= limit) {
+    u64 aw;
+    u64 bw;
+    std::memcpy(&aw, a - i - sizeof(u64), sizeof(u64));
+    std::memcpy(&bw, b - i - sizeof(u64), sizeof(u64));
+    const u64 x = aw ^ bw;
+    if (x != 0) return i + static_cast<u64>(std::countl_zero(x)) / 8;
+    i += sizeof(u64);
+  }
+  while (i < limit && a[-static_cast<i64>(i) - 1] == b[-static_cast<i64>(i) - 1]) {
+    ++i;
+  }
+  return i;
+}
+
+// The scans process whole match runs instead of single bases. This is
+// exact, not approximate: with +1/-2 scoring the score rises monotonically
+// inside a run, so the x-drop break can only trigger at a mismatch and the
+// best-prefix update only improves at a run's end. Each base of a run
+// still counts one unit of bases_compared.
+
+/// Forward scan: compares q[0..limit) against t[0..limit).
+ScanResult scan_fwd_scalar(const char* q, const char* t, u64 limit,
+                           int xdrop) {
+  ScanResult r;
+  int score = 0;
+  int best_score = 0;
+  u64 matched = 0;
+  u64 len = 0;
+  while (len < limit) {
+    const u64 run = match_run_fwd(q + len, t + len, limit - len);
+    score += static_cast<int>(run);
+    matched += run;
+    len += run;
+    r.compared += run;
+    if (score > best_score) {
+      best_score = score;
+      r.best_matched = matched;
+      r.best_len = len;
+    }
+    if (len >= limit) break;
+    ++r.compared;  // the mismatching base
+    score -= 2;
+    ++len;
+    if (score <= best_score - xdrop) break;
+  }
+  return r;
+}
+
+/// Backward scan: compares q[-1], q[-2], ... against t[-1], t[-2], ... for
+/// up to `limit` bases.
+ScanResult scan_bwd_scalar(const char* q, const char* t, u64 limit,
+                           int xdrop) {
+  ScanResult r;
+  int score = 0;
+  int best_score = 0;
+  u64 matched = 0;
+  u64 len = 0;
+  while (len < limit) {
+    const u64 run = match_run_bwd(q - len, t - len, limit - len);
+    score += static_cast<int>(run);
+    matched += run;
+    len += run;
+    r.compared += run;
+    if (score > best_score) {
+      best_score = score;
+      r.best_matched = matched;
+      r.best_len = len;
+    }
+    if (len >= limit) break;
+    ++r.compared;
+    score -= 2;
+    ++len;
+    if (score <= best_score - xdrop) break;
+  }
+  return r;
+}
 
 std::string random_seq(Rng& rng, usize len) {
   std::string s;
@@ -48,82 +164,138 @@ std::string corrupt(const std::string& t, Rng& rng, double p) {
   return q;
 }
 
-void expect_scan_eq(const ScanResult& got, const ScanResult& want,
-                    const char* what, usize trial) {
-  EXPECT_EQ(got.best_matched, want.best_matched) << what << " trial " << trial;
-  EXPECT_EQ(got.best_len, want.best_len) << what << " trial " << trial;
-  EXPECT_EQ(got.compared, want.compared) << what << " trial " << trial;
+/// One driver input: every (query, text) pair laid out back to back in a
+/// read buffer and, at other offsets, in a text buffer (random filler
+/// between pairs), with one forward or backward task per pair and the
+/// oracle's answer for it.
+struct DriverCase {
+  explicit DriverCase(Rng& rng) : rng(rng) {}
+
+  /// Adds the scan of `q` against `t` (equal lengths); a backward task
+  /// scans from their ends toward their starts.
+  void add(const std::string& q, const std::string& t, bool fwd, int xdrop) {
+    const u64 len = q.size();
+    text += random_seq(rng, rng.uniform(40));  // text offset != read's
+    ScanTask task;
+    task.fwd = fwd;
+    task.limit = len;
+    task.read_pos = fwd ? read.size() : read.size() + len;
+    task.text_pos = fwd ? text.size() : text.size() + len;
+    tasks.push_back(task);
+    want.push_back(fwd ? scan_fwd_scalar(q.data(), t.data(), len, xdrop)
+                       : scan_bwd_scalar(q.data() + len, t.data() + len,
+                                         len, xdrop));
+    read += q;
+    text += t;
+  }
+
+  Rng& rng;
+  std::string read;
+  std::string text;
+  std::vector<ScanTask> tasks;
+  std::vector<ScanResult> want;
+};
+
+/// Strip levels this build compiled and this CPU can run.
+std::vector<SimdLevel> runnable_strip_levels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    if (strip_mask_kernel(level) != nullptr &&
+        level <= detected_simd_level()) {
+      levels.push_back(level);
+    }
+  }
+  return levels;
+}
+
+/// Runs the production driver over `c` with the strip kernel of `level`
+/// and checks every task against the oracle.
+void expect_driver_matches_oracle(const DriverCase& c, SimdLevel level,
+                                   int xdrop, const std::string& what) {
+  std::vector<ScanTask> tasks = c.tasks;  // fresh scan state per level
+  // Exactly sized copies: a strip read past the last pair leaves the
+  // allocation, which the ASan+UBSan job reports.
+  const std::vector<char> read(c.read.begin(), c.read.end());
+  const std::vector<char> text(c.text.begin(), c.text.end());
+  std::vector<u32> live;
+  run_scan_tasks({read.data(), read.size()}, {text.data(), text.size()},
+                 xdrop, strip_mask_kernel(level), tasks, live);
+  for (usize i = 0; i < tasks.size(); ++i) {
+    SCOPED_TRACE(what + " level " + simd_level_name(level) + " task " +
+                 std::to_string(i) + (tasks[i].fwd ? " fwd" : " bwd") +
+                 " len " + std::to_string(tasks[i].limit));
+    EXPECT_EQ(tasks[i].best_matched, c.want[i].best_matched);
+    EXPECT_EQ(tasks[i].best_len, c.want[i].best_len);
+    EXPECT_EQ(tasks[i].compared, c.want[i].compared);
+    EXPECT_LE(tasks[i].compared, tasks[i].limit);
+  }
 }
 
 TEST(SimdParity, XdropKernelsMatchScalarOnFuzzedInputs) {
-  const ScanFn fwd_scalar = xdrop_kernels::fwd_kernel(SimdLevel::kScalar);
-  const ScanFn bwd_scalar = xdrop_kernels::bwd_kernel(SimdLevel::kScalar);
-  ASSERT_NE(fwd_scalar, nullptr);
-  ASSERT_NE(bwd_scalar, nullptr);
+  const std::vector<SimdLevel> levels = runnable_strip_levels();
+  ASSERT_FALSE(levels.empty());
+#ifdef STARATLAS_X86_SIMD
+  // x86-64 guarantees SSE2, so SSE2 runs even where dispatch picks AVX2.
+  EXPECT_GE(levels.size(), 2u) << "x86 build ran no SIMD strip level";
+#endif
 
-  const SimdLevel levels[] = {SimdLevel::kSse2, SimdLevel::kAvx2};
   const double densities[] = {0.0, 0.02, 0.1, 0.5, 1.0};
   const int xdrops[] = {1, 8, 100};
 
   Rng rng(0xf022);
-  int exercised = 0;
   for (usize trial = 0; trial < 400; ++trial) {
-    const usize len = rng.uniform(301);  // 0..300: tails, strips, multi-strip
-    const std::string t = random_seq(rng, len);
-    const std::string q =
-        corrupt(t, rng, densities[trial % std::size(densities)]);
+    // Trials alternate between one forward + one backward task and a
+    // batch of up to 12 mixed tasks, where the round-robin compaction of
+    // `live` and the next-task prefetch act.
     const int xdrop = xdrops[trial % 3];
-
-    const ScanResult fwd_want = fwd_scalar(q.data(), t.data(), len, xdrop);
-    // Backward kernels take pointers one past the bases they compare.
-    const ScanResult bwd_want =
-        bwd_scalar(q.data() + len, t.data() + len, len, xdrop);
-    EXPECT_LE(fwd_want.compared, len);
-    EXPECT_LE(bwd_want.compared, len);
-
+    const usize pairs = trial % 2 == 0 ? 1 : 1 + rng.uniform(6);
+    DriverCase c(rng);
+    for (usize p = 0; p < pairs; ++p) {
+      for (const bool fwd : {true, false}) {
+        const usize len = rng.uniform(301);  // 0..300: tails, multi-strip
+        const std::string t = random_seq(rng, len);
+        const double density =
+            densities[(trial + p + (fwd ? 0 : 2)) % std::size(densities)];
+        c.add(corrupt(t, rng, density), t, fwd, xdrop);
+      }
+    }
     for (const SimdLevel level : levels) {
-      const ScanFn fwd = xdrop_kernels::fwd_kernel(level);
-      const ScanFn bwd = xdrop_kernels::bwd_kernel(level);
-      if (fwd == nullptr || bwd == nullptr) continue;  // not in this build
-      ++exercised;
-      expect_scan_eq(fwd(q.data(), t.data(), len, xdrop), fwd_want,
-                     simd_level_name(level), trial);
-      expect_scan_eq(bwd(q.data() + len, t.data() + len, len, xdrop),
-                     bwd_want, simd_level_name(level), trial);
+      expect_driver_matches_oracle(c, level, xdrop,
+                                   "trial " + std::to_string(trial));
     }
   }
-#ifdef STARATLAS_X86_SIMD
-  EXPECT_GT(exercised, 0) << "x86 build compiled no SIMD variant";
-#endif
 }
 
 TEST(SimdParity, XdropKernelsMatchScalarOnAdversarialShapes) {
   // Mismatches planted exactly at strip boundaries (15/16/17, 31/32/33...)
   // and runs that straddle them — the cases where a strip-local scan could
-  // diverge from the run-based scalar loop.
-  const ScanFn fwd_scalar = xdrop_kernels::fwd_kernel(SimdLevel::kScalar);
-  const ScanFn bwd_scalar = xdrop_kernels::bwd_kernel(SimdLevel::kScalar);
+  // diverge from the run-based scalar loop. Each shape runs alone and in
+  // one batch with every other shape.
   const usize boundaries[] = {0,  1,  14, 15, 16, 17, 30, 31, 32,
                               33, 47, 48, 63, 64, 65, 95, 96, 97};
   const usize len = 128;
-  for (const usize at : boundaries) {
-    for (const int xdrop : {1, 3, 8, 100}) {
-      std::string t(len, 'A');
+  const std::vector<SimdLevel> levels = runnable_strip_levels();
+  Rng rng(0xad5);
+  for (const int xdrop : {1, 3, 8, 100}) {
+    DriverCase batch(rng);
+    for (const usize at : boundaries) {
+      const std::string t(len, 'A');
       std::string q = t;
       q[at] = 'C';  // single mismatch at the boundary
       if (at + 1 < len) q[at + 1] = 'C';  // and a 2-run variant next to it
-      const ScanResult fwd_want = fwd_scalar(q.data(), t.data(), len, xdrop);
-      const ScanResult bwd_want =
-          bwd_scalar(q.data() + len, t.data() + len, len, xdrop);
-      for (const SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-        const ScanFn fwd = xdrop_kernels::fwd_kernel(level);
-        const ScanFn bwd = xdrop_kernels::bwd_kernel(level);
-        if (fwd == nullptr || bwd == nullptr) continue;
-        expect_scan_eq(fwd(q.data(), t.data(), len, xdrop), fwd_want,
-                       simd_level_name(level), at);
-        expect_scan_eq(bwd(q.data() + len, t.data() + len, len, xdrop),
-                       bwd_want, simd_level_name(level), at);
+      DriverCase single(rng);
+      for (const bool fwd : {true, false}) {
+        single.add(q, t, fwd, xdrop);
+        batch.add(q, t, fwd, xdrop);
       }
+      for (const SimdLevel level : levels) {
+        expect_driver_matches_oracle(single, level, xdrop,
+                                     "boundary " + std::to_string(at));
+      }
+    }
+    for (const SimdLevel level : levels) {
+      expect_driver_matches_oracle(batch, level, xdrop, "all boundaries");
     }
   }
 }

@@ -28,16 +28,11 @@
 namespace staratlas {
 namespace {
 
+using staratlas::testing::fastq_text;
 using staratlas::testing::world;
 
 std::shared_ptr<const GenomeIndex> world_index() {
   return {std::shared_ptr<const GenomeIndex>(), &world().index111};
-}
-
-std::string fastq_text(const ReadSet& reads) {
-  std::ostringstream out;
-  write_fastq(out, reads.reads);
-  return out.str();
 }
 
 // sun_path is ~108 bytes; keep the socket under a short /tmp name rather

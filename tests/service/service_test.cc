@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -28,6 +27,7 @@
 namespace staratlas {
 namespace {
 
+using staratlas::testing::fastq_text;
 using staratlas::testing::world;
 
 std::shared_ptr<const GenomeIndex> world_index() {
@@ -139,12 +139,6 @@ TEST(AlignmentService, ManyTenantsManySamplesAllByteIdentical) {
   EXPECT_EQ(metrics.tenants.at("alpha").completed, std::size(sizes));
   EXPECT_EQ(metrics.queue_depth_samples, 0u);
   EXPECT_EQ(metrics.resident_read_bytes, 0u);
-}
-
-std::string fastq_text(const ReadSet& reads) {
-  std::ostringstream out;
-  write_fastq(out, reads.reads);
-  return out.str();
 }
 
 auto fields(const MappingStats& s) {

@@ -22,6 +22,7 @@
 #include "align/sam.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
+#include "io/fastq.h"
 #include "io/fastq_block.h"
 #include "sim/read_simulator.h"
 
@@ -98,6 +99,13 @@ inline BatchSource fastq_batches(std::string_view fastq, usize batch_size) {
   return [reader, batch_size](ReadBatch& batch) {
     return reader->read_batch(batch, batch_size) > 0;
   };
+}
+
+/// `reads` rendered as FASTQ text, as a client submits them.
+inline std::string fastq_text(const ReadSet& reads) {
+  std::ostringstream out;
+  write_fastq(out, reads.reads);
+  return out.str();
 }
 
 /// The oracle for AlignmentEngine::execute over `reads`: per-read
